@@ -7,14 +7,16 @@ location label of the cell they were grown from.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import (NO_SIGNAL, Dataset, LabelledSample, UnlabelledSample,
-                   encode_location_label, find_underrepresented, GridPoint)
-from .models import build_model, prepare_inputs
+from .data import NO_SIGNAL, Fingerprints, GridPoint, encode_location_label, find_underrepresented
+from .models import build_model
 from .nn import Network, TrainConfig, train
+
+# (cell, row indices) per under-represented cell, as find_underrepresented returns them
+Groups = list[tuple[tuple[int, int], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -33,49 +35,43 @@ class AugmentationPolicy:
             raise ValueError("signal tau must be in (0, 1)")
 
 
-def _has_signal(value: float) -> bool:
-    return value > NO_SIGNAL
+def _grown(table: Fingerprints, cells: list[tuple[int, int]], rssi: list[np.ndarray],
+           timestamps: list[str]) -> Fingerprints:
+    """Generated rows, each labelled with its cell's label."""
+    labels = [encode_location_label(GridPoint(float(x), float(y))) for x, y in cells]
+    rssi = np.array(rssi, dtype=np.float64).reshape(len(rssi), table.rssi.shape[1])
+    return Fingerprints(rssi, timestamps, cells, labels)
 
 
-def _cell_label(cell: tuple[int, int]) -> tuple[GridPoint, str]:
-    point = GridPoint(float(cell[0]), float(cell[1]))
-    return point, encode_location_label(point)
-
-
-def naive_augment(samples: tuple[LabelledSample, ...] | list[LabelledSample],
-                  policy: AugmentationPolicy) -> list[LabelledSample]:
-    """One uniform-range sample per under-represented location.
+def naive_augment(table: Fingerprints, groups: Groups, policy: AugmentationPolicy) -> Fingerprints:
+    """Uniform-range samples (``policy.samples_per_location``) per grouped cell.
 
     A beacon contributes only if it has signal in every existing sample at
     the location; otherwise the generated value is no-signal.
     """
     rng = np.random.Generator(np.random.PCG64(policy.seed))
-    generated = []
-    for cell, group in find_underrepresented(list(samples), policy.threshold):
-        point, label = _cell_label(cell)
-        n_beacons = len(group[0].rssi)
+    cells, rssi, timestamps = [], [], []
+    for cell, rows in groups:
+        block = table.rssi[rows]
+        shared = (block > NO_SIGNAL).all(axis=0)
+        lo, hi = block.min(axis=0)[shared], block.max(axis=0)[shared]
         for k in range(policy.samples_per_location):
-            rssi = []
-            for b in range(n_beacons):
-                values = [s.rssi[b] for s in group]
-                if all(_has_signal(v) for v in values):
-                    rssi.append(float(rng.uniform(min(values), max(values))))
-                else:
-                    rssi.append(NO_SIGNAL)
-            generated.append(LabelledSample(rssi=tuple(rssi), location=point, label=label,
-                                            timestamp=f"naive-{cell[0]}-{cell[1]}-{k}"))
-    return generated
+            values = np.full(block.shape[1], NO_SIGNAL)
+            values[shared] = rng.uniform(lo, hi)
+            cells.append(cell)
+            rssi.append(values)
+            timestamps.append(f"naive-{cell[0]}-{cell[1]}-{k}")
+    return _grown(table, cells, rssi, timestamps)
 
 
-def train_autoencoder(unlabelled: tuple[UnlabelledSample, ...] | list[UnlabelledSample],
-                      policy: AugmentationPolicy, seed: int | None = None,
+def train_autoencoder(unlabelled: Fingerprints, policy: AugmentationPolicy, seed: int | None = None,
                       n_beacons: int = 13) -> tuple[Network, list[float]]:
     """Fit the reconstruction autoencoder on normalized unlabelled vectors."""
-    if not unlabelled:
+    if len(unlabelled) == 0:
         raise ValueError("empty unlabelled set")
     if seed is None:
         seed = policy.seed
-    vectors = np.array([s.rssi for s in unlabelled], dtype=np.float64) / NO_SIGNAL
+    vectors = unlabelled.rssi / NO_SIGNAL
     network = build_model("autoencoder", seed=seed, n_beacons=n_beacons)
     config = TrainConfig(epochs=policy.autoencoder_epochs, batch_size=100,
                          loss="rmse", optimizer="adam", seed=seed)
@@ -83,58 +79,57 @@ def train_autoencoder(unlabelled: tuple[UnlabelledSample, ...] | list[Unlabelled
     return network, history
 
 
-def autoencoder_augment(samples: tuple[LabelledSample, ...] | list[LabelledSample],
-                        autoencoder: Network, policy: AugmentationPolicy) -> tuple[list[LabelledSample], int]:
-    """Reconstruct the first sample of each under-represented location.
+def autoencoder_augment(table: Fingerprints, groups: Groups, autoencoder: Network,
+                        policy: AugmentationPolicy) -> tuple[Fingerprints, int]:
+    """Reconstruct the first sample of each grouped cell.
 
     A candidate is discarded when it shows signal on a beacon never seen
-    with signal at that location. Returns (kept samples, discarded count).
+    with signal at that location. Returns (kept rows, discarded count).
     """
-    kept = []
+    cells, rssi, timestamps = [], [], []
     discarded = 0
-    for cell, group in find_underrepresented(list(samples), policy.threshold):
-        point, label = _cell_label(cell)
-        source = group[0]
-        normalized = np.array([source.rssi], dtype=np.float64) / NO_SIGNAL
-        out = np.clip(autoencoder.forward(normalized)[0], 0.0, 1.0)
-        seen = [any(_has_signal(s.rssi[b]) for s in group) for b in range(len(source.rssi))]
-        if any(out[b] < policy.signal_tau and not seen[b] for b in range(len(out))):
+    for cell, rows in groups:
+        # one batch-1 forward per cell: batching them changes the last bits
+        out = np.clip(autoencoder.forward(table.rssi[rows[:1]] / NO_SIGNAL)[0], 0.0, 1.0)
+        seen = (table.rssi[rows] > NO_SIGNAL).any(axis=0)
+        if np.any((out < policy.signal_tau) & ~seen):
             discarded += 1
             continue
-        rssi = tuple(float(np.clip(v * NO_SIGNAL, NO_SIGNAL, 0.0)) for v in out)
-        kept.append(LabelledSample(rssi=rssi, location=point, label=label,
-                                   timestamp=f"autoenc-{cell[0]}-{cell[1]}"))
-    return kept, discarded
+        cells.append(cell)
+        rssi.append(np.clip(out * NO_SIGNAL, NO_SIGNAL, 0.0))
+        timestamps.append(f"autoenc-{cell[0]}-{cell[1]}")
+    return _grown(table, cells, rssi, timestamps), discarded
 
 
 @dataclass
 class AugmentationResult:
-    samples: list[LabelledSample]     # originals followed by generated
-    sources: list[str]                # per-sample provenance
+    samples: Fingerprints             # originals followed by generated
+    sources: list[str]                # per-row provenance
     counts: dict[str, int]
 
 
-def augment(samples, strategy: str, policy: AugmentationPolicy,
+def augment(table: Fingerprints, strategy: str, policy: AugmentationPolicy,
             autoencoder: Network | None = None) -> AugmentationResult:
     """Apply a strategy {none, naive, autoencoder, hybrid} and account for it."""
     if strategy not in ("none", "naive", "autoencoder", "hybrid"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    samples = list(samples)
-    counts = {"original": len(samples), "naive": 0, "kept": 0, "discarded": 0}
-    out = list(samples)
-    sources = ["original"] * len(samples)
+    groups = find_underrepresented(table, policy.threshold)
+    counts = {"original": len(table), "naive": 0, "kept": 0, "discarded": 0}
+    parts = [table]
+    sources = ["original"] * len(table)
     if strategy in ("naive", "hybrid"):
-        new = naive_augment(samples, policy)
+        new = naive_augment(table, groups, policy)
         counts["naive"] = len(new)
-        out += new
+        parts.append(new)
         sources += ["naive"] * len(new)
     if strategy in ("autoencoder", "hybrid"):
         if autoencoder is None:
             raise ValueError("autoencoder strategy requires a trained autoencoder")
-        new, discarded = autoencoder_augment(samples, autoencoder, policy)
+        new, discarded = autoencoder_augment(table, groups, autoencoder, policy)
         counts["kept"] = len(new)
         counts["discarded"] = discarded
-        out += new
+        parts.append(new)
         sources += ["autoencoder"] * len(new)
+    out = Fingerprints(*(np.concatenate([getattr(t, f.name) for t in parts]) for f in fields(Fingerprints)))
     counts["total"] = len(out)
     return AugmentationResult(samples=out, sources=sources, counts=counts)

@@ -141,12 +141,6 @@ def _train_config(args: dict, section: dict) -> nn.TrainConfig:
         raise ConfigError(str(e)) from None
 
 
-def _dataset_arrays(kind: str, samples, layout):
-    x = models.prepare_inputs(kind, np.array([s.rssi for s in samples]), layout)
-    y = np.array([[s.location.x, s.location.y] for s in samples])
-    return x, y
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -175,15 +169,15 @@ def cmd_train(args: dict) -> None:
     if strategy != "none" and args.get("paper_protocol"):
         # augment the full pool, then split (the less careful historical protocol)
         result = aug.augment(dataset.labelled, strategy, policy, autoencoder)
-        train_set, test_set = data.split(tuple(result.samples), ratio, config.seed)
+        train_set, test_set = data.split(result.samples, ratio, config.seed)
     else:
         train_set, test_set = data.split(dataset.labelled, ratio, config.seed)
         if strategy != "none":
             result = aug.augment(train_set, strategy, policy, autoencoder)
-            train_set = tuple(result.samples)
+            train_set = result.samples
 
-    x_train, y_train = _dataset_arrays(kind, train_set, layout)
-    x_test, y_test = _dataset_arrays(kind, test_set, layout)
+    x_train, y_train = models.xy(kind, train_set, layout)
+    x_test, y_test = models.xy(kind, test_set, layout)
     network = models.build_model(kind, seed=config.seed, n_beacons=layout.n_beacons)
     history = nn.train(network, x_train, y_train, config)
     metrics = nn.evaluate(network, x_test, y_test, layout.cell_feet)

@@ -10,9 +10,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,32 +63,55 @@ class GridPoint:
     x: float
     y: float
 
-    def distance_to(self, other: "GridPoint") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
+@dataclass(frozen=True, eq=False)
+class Fingerprints:
+    """A read-only table of fingerprint rows, one array per column.
 
-@dataclass(frozen=True)
-class LabelledSample:
-    rssi: tuple[float, ...]
-    location: GridPoint
-    label: str
-    timestamp: str = ""
+    ``rssi`` is (N, n_beacons) float64 dBm and ``timestamps`` (N,) text.
+    Labelled rows also carry ``cells``, the (N, 2) integer grid cell
+    ``[x, y]``, and ``labels``, the location label text as read; both are
+    None for unlabelled rows. Tables compare equal when every column is
+    exactly equal.
+    """
 
+    rssi: np.ndarray
+    timestamps: np.ndarray
+    cells: np.ndarray | None
+    labels: np.ndarray | None
 
-@dataclass(frozen=True)
-class UnlabelledSample:
-    rssi: tuple[float, ...]
-    timestamp: str = ""
+    def __post_init__(self):
+        columns = {"rssi": np.asarray(self.rssi, dtype=np.float64),
+                   "timestamps": np.asarray(self.timestamps, dtype=str)}
+        if self.cells is not None:
+            columns["cells"] = np.asarray(self.cells, dtype=np.int64).reshape(-1, 2)
+            columns["labels"] = np.asarray(self.labels, dtype=str)
+        if columns["rssi"].ndim != 2 or any(len(c) != len(columns["rssi"]) for c in columns.values()):
+            raise ValueError("fingerprint columns must be row-aligned and rssi 2-D")
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.rssi)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Fingerprints):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    def take(self, index) -> "Fingerprints":
+        """The rows at ``index`` (integer indices or a boolean mask), in that order."""
+        return Fingerprints(self.rssi[index], self.timestamps[index],
+                            None if self.cells is None else self.cells[index],
+                            None if self.labels is None else self.labels[index])
 
 
 @dataclass(frozen=True)
 class Dataset:
-    labelled: tuple[LabelledSample, ...]
-    unlabelled: tuple[UnlabelledSample, ...]
+    labelled: Fingerprints
+    unlabelled: Fingerprints
     layout: BeaconLayout
-
-    def with_labelled(self, labelled: Iterable[LabelledSample]) -> "Dataset":
-        return replace(self, labelled=tuple(labelled))
 
 
 @dataclass(frozen=True)
@@ -171,7 +194,7 @@ def default_layout() -> BeaconLayout:
     return load_layout(_DEFAULT_LAYOUT_PATH)
 
 
-def _parse_rssi_row(fields: Sequence[str], n_beacons: int, line: int) -> tuple[float, ...]:
+def _parse_rssi_row(fields: Sequence[str], line: int) -> list[float]:
     values = []
     for raw in fields:
         try:
@@ -181,137 +204,127 @@ def _parse_rssi_row(fields: Sequence[str], n_beacons: int, line: int) -> tuple[f
         if not (NO_SIGNAL <= v <= 0.0):
             raise RowError(line, f"RSSI {v} outside [{NO_SIGNAL}, 0]")
         values.append(v)
-    return tuple(values)
+    return values
 
 
-def parse_labelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> tuple[LabelledSample, ...]:
-    """Parse a ``location,date,<beacons...>`` CSV into labelled samples."""
+def _rssi_matrix(rows: list, layout: BeaconLayout) -> np.ndarray:
+    return np.array(rows, dtype=np.float64).reshape(len(rows), layout.n_beacons)
+
+
+def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str, ...], what: str):
+    """Check the ``<lead...>,<beacons...>`` header, then yield
+    (line number, stripped lead fields, RSSI fields) for each non-empty row."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
-        raise SchemaError("empty labelled CSV") from None
-    expected = 2 + layout.n_beacons
-    if len(header) != expected or header[0].strip().lower() != "location" or header[1].strip().lower() != "date":
+        raise SchemaError(f"empty {what} CSV") from None
+    expected = len(lead) + layout.n_beacons
+    if len(header) != expected or [h.strip().lower() for h in header[:len(lead)]] != list(lead):
         raise SchemaError(
-            f"labelled header must be location,date,<{layout.n_beacons} beacon columns>; got {len(header)} columns"
+            f"{what} header must be {','.join(lead)},<{layout.n_beacons} beacon columns>; got {len(header)} columns"
         )
-    samples = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != expected:
             raise RowError(lineno, f"expected {expected} columns, got {len(row)}")
-        label = row[0].strip()
-        location = decode_location_label(label)
-        rssi = _parse_rssi_row(row[2:], layout.n_beacons, lineno)
-        samples.append(LabelledSample(rssi=rssi, location=location, label=label, timestamp=row[1].strip()))
-    return tuple(samples)
+        yield lineno, [f.strip() for f in row[:len(lead)]], row[len(lead):]
 
 
-def parse_unlabelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> tuple[UnlabelledSample, ...]:
-    """Parse a ``date,<beacons...>`` CSV into unlabelled samples."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty unlabelled CSV") from None
-    expected = 1 + layout.n_beacons
-    if len(header) != expected or header[0].strip().lower() != "date":
-        raise SchemaError(
-            f"unlabelled header must be date,<{layout.n_beacons} beacon columns>; got {len(header)} columns"
-        )
-    samples = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != expected:
-            raise RowError(lineno, f"expected {expected} columns, got {len(row)}")
-        rssi = _parse_rssi_row(row[1:], layout.n_beacons, lineno)
-        samples.append(UnlabelledSample(rssi=rssi, timestamp=row[0].strip()))
-    return tuple(samples)
+def parse_labelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> Fingerprints:
+    """Parse a ``location,date,<beacons...>`` CSV into a labelled table."""
+    labels, timestamps, cells, rssi = [], [], [], []
+    for lineno, (label, timestamp), values in _csv_rows(stream, layout, ("location", "date"), "labelled"):
+        point = decode_location_label(label)
+        labels.append(label)
+        timestamps.append(timestamp)
+        cells.append((int(point.x), int(point.y)))
+        rssi.append(_parse_rssi_row(values, lineno))
+    return Fingerprints(_rssi_matrix(rssi, layout), timestamps, cells, labels)
+
+
+def parse_unlabelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> Fingerprints:
+    """Parse a ``date,<beacons...>`` CSV into an unlabelled table."""
+    timestamps, rssi = [], []
+    for lineno, (timestamp,), values in _csv_rows(stream, layout, ("date",), "unlabelled"):
+        timestamps.append(timestamp)
+        rssi.append(_parse_rssi_row(values, lineno))
+    return Fingerprints(_rssi_matrix(rssi, layout), timestamps, None, None)
 
 
 def load_dataset(labelled_path: str | Path, unlabelled_path: str | Path | None, layout: BeaconLayout) -> Dataset:
     with open(labelled_path, newline="") as f:
         labelled = parse_labelled_csv(f, layout)
-    unlabelled: tuple[UnlabelledSample, ...] = ()
+    unlabelled = Fingerprints(_rssi_matrix([], layout), [], None, None)
     if unlabelled_path is not None:
         with open(unlabelled_path, newline="") as f:
             unlabelled = parse_unlabelled_csv(f, layout)
     return Dataset(labelled=labelled, unlabelled=unlabelled, layout=layout)
 
 
-def write_labelled_csv(samples: Iterable[LabelledSample], layout: BeaconLayout, path: str | Path,
+def write_labelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path,
                        sources: Sequence[str] | None = None) -> None:
-    """Write labelled samples; with ``sources`` an extra provenance column is added."""
-    samples = list(samples)
+    """Write labelled rows; with ``sources`` an extra provenance column is added."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         header = ["location", "date", *layout.ids]
         if sources is not None:
             header.append("source")
         writer.writerow(header)
-        for i, s in enumerate(samples):
-            row = [s.label, s.timestamp, *(_fmt(v) for v in s.rssi)]
+        # .tolist() gives Python floats, whose repr is the plain number
+        rows = zip(table.labels.tolist(), table.timestamps.tolist(), table.rssi.tolist())
+        for i, (label, timestamp, rssi) in enumerate(rows):
+            row = [label, timestamp, *(_fmt(v) for v in rssi)]
             if sources is not None:
                 row.append(sources[i])
             writer.writerow(row)
 
 
-def write_unlabelled_csv(samples: Iterable[UnlabelledSample], layout: BeaconLayout, path: str | Path) -> None:
+def write_unlabelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["date", *layout.ids])
-        for s in samples:
-            writer.writerow([s.timestamp, *(_fmt(v) for v in s.rssi)])
+        for timestamp, rssi in zip(table.timestamps.tolist(), table.rssi.tolist()):
+            writer.writerow([timestamp, *(_fmt(v) for v in rssi)])
 
 
 def _fmt(v: float) -> str:
     return repr(v) if v != int(v) else str(int(v))
 
 
-def split(samples: Sequence[LabelledSample], ratio: float, seed: int) -> tuple[tuple[LabelledSample, ...], tuple[LabelledSample, ...]]:
+def split(table: Fingerprints, ratio: float, seed: int) -> tuple[Fingerprints, Fingerprints]:
     """Seeded shuffle then prefix/suffix cut; train size = floor(ratio * N)."""
     if not (0.0 <= ratio <= 1.0):
         raise ValueError(f"split ratio {ratio} outside [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(len(samples))
-    n_train = int(math.floor(ratio * len(samples)))
-    train = tuple(samples[i] for i in order[:n_train])
-    test = tuple(samples[i] for i in order[n_train:])
-    return train, test
+    order = rng.permutation(len(table))
+    n_train = int(math.floor(ratio * len(table)))
+    return table.take(order[:n_train]), table.take(order[n_train:])
 
 
-def cell_of(sample: LabelledSample) -> tuple[int, int]:
-    return (int(math.floor(sample.location.x)), int(math.floor(sample.location.y)))
-
-
-def sample_histogram(samples: Iterable[LabelledSample]) -> np.ndarray:
-    """Count samples per grid cell; shape (25, 25) indexed [x, y]."""
+def sample_histogram(table: Fingerprints) -> np.ndarray:
+    """Count rows per grid cell; shape (25, 25) indexed [x, y]."""
     grid = np.zeros((GRID_SIZE, GRID_SIZE), dtype=np.int64)
-    for s in samples:
-        cx, cy = cell_of(s)
-        grid[cx, cy] += 1
+    np.add.at(grid, (table.cells[:, 0], table.cells[:, 1]), 1)
     return grid
 
 
-def find_underrepresented(samples: Sequence[LabelledSample], threshold: int) -> list[tuple[tuple[int, int], list[LabelledSample]]]:
-    """Cells holding at least one but fewer than ``threshold`` samples.
+def find_underrepresented(table: Fingerprints, threshold: int) -> list[tuple[tuple[int, int], np.ndarray]]:
+    """Cells holding at least one but fewer than ``threshold`` rows.
 
-    Returned in deterministic dataset order of first appearance; each cell
-    carries its samples in dataset order.
+    Returned as (cell, row indices) in order of the cell's first appearance;
+    each cell's row indices are in table order.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
-    by_cell: dict[tuple[int, int], list[LabelledSample]] = {}
-    for s in samples:
-        by_cell.setdefault(cell_of(s), []).append(s)
-    return [(cell, group) for cell, group in by_cell.items() if len(group) < threshold]
+    cells, first, group, counts = np.unique(table.cells, axis=0, return_index=True,
+                                            return_inverse=True, return_counts=True)
+    rows = np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    return [((int(cells[g, 0]), int(cells[g, 1])), rows[g])
+            for g in np.argsort(first) if counts[g] < threshold]
 
 
 def synth_rssi(layout: BeaconLayout, model: PathLossModel, x: float, y: float,
@@ -338,20 +351,17 @@ def synth_generate(layout: BeaconLayout, model: PathLossModel, n_locations: int,
     if n_locations > GRID_SIZE * GRID_SIZE:
         raise ValueError(f"at most {GRID_SIZE * GRID_SIZE} distinct grid locations")
     rng = np.random.Generator(np.random.PCG64(seed))
-    cells = rng.choice(GRID_SIZE * GRID_SIZE, size=n_locations, replace=False)
-    labelled = []
-    for k, flat in enumerate(cells):
-        cx, cy = int(flat) // GRID_SIZE, int(flat) % GRID_SIZE
-        point = GridPoint(float(cx), float(cy))
-        label = encode_location_label(point)
-        for j in range(samples_per_location):
-            rssi = synth_rssi(layout, model, point.x, point.y, rng)
-            labelled.append(LabelledSample(rssi=rssi, location=point, label=label,
-                                           timestamp=f"synth-{k}-{j}"))
-    unlabelled = []
-    for k in range(n_unlabelled):
+    flat = rng.choice(GRID_SIZE * GRID_SIZE, size=n_locations, replace=False)
+    cells = np.repeat(np.stack([flat // GRID_SIZE, flat % GRID_SIZE], axis=1), samples_per_location, axis=0)
+    labels = [encode_location_label(GridPoint(float(cx), float(cy))) for cx, cy in cells.tolist()]
+    timestamps = [f"synth-{k}-{j}" for k in range(n_locations) for j in range(samples_per_location)]
+    rssi = [synth_rssi(layout, model, float(cx), float(cy), rng) for cx, cy in cells.tolist()]
+    labelled = Fingerprints(_rssi_matrix(rssi, layout), timestamps, cells, labels)
+    unlabelled_rssi = []
+    for _ in range(n_unlabelled):
         x = rng.uniform(0.0, GRID_SIZE)
         y = rng.uniform(0.0, GRID_SIZE)
-        rssi = synth_rssi(layout, model, x, y, rng)
-        unlabelled.append(UnlabelledSample(rssi=rssi, timestamp=f"synth-u-{k}"))
-    return Dataset(labelled=tuple(labelled), unlabelled=tuple(unlabelled), layout=layout)
+        unlabelled_rssi.append(synth_rssi(layout, model, x, y, rng))
+    unlabelled = Fingerprints(_rssi_matrix(unlabelled_rssi, layout),
+                              [f"synth-u-{k}" for k in range(n_unlabelled)], None, None)
+    return Dataset(labelled=labelled, unlabelled=unlabelled, layout=layout)

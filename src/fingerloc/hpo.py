@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import norm
 
+from .data import Dataset, split
 from .errors import ExperimentFailedError, GridExhausted, NumericalError
+from .models import build_model, xy
+from .nn import TrainConfig, evaluate, train
 
 WARMUP_TRIALS = 3
 EI_CANDIDATES = 1024
@@ -216,11 +219,9 @@ def run_search(objective: Callable[[dict[str, float]], float], space: SearchSpac
                config: ExperimentConfig) -> ExperimentResult:
     """Sequential suggest -> evaluate loop against an arbitrary objective.
 
-    The objective may raise DivergedError-like numerical failures; those
+    The objective may raise NumericalError (DivergedError included); those
     trials are recorded with status "diverged" and no objective value.
     """
-    from .errors import DivergedError, NumericalError as _NumErr
-
     suggester = Suggester(config.algorithm, space, config.seed, config.max_trials)
     trials: list[Trial] = []
     for number in range(1, config.max_trials + 1):
@@ -231,7 +232,7 @@ def run_search(objective: Callable[[dict[str, float]], float], space: SearchSpac
         try:
             value = float(objective(assignment))
             status = "ok" if math.isfinite(value) else "diverged"
-        except (DivergedError, _NumErr):
+        except NumericalError:
             value, status = None, "diverged"
         trials.append(Trial(number=number, assignment=assignment,
                             objective=value if status == "ok" else None, status=status))
@@ -256,40 +257,30 @@ def default_space(optimizer: str) -> SearchSpace:
     return ADAM_SPACE if optimizer == "adam" else SGD_SPACE
 
 
-def training_objective(model_kind: str, dataset, space: SearchSpace,
-                       base_config, split_ratio: float = 0.8,
+def training_objective(model_kind: str, dataset: Dataset, space: SearchSpace,
+                       base_config: TrainConfig, split_ratio: float = 0.8,
                        split_seed: int = 0) -> Callable[[dict[str, float]], float]:
     """Objective: train on a fixed split, return mean test error in grid units."""
-    from dataclasses import replace
-
-    from . import data as _data
-    from . import models as _models
-    from . import nn as _nn
-
     unknown = set(space.names) - set(TUNABLE_FIELDS)
     if unknown:
         raise ValueError(f"search space names not bindable to a train config: {sorted(unknown)}")
-    train_set, test_set = _data.split(dataset.labelled, split_ratio, split_seed)
+    train_set, test_set = split(dataset.labelled, split_ratio, split_seed)
     layout = dataset.layout
-    x_train = _models.prepare_inputs(model_kind, np.array([s.rssi for s in train_set]), layout)
-    y_train = np.array([[s.location.x, s.location.y] for s in train_set])
-    x_test = _models.prepare_inputs(model_kind, np.array([s.rssi for s in test_set]), layout)
-    y_test = np.array([[s.location.x, s.location.y] for s in test_set])
+    x_train, y_train = xy(model_kind, train_set, layout)
+    x_test, y_test = xy(model_kind, test_set, layout)
 
     def objective(assignment: dict[str, float]) -> float:
         config = replace(base_config, **assignment)
-        network = _models.build_model(model_kind, seed=config.seed, n_beacons=layout.n_beacons)
-        _nn.train(network, x_train, y_train, config)
-        return _nn.evaluate(network, x_test, y_test, layout.cell_feet).mean_error_grid
+        network = build_model(model_kind, seed=config.seed, n_beacons=layout.n_beacons)
+        train(network, x_train, y_train, config)
+        return evaluate(network, x_test, y_test, layout.cell_feet).mean_error_grid
 
     return objective
 
 
-def run_experiment(model_kind: str, dataset, space: SearchSpace, config: ExperimentConfig,
-                   base_config=None, split_ratio: float = 0.8) -> ExperimentResult:
+def run_experiment(model_kind: str, dataset: Dataset, space: SearchSpace, config: ExperimentConfig,
+                   base_config: TrainConfig | None = None, split_ratio: float = 0.8) -> ExperimentResult:
     """Tune a model's optimizer hyperparameters on a dataset."""
-    from .nn import TrainConfig
-
     if base_config is None:
         base_config = TrainConfig(seed=config.seed)
     objective = training_objective(model_kind, dataset, space, base_config,

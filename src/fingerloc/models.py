@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import GRID_SIZE, NO_SIGNAL, BeaconLayout
+from .data import GRID_SIZE, NO_SIGNAL, BeaconLayout, Fingerprints
 from .errors import LayoutError
 from .nn import Conv2d, Dense, Flatten, MaxPool2d, Network, ReLU, Sigmoid
 
@@ -114,3 +114,8 @@ def prepare_inputs(kind: str, rssi_vectors: np.ndarray, layout: BeaconLayout) ->
     if kind == "autoencoder":
         return rssi_vectors / NO_SIGNAL
     raise ValueError(f"unknown model kind {kind!r}")
+
+
+def xy(kind: str, table: Fingerprints, layout: BeaconLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Model inputs and (N, 2) float grid-coordinate targets of labelled rows."""
+    return prepare_inputs(kind, table.rssi, layout), table.cells.astype(np.float64)

@@ -12,7 +12,7 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -441,10 +441,6 @@ def evaluate(network: Network, inputs: np.ndarray, targets: np.ndarray,
     return Metrics(mean_error_grid=mean_grid,
                    mean_error_feet=mean_grid * cell_feet,
                    per_sample_errors_grid=errors)
-
-
-def count_params(network: Network) -> int:
-    return network.count_params()
 
 
 # ---------------------------------------------------------------------------

@@ -10,26 +10,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import NO_SIGNAL, Dataset, LabelledSample, split
-from .models import build_model, prepare_inputs
+from .data import NO_SIGNAL, Dataset, split
+from .errors import FingerlocError
+from .models import build_model, xy
 from .nn import TrainConfig, evaluate, train
-
-
-def signal_set(sample: LabelledSample) -> frozenset[int]:
-    return frozenset(b for b, v in enumerate(sample.rssi) if v > NO_SIGNAL)
 
 
 def drop_beacon(dataset: Dataset, beacon_id: str) -> Dataset:
     """Residual dataset after silencing one beacon. Idempotent."""
     idx = dataset.layout.index_of(beacon_id)
-    residual = []
-    for s in dataset.labelled:
-        if signal_set(s) == {idx}:
-            continue
-        rssi = list(s.rssi)
-        rssi[idx] = NO_SIGNAL
-        residual.append(replace(s, rssi=tuple(rssi)))
-    return dataset.with_labelled(residual)
+    has = dataset.labelled.rssi > NO_SIGNAL
+    residual = dataset.labelled.take(~(has[:, idx] & (has.sum(axis=1) == 1)))
+    rssi = residual.rssi.copy()
+    rssi[:, idx] = NO_SIGNAL
+    return replace(dataset, labelled=replace(residual, rssi=rssi))
 
 
 @dataclass
@@ -56,10 +50,8 @@ def _mean_error_feet(model_kind: str, config: TrainConfig, dataset: Dataset,
         train_set, test_set = split(dataset.labelled, ratio, seed)
         if not train_set or not test_set:
             raise ValueError("split produced an empty partition")
-        x_train = prepare_inputs(model_kind, np.array([s.rssi for s in train_set]), layout)
-        y_train = np.array([[s.location.x, s.location.y] for s in train_set])
-        x_test = prepare_inputs(model_kind, np.array([s.rssi for s in test_set]), layout)
-        y_test = np.array([[s.location.x, s.location.y] for s in test_set])
+        x_train, y_train = xy(model_kind, train_set, layout)
+        x_test, y_test = xy(model_kind, test_set, layout)
         network = build_model(model_kind, seed=seed, n_beacons=layout.n_beacons)
         cfg = replace(config, seed=seed)
         train(network, x_train, y_train, cfg)
@@ -85,7 +77,7 @@ def dropout_study(model_kind: str, config: TrainConfig, dataset: Dataset,
                                         residual_samples=len(residual.labelled),
                                         mean_error_feet=err,
                                         delta_feet=err - baseline))
-        except Exception as e:  # degenerate residual or divergence
+        except (FingerlocError, ValueError) as e:  # degenerate residual or divergence
             impacts.append(BeaconImpact(beacon_id=beacon_id,
                                         residual_samples=len(residual.labelled),
                                         mean_error_feet=None, delta_feet=None,

@@ -1,6 +1,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fingerloc import data
@@ -16,6 +17,14 @@ def synth_dataset(layout):
     model = data.PathLossModel(noise_std=2.0)
     return data.synth_generate(layout, model, n_locations=60, samples_per_location=4,
                                seed=11, n_unlabelled=200)
+
+
+def labelled_table(cells, rssi, timestamps=None):
+    """A labelled table, one row per (cell, RSSI vector); labels encode the cells."""
+    labels = [data.encode_location_label(data.GridPoint(float(x), float(y))) for x, y in cells]
+    if timestamps is None:
+        timestamps = [""] * len(cells)
+    return data.Fingerprints(np.array(rssi, dtype=np.float64), timestamps, cells, labels)
 
 
 def uci_paths():

@@ -157,12 +157,8 @@ def test_criterion_5_baseline_error_band(uci_dataset):
     errors = []
     for seed in range(5):
         train_set, test_set = data.split(uci_dataset.labelled, 0.8, seed)
-        x = models.prepare_inputs("dnn", np.array([s.rssi for s in train_set]),
-                                  uci_dataset.layout)
-        y = np.array([[s.location.x, s.location.y] for s in train_set])
-        xt = models.prepare_inputs("dnn", np.array([s.rssi for s in test_set]),
-                                   uci_dataset.layout)
-        yt = np.array([[s.location.x, s.location.y] for s in test_set])
+        x, y = models.xy("dnn", train_set, uci_dataset.layout)
+        xt, yt = models.xy("dnn", test_set, uci_dataset.layout)
         net = models.build_model("dnn", seed=seed)
         nn.train(net, x, y, nn.TrainConfig(seed=seed))
         errors.append(nn.evaluate(net, xt, yt, 10.0).mean_error_feet)
@@ -202,7 +198,8 @@ def test_criterion_6_tuning_direction(uci_dataset, kind, optimizer):
 def test_criterion_7_augmentation_direction(uci_dataset):
     layout = uci_dataset.layout
     policy = aug.AugmentationPolicy(seed=0)
-    naive = aug.naive_augment(list(uci_dataset.labelled), policy)
+    under = data.find_underrepresented(uci_dataset.labelled, policy.threshold)
+    naive = aug.naive_augment(uci_dataset.labelled, under, policy)
     assert len(naive) == 188
 
     autoencoder, _ = aug.train_autoencoder(uci_dataset.unlabelled, policy,
@@ -215,11 +212,9 @@ def test_criterion_7_augmentation_direction(uci_dataset):
 
     def mean_error(samples, seed):
         # paper protocol: augment the pool, then split
-        train_set, test_set = data.split(tuple(samples), 0.8, seed)
-        x = models.prepare_inputs("dnn", np.array([s.rssi for s in train_set]), layout)
-        y = np.array([[s.location.x, s.location.y] for s in train_set])
-        xt = models.prepare_inputs("dnn", np.array([s.rssi for s in test_set]), layout)
-        yt = np.array([[s.location.x, s.location.y] for s in test_set])
+        train_set, test_set = data.split(samples, 0.8, seed)
+        x, y = models.xy("dnn", train_set, layout)
+        xt, yt = models.xy("dnn", test_set, layout)
         net = models.build_model("dnn", seed=seed)
         nn.train(net, x, y, nn.TrainConfig(seed=seed))
         return nn.evaluate(net, xt, yt, 10.0).mean_error_feet
@@ -241,10 +236,8 @@ def test_criterion_8_synthetic_fallback(layout):
     ds = data.synth_generate(layout, model, n_locations=400, samples_per_location=3,
                              seed=21, n_unlabelled=500)
     train_set, test_set = data.split(ds.labelled, 0.8, 0)
-    x = np.array([s.rssi for s in train_set])
-    y = np.array([[s.location.x, s.location.y] for s in train_set])
-    xt = np.array([s.rssi for s in test_set])
-    yt = np.array([[s.location.x, s.location.y] for s in test_set])
+    x, y = models.xy("dnn", train_set, layout)
+    xt, yt = models.xy("dnn", test_set, layout)
     net = models.build_model("dnn", seed=0)
     nn.train(net, x, y, nn.TrainConfig(seed=0))
     dnn_err = nn.evaluate(net, xt, yt, 10.0).mean_error_grid
@@ -259,7 +252,8 @@ def test_criterion_8_synthetic_fallback(layout):
     result = aug.augment(ds.labelled, "hybrid", policy, autoencoder)
     c = result.counts
     assert c["total"] == c["original"] + c["naive"] + c["kept"]
-    assert tuple(result.samples[:len(ds.labelled)]) == ds.labelled
+    # table equality is exact equality of the rssi, cells, labels and timestamps arrays
+    assert result.samples.take(np.arange(len(ds.labelled))) == ds.labelled
 
     # rationalization idempotence and residual accounting
     for beacon_id in layout.ids:
@@ -267,7 +261,8 @@ def test_criterion_8_synthetic_fallback(layout):
         twice = rationalize.drop_beacon(once, beacon_id)
         assert once.labelled == twice.labelled
         idx = layout.index_of(beacon_id)
-        removed = sum(1 for s in ds.labelled if rationalize.signal_set(s) == {idx})
+        has = ds.labelled.rssi > data.NO_SIGNAL
+        removed = sum(1 for row in has if set(np.flatnonzero(row)) == {idx})
         assert len(ds.labelled) - len(once.labelled) == removed
 
     elapsed = time.monotonic() - started

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fingerloc import data
+from conftest import labelled_table
 from fingerloc.errors import LayoutError, MalformedLabelError, RowError, SchemaError
 
 
@@ -33,6 +34,11 @@ class TestLocationCodec:
         point = data.GridPoint(float(col), float(row))
         assert data.decode_location_label(data.encode_location_label(point)) == point
 
+    @given(st.sampled_from("ABCDEFGHIJKLMNOPQRSTUVWXY"), st.integers(0, 24))
+    def test_canonical_label_round_trip(self, letter, row):
+        label = f"{letter}{row:02d}"
+        assert data.encode_location_label(data.decode_location_label(label)) == label
+
 
 def _labelled_csv(layout, rows):
     header = "location,date," + ",".join(layout.ids)
@@ -42,15 +48,15 @@ def _labelled_csv(layout, rows):
 class TestParsing:
     def test_labelled_counts(self, layout):
         rows = [f"A0{i},2024-01-0{i+1}," + ",".join(["-70"] * 13) for i in range(3)]
-        samples = data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
-        assert len(samples) == 3
-        assert samples[0].label == "A00"
-        assert samples[0].rssi == (-70.0,) * 13
+        table = data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
+        assert len(table) == 3
+        assert table.labels[0] == "A00"
+        assert table.rssi[0].tolist() == [-70.0] * 13
 
     def test_all_no_signal_row_accepted(self, layout):
         rows = ["B02,ts," + ",".join(["-200"] * 13)]
-        samples = data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
-        assert samples[0].rssi == (data.NO_SIGNAL,) * 13
+        table = data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
+        assert table.rssi[0].tolist() == [data.NO_SIGNAL] * 13
 
     def test_rssi_out_of_range(self, layout):
         rows = ["A00,ts," + ",".join(["-70"] * 12 + ["-201"])]
@@ -76,14 +82,14 @@ class TestParsing:
     def test_unlabelled(self, layout):
         header = "date," + ",".join(layout.ids)
         body = header + "\nts1," + ",".join(["-60"] * 13) + "\n"
-        samples = data.parse_unlabelled_csv(body, layout)
-        assert len(samples) == 1
-        assert samples[0].timestamp == "ts1"
+        table = data.parse_unlabelled_csv(body, layout)
+        assert len(table) == 1
+        assert table.timestamps[0] == "ts1"
 
     def test_timestamp_preserved(self, layout):
         rows = ["C03,opaque-stamp," + ",".join(["-70"] * 13)]
-        samples = data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
-        assert samples[0].timestamp == "opaque-stamp"
+        table = data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
+        assert table.timestamps[0] == "opaque-stamp"
 
 
 class TestSplit:
@@ -105,22 +111,28 @@ class TestSplit:
 
     def test_disjoint_union(self, synth_dataset):
         train, test = data.split(synth_dataset.labelled, 0.7, 3)
-        combined = sorted([s.timestamp for s in train + test])
-        assert combined == sorted(s.timestamp for s in synth_dataset.labelled)
+        combined = sorted(train.timestamps.tolist() + test.timestamps.tolist())
+        assert combined == sorted(synth_dataset.labelled.timestamps.tolist())
 
     def test_bad_ratio(self, synth_dataset):
         with pytest.raises(ValueError):
             data.split(synth_dataset.labelled, 1.5, 0)
 
+    @given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_partition_of_row_indices(self, n, ratio, seed):
+        table = labelled_table([(0, 0)] * n, np.zeros((n, 1)), [str(i) for i in range(n)])
+        train, test = data.split(table, ratio, seed)
+        assert len(train) == math.floor(ratio * n)
+        rows = [int(t) for t in train.timestamps.tolist() + test.timestamps.tolist()]
+        assert sorted(rows) == list(range(n))
+
 
 class TestHistogram:
-    def test_empty(self):
-        assert data.sample_histogram([]).sum() == 0
+    def test_empty(self, synth_dataset):
+        assert data.sample_histogram(synth_dataset.labelled.take([])).sum() == 0
 
     def test_single_sample(self):
-        s = data.LabelledSample(rssi=(-70.0,) * 13, location=data.GridPoint(3.0, 7.0),
-                                label="D07")
-        grid = data.sample_histogram([s])
+        grid = data.sample_histogram(labelled_table([(3, 7)], [[-70.0] * 13]))
         assert grid[3, 7] == 1
         assert grid.sum() == 1
 
@@ -134,10 +146,9 @@ class TestUnderrepresented:
         assert data.find_underrepresented(synth_dataset.labelled, 1) == []
 
     def test_two_samples_threshold_three(self):
-        s1 = data.LabelledSample(rssi=(-70.0,) * 13, location=data.GridPoint(1.0, 1.0), label="B01")
-        s2 = data.LabelledSample(rssi=(-60.0,) * 13, location=data.GridPoint(1.0, 1.0), label="B01")
-        result = data.find_underrepresented([s1, s2], 3)
-        assert result == [((1, 1), [s1, s2])]
+        table = labelled_table([(1, 1), (1, 1)], [[-70.0] * 13, [-60.0] * 13])
+        result = data.find_underrepresented(table, 3)
+        assert [(cell, rows.tolist()) for cell, rows in result] == [((1, 1), [0, 1])]
 
     def test_monotone_in_threshold(self, synth_dataset):
         small = {cell for cell, _ in data.find_underrepresented(synth_dataset.labelled, 3)}
@@ -183,14 +194,13 @@ class TestSynthGenerate:
         assert len(ds.unlabelled) == 9
 
     def test_all_values_in_range(self, synth_dataset):
-        for s in synth_dataset.labelled:
-            assert all(data.NO_SIGNAL <= v <= 0.0 for v in s.rssi)
-        for s in synth_dataset.unlabelled:
-            assert all(data.NO_SIGNAL <= v <= 0.0 for v in s.rssi)
+        for table in (synth_dataset.labelled, synth_dataset.unlabelled):
+            assert ((data.NO_SIGNAL <= table.rssi) & (table.rssi <= 0.0)).all()
 
     def test_labels_decode_to_locations(self, synth_dataset):
-        for s in synth_dataset.labelled:
-            assert data.decode_location_label(s.label) == s.location
+        t = synth_dataset.labelled
+        for label, (x, y) in zip(t.labels.tolist(), t.cells.tolist()):
+            assert data.decode_location_label(label) == data.GridPoint(float(x), float(y))
 
 
 class TestLayout:
@@ -226,3 +236,26 @@ class TestCsvRoundTrip:
         with open(path) as f:
             parsed = data.parse_unlabelled_csv(f.read(), synth_dataset.layout)
         assert parsed == synth_dataset.unlabelled
+
+    # exact: a float written as repr(np.float64(...)) would not parse back
+    rssi_rows = st.lists(st.lists(st.floats(data.NO_SIGNAL, 0.0), min_size=13, max_size=13), max_size=12)
+    stamps = st.text(alphabet="abcXYZ0123456789-:.", max_size=10)
+
+    @given(st.data())
+    def test_labelled_round_trip_property(self, layout, tmp_path_factory, gen):
+        rssi = gen.draw(self.rssi_rows)
+        n = len(rssi)
+        cells = gen.draw(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), min_size=n, max_size=n))
+        stamps = gen.draw(st.lists(self.stamps, min_size=n, max_size=n))
+        table = labelled_table(cells, np.array(rssi).reshape(n, 13), stamps)
+        path = tmp_path_factory.mktemp("csv") / "labelled.csv"
+        data.write_labelled_csv(table, layout, path)
+        assert data.parse_labelled_csv(path.read_text(), layout) == table
+
+    @given(rssi_rows, st.data())
+    def test_unlabelled_round_trip_property(self, layout, tmp_path_factory, rssi, gen):
+        stamps = gen.draw(st.lists(self.stamps, min_size=len(rssi), max_size=len(rssi)))
+        table = data.Fingerprints(np.array(rssi).reshape(len(rssi), 13), stamps, None, None)
+        path = tmp_path_factory.mktemp("csv") / "unlabelled.csv"
+        data.write_unlabelled_csv(table, layout, path)
+        assert data.parse_unlabelled_csv(path.read_text(), layout) == table

@@ -1,42 +1,42 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, strategies as st
+
 from fingerloc import data, rationalize
-from fingerloc.data import Dataset, GridPoint, LabelledSample, NO_SIGNAL
+from fingerloc.data import Dataset, NO_SIGNAL
 from fingerloc.errors import LayoutError
 from fingerloc.nn import TrainConfig
+from conftest import labelled_table
 
 
-def sample_with_signal(layout, beacons, cell=(5, 5), stamp="s"):
-    rssi = [NO_SIGNAL] * layout.n_beacons
-    for b in beacons:
-        rssi[b] = -70.0
-    point = GridPoint(float(cell[0]), float(cell[1]))
-    return LabelledSample(rssi=tuple(rssi), location=point,
-                          label=data.encode_location_label(point), timestamp=stamp)
+def no_unlabelled(layout):
+    return data.Fingerprints(np.empty((0, layout.n_beacons)), [], None, None)
+
+
+def beacons_with_signal(rssi):
+    return {b for b, v in enumerate(rssi) if v > NO_SIGNAL}
 
 
 @pytest.fixture
 def small_dataset(layout):
-    samples = (
-        sample_with_signal(layout, {0}, stamp="only-b0"),
-        sample_with_signal(layout, {0, 1}, stamp="b0-b1"),
-        sample_with_signal(layout, {2}, stamp="only-b2"),
-        sample_with_signal(layout, set(), stamp="silent"),
-    )
-    return Dataset(labelled=samples, unlabelled=(), layout=layout)
+    signals = {"only-b0": {0}, "b0-b1": {0, 1}, "only-b2": {2}, "silent": set()}
+    rssi = [[-70.0 if b in beacons else NO_SIGNAL for b in range(layout.n_beacons)]
+            for beacons in signals.values()]
+    samples = labelled_table([(5, 5)] * len(signals), rssi, list(signals))
+    return Dataset(labelled=samples, unlabelled=no_unlabelled(layout), layout=layout)
 
 
 class TestDropBeacon:
     def test_removes_only_signal_samples(self, small_dataset, layout):
         residual = rationalize.drop_beacon(small_dataset, layout.ids[0])
-        stamps = [s.timestamp for s in residual.labelled]
+        stamps = residual.labelled.timestamps.tolist()
         assert stamps == ["b0-b1", "only-b2", "silent"]
 
     def test_silences_beacon_everywhere(self, small_dataset, layout):
         idx = 0
         residual = rationalize.drop_beacon(small_dataset, layout.ids[idx])
-        assert all(s.rssi[idx] == NO_SIGNAL for s in residual.labelled)
+        assert (residual.labelled.rssi[:, idx] == NO_SIGNAL).all()
 
     def test_all_silent_beacon_changes_nothing(self, small_dataset, layout):
         # beacon 12 has no signal in any sample
@@ -48,12 +48,24 @@ class TestDropBeacon:
         twice = rationalize.drop_beacon(once, layout.ids[0])
         assert once.labelled == twice.labelled
 
+    @given(st.lists(st.lists(st.sampled_from([NO_SIGNAL, -60.0, -81.5]), min_size=13, max_size=13),
+                    max_size=30), st.integers(0, 12))
+    def test_idempotent_and_removes_exactly_single_signal_rows(self, layout, rows, idx):
+        stamps = [str(i) for i in range(len(rows))]
+        table = labelled_table([(3, 4)] * len(rows), np.array(rows).reshape(len(rows), 13), stamps)
+        ds = Dataset(labelled=table, unlabelled=no_unlabelled(layout), layout=layout)
+        once = rationalize.drop_beacon(ds, layout.ids[idx])
+        assert rationalize.drop_beacon(once, layout.ids[idx]).labelled == once.labelled
+        kept = [s for s, r in zip(stamps, rows) if beacons_with_signal(r) != {idx}]
+        assert once.labelled.timestamps.tolist() == kept
+        assert (once.labelled.rssi[:, idx] == NO_SIGNAL).all()
+
     def test_unknown_beacon(self, small_dataset):
         with pytest.raises(LayoutError):
             rationalize.drop_beacon(small_dataset, "b9999")
 
     def test_originals_untouched(self, small_dataset, layout):
-        snapshot = tuple(small_dataset.labelled)
+        snapshot = small_dataset.labelled.take(np.arange(len(small_dataset.labelled)))
         rationalize.drop_beacon(small_dataset, layout.ids[0])
         assert small_dataset.labelled == snapshot
 
@@ -62,18 +74,19 @@ class TestDropBeacon:
         for beacon_id in layout.ids[:4]:
             idx = layout.index_of(beacon_id)
             residual = rationalize.drop_beacon(synth_dataset, beacon_id)
-            expected = [s for s in synth_dataset.labelled
-                        if not (s.rssi[idx] > NO_SIGNAL
-                                and all(v == NO_SIGNAL for b, v in enumerate(s.rssi) if b != idx))]
+            rows = zip(synth_dataset.labelled.timestamps.tolist(), synth_dataset.labelled.rssi.tolist())
+            expected = [stamp for stamp, rssi in rows
+                        if not (rssi[idx] > NO_SIGNAL
+                                and all(v == NO_SIGNAL for b, v in enumerate(rssi) if b != idx))]
             assert len(residual.labelled) == len(expected)
-            assert [s.timestamp for s in residual.labelled] == [s.timestamp for s in expected]
+            assert residual.labelled.timestamps.tolist() == expected
 
     def test_deficit_accounting(self, synth_dataset):
         # removed samples per beacon = samples whose signal set is exactly that beacon
         layout = synth_dataset.layout
         singles = {i: 0 for i in range(layout.n_beacons)}
-        for s in synth_dataset.labelled:
-            sset = rationalize.signal_set(s)
+        for rssi in synth_dataset.labelled.rssi.tolist():
+            sset = beacons_with_signal(rssi)
             if len(sset) == 1:
                 singles[next(iter(sset))] += 1
         for i, beacon_id in enumerate(layout.ids):
@@ -110,17 +123,28 @@ class TestDropoutStudy:
 
     def test_degenerate_single_beacon_layout_reports_error(self):
         layout = data.BeaconLayout(ids=("solo",), xs=(5.0,), ys=(5.0,))
-        samples = tuple(
-            LabelledSample(rssi=(-70.0,), location=GridPoint(float(c), 1.0),
-                           label=data.encode_location_label(GridPoint(float(c), 1.0)),
-                           timestamp=str(c))
-            for c in range(10)
-        )
-        ds = Dataset(labelled=samples, unlabelled=(), layout=layout)
+        samples = labelled_table([(c, 1) for c in range(10)], [[-70.0]] * 10,
+                                 [str(c) for c in range(10)])
+        ds = Dataset(labelled=samples, unlabelled=no_unlabelled(layout), layout=layout)
         result = rationalize.dropout_study("dnn", FAST_CONFIG, ds, seeds=[0])
         assert result.impacts[0].residual_samples == 0
         assert result.impacts[0].error is not None
         assert result.impacts[0].mean_error_feet is None
+
+    def test_programming_error_propagates(self, synth_dataset, monkeypatch):
+        # the baseline trains once per seed; the first per-beacon retrain then fails
+        calls = []
+        real_train = rationalize.train
+
+        def train(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise TypeError("bug in training code")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(rationalize, "train", train)
+        with pytest.raises(TypeError, match="bug in training code"):
+            rationalize.dropout_study("dnn", FAST_CONFIG, synth_dataset, seeds=[0])
 
 
 class TestRankBeacons:
