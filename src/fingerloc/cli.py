@@ -1,12 +1,14 @@
 """Command-line entry points.
 
-Subcommands: train, tune, augment, rationalize, synth, rerun. Every command
-writes a run manifest listing its inputs (content-hashed), resolved
-arguments, and emitted artifacts; ``fingerloc rerun manifest.json``
-re-executes the recorded command and reproduces the outputs bit-identically
-at --jobs 1.
+Subcommands: train, tune, augment, rationalize, synth, rerun. An option is
+registered only on the commands that read it; its parser default is its only
+default. ``_run`` resolves a command's input files (``INPUTS``) to absolute
+paths, runs it and writes a manifest of the inputs' SHA-256, the arguments
+and the artifacts. ``fingerloc rerun manifest.json`` refuses changed inputs,
+then replays the command and reproduces its outputs bit-identically.
 
-Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numerical error.
+Exit codes: 0 ok, 2 configuration error or invalid flag, 3 data error,
+4 numerical error.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -31,32 +34,35 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
+# input option -> (file looked up under FINGERLOC_DATA_DIR when the option is absent, required)
+INPUTS = {"labelled": ("labelled.csv", True), "unlabelled": ("unlabelled.csv", False),
+          "layout": ("layout.json", False), "config": (None, False), "spec": (None, False)}
+
 
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _data_dir() -> Path | None:
+def _resolve_inputs(args: dict) -> dict[str, str]:
+    """Absolute paths of the input options this command registers and was given."""
     root = os.environ.get("FINGERLOC_DATA_DIR")
-    return Path(root) if root else None
+    resolved = {}
+    for name, (fallback, required) in INPUTS.items():
+        if name not in args:
+            continue
+        path = args[name]
+        if path is None and root and fallback and (Path(root) / fallback).exists():
+            path = Path(root) / fallback
+        if path is None and required:
+            raise ConfigError(f"no --{name} path given and no {fallback} under FINGERLOC_DATA_DIR")
+        if path is not None:
+            resolved[name] = str(Path(path).resolve())
+    return resolved
 
 
-def _resolve_input(flag_value: str | None, default_name: str, required: bool) -> Path | None:
-    if flag_value:
-        return Path(flag_value)
-    root = _data_dir()
-    if root and (root / default_name).exists():
-        return root / default_name
-    if required:
-        raise ConfigError(
-            f"no --{default_name.split('.')[0]} path given and no {default_name} under FINGERLOC_DATA_DIR")
-    return None
-
-
-def _load_layout(path_flag: str | None) -> data.BeaconLayout:
-    path = _resolve_input(path_flag, "layout.json", required=False)
+def _load_layout(path: str | None) -> data.BeaconLayout:
     if path is None:
         return data.default_layout()
-    if not path.exists():
+    if not Path(path).exists():
         raise DataError(f"layout file not found: {path}")
     return data.load_layout(path)
 
@@ -81,9 +87,9 @@ def write_manifest(out_dir: Path, command: str, args: dict, inputs: list[Path],
         "tool": "fingerloc",
         "version": __version__,
         "command": command,
-        "args": {k: (str(v) if isinstance(v, Path) else v) for k, v in args.items()},
+        "args": args,
         "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs if p is not None},
+        "inputs": {str(p): _sha256(p) for p in inputs},
         "artifacts": [str(p) for p in artifacts],
         "wall_clock_s": round(time.monotonic() - started, 3),
     }
@@ -119,62 +125,54 @@ def _load_config(path: str | None) -> dict:
 
 
 def _train_config(args: dict, section: dict) -> nn.TrainConfig:
-    def pick(name, default):
-        v = args.get(name)
-        if v is None:
-            v = section.get(name, default)
-        return v
-
+    """TrainConfig's defaults, overlaid by a config ``train`` section, then by the flags given."""
+    defaults = asdict(nn.TrainConfig())
+    if not isinstance(section, dict):
+        raise ConfigError('the config "train" section must be a JSON object')
+    unknown = sorted(set(section) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown train config keys: {unknown}")
+    values = {**defaults, **section,
+              **{k: v for k, v in args.items() if k in defaults and v is not None}}
     try:
-        return nn.TrainConfig(
-            epochs=int(pick("epochs", 100)),
-            batch_size=int(pick("batch_size", 100)),
-            loss=str(pick("loss", "rmse")),
-            optimizer=str(pick("optimizer", "adam")),
-            learning_rate=pick("learning_rate", None),
-            beta1=float(pick("beta1", 0.9)),
-            beta2=float(pick("beta2", 0.999)),
-            momentum=float(pick("momentum", 0.9)),
-            seed=int(pick("seed", 0)),
-        )
-    except ValueError as e:
+        # coerce to the type of each field's default; learning_rate (default None) is taken as is
+        return nn.TrainConfig(**{k: v if defaults[k] is None else type(defaults[k])(v)
+                                 for k, v in values.items()})
+    except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from None
 
 
+def _autoencoder(dataset: data.Dataset, strategy: str, policy: aug.AugmentationPolicy):
+    """The autoencoder a strategy needs, fitted on the unlabelled rows, else None."""
+    if strategy not in ("autoencoder", "hybrid"):
+        return None
+    if not dataset.unlabelled:
+        raise DataError(f"the {strategy} strategy needs an unlabelled file")
+    autoencoder, _ = aug.train_autoencoder(dataset.unlabelled, policy,
+                                           n_beacons=dataset.layout.n_beacons)
+    return autoencoder
+
+
 # ---------------------------------------------------------------------------
-# commands
+# commands: (resolved args, out_dir) -> (artifacts, seed)
 
-def cmd_train(args: dict) -> None:
-    started = time.monotonic()
-    out_dir = Path(args["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = _train_config(args, _load_config(args.get("config")).get("train", {}))
-    layout = _load_layout(args.get("layout"))
-    labelled_path = _resolve_input(args.get("labelled"), "labelled.csv", required=True)
-    unlabelled_path = _resolve_input(args.get("unlabelled"), "unlabelled.csv", required=False)
-    strategy = args.get("strategy") or "none"
-    dataset = data.load_dataset(labelled_path, unlabelled_path, layout)
-    kind = args.get("model") or "dnn"
-    ratio = float(args.get("ratio", 0.8))
+def cmd_train(args: dict, out_dir: Path) -> tuple[list[Path], int]:
+    config = _train_config(args, _load_config(args["config"]).get("train", {}))
+    layout = _load_layout(args["layout"])
+    dataset = data.load_dataset(args["labelled"], args["unlabelled"], layout)
+    kind, strategy, ratio = args["model"], args["strategy"], args["ratio"]
+    policy = aug.AugmentationPolicy(seed=config.seed, threshold=args["threshold"])
+    autoencoder = _autoencoder(dataset, strategy, policy)
 
-    policy = aug.AugmentationPolicy(seed=config.seed,
-                                    threshold=int(args.get("threshold", 10)))
-    autoencoder = None
-    if strategy in ("autoencoder", "hybrid"):
-        if not dataset.unlabelled:
-            raise DataError("autoencoder augmentation needs an unlabelled file")
-        autoencoder, _ = aug.train_autoencoder(dataset.unlabelled, policy,
-                                               n_beacons=layout.n_beacons)
-
-    if strategy != "none" and args.get("paper_protocol"):
+    pool = dataset.labelled
+    if strategy != "none" and args["paper_protocol"]:
         # augment the full pool, then split (the less careful historical protocol)
-        result = aug.augment(dataset.labelled, strategy, policy, autoencoder)
-        train_set, test_set = data.split(result.samples, ratio, config.seed)
-    else:
-        train_set, test_set = data.split(dataset.labelled, ratio, config.seed)
-        if strategy != "none":
-            result = aug.augment(train_set, strategy, policy, autoencoder)
-            train_set = result.samples
+        pool = aug.augment(pool, strategy, policy, autoencoder).samples
+    train_set, test_set = data.split(pool, ratio, config.seed)
+    if not (len(train_set) and len(test_set)):
+        raise ConfigError(f"--ratio {ratio} leaves an empty partition of {len(pool)} rows")
+    if strategy != "none" and not args["paper_protocol"]:
+        train_set = aug.augment(train_set, strategy, policy, autoencoder).samples
 
     x_train, y_train = models.xy(kind, train_set, layout)
     x_test, y_test = models.xy(kind, test_set, layout)
@@ -198,40 +196,27 @@ def cmd_train(args: dict) -> None:
     })
     cdf_path = out_dir / "cdf.csv"
     write_cdf(metrics.per_sample_errors_feet(layout.cell_feet), cdf_path)
-    write_manifest(out_dir, "train", args, [labelled_path, unlabelled_path],
-                   [model_path, metrics_path, cdf_path], config.seed, started)
     print(f"mean error: {metrics.mean_error_grid:.3f} grid units / "
           f"{metrics.mean_error_feet:.1f} ft ({len(test_set)} test samples)")
+    return [model_path, metrics_path, cdf_path], config.seed
 
 
-def cmd_tune(args: dict) -> None:
-    started = time.monotonic()
-    out_dir = Path(args["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    spec_path = args.get("spec")
-    spec = _load_config(spec_path) if spec_path else {}
-    seed = int(args.get("seed") if args.get("seed") is not None else spec.get("seed", 0))
-    kind = args.get("model") or "dnn"
-    optimizer = args.get("optimizer") or "adam"
-    if "space" in spec:
-        try:
-            space = hpo.SearchSpace(tuple((p["name"], float(p["min"]), float(p["max"]))
-                                          for p in spec["space"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad search space: {e}") from None
-    else:
-        space = hpo.default_space(optimizer)
-    exp_config = hpo.ExperimentConfig(
-        algorithm=spec.get("algorithm", "bayesian"),
-        max_trials=int(spec.get("max_trials", 15)),
-        goal=float(spec.get("goal", 1.2)),
-        seed=seed,
-    )
-    layout = _load_layout(args.get("layout"))
-    labelled_path = _resolve_input(args.get("labelled"), "labelled.csv", required=True)
-    dataset = data.load_dataset(labelled_path, None, layout)
-    base = _train_config(args, {"optimizer": optimizer, "seed": seed})
-    result = hpo.run_experiment(kind, dataset, space, exp_config, base_config=base)
+def cmd_tune(args: dict, out_dir: Path) -> tuple[list[Path], int]:
+    spec = _load_config(args["spec"])
+    try:
+        seed = int(spec.get("seed", 0)) if args["seed"] is None else args["seed"]
+        space = (hpo.SearchSpace(tuple((p["name"], float(p["min"]), float(p["max"]))
+                                       for p in spec["space"]))
+                 if "space" in spec else hpo.default_space(args["optimizer"]))
+        exp_config = hpo.ExperimentConfig(
+            algorithm=spec.get("algorithm", "bayesian"), max_trials=int(spec.get("max_trials", 15)),
+            goal=float(spec.get("goal", 1.2)), seed=seed)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad experiment spec: {e}") from None
+    layout = _load_layout(args["layout"])
+    dataset = data.load_dataset(args["labelled"], None, layout)
+    base = _train_config(args, {"seed": seed})
+    result = hpo.run_experiment(args["model"], dataset, space, exp_config, base_config=base)
 
     trials_path = out_dir / "trials.csv"
     with open(trials_path, "w", newline="") as f:
@@ -244,54 +229,34 @@ def cmd_tune(args: dict) -> None:
     best_path = out_dir / "best_config.json"
     _write_json(best_path, {"train": asdict(best_config),
                             "objective_grid": result.best.objective})
-    write_manifest(out_dir, "tune", args, [labelled_path, Path(spec_path)] if spec_path else [labelled_path],
-                   [trials_path, best_path], seed, started)
     print(f"best objective {result.best.objective:.4f} grid units after "
           f"{len(result.trials)} trials: {result.best.assignment}")
+    return [trials_path, best_path], seed
 
 
-def cmd_augment(args: dict) -> None:
-    started = time.monotonic()
-    out_dir = Path(args["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    layout = _load_layout(args.get("layout"))
-    labelled_path = _resolve_input(args.get("labelled"), "labelled.csv", required=True)
-    unlabelled_path = _resolve_input(args.get("unlabelled"), "unlabelled.csv", required=False)
-    dataset = data.load_dataset(labelled_path, unlabelled_path, layout)
-    seed = int(args.get("seed") or 0)
-    strategy = args.get("strategy") or "naive"
-    policy = aug.AugmentationPolicy(threshold=int(args.get("threshold", 10)), seed=seed)
-    autoencoder = None
-    if strategy in ("autoencoder", "hybrid"):
-        if not dataset.unlabelled:
-            raise DataError("autoencoder strategy needs an unlabelled file")
-        autoencoder, _ = aug.train_autoencoder(dataset.unlabelled, policy,
-                                               n_beacons=layout.n_beacons)
-    result = aug.augment(dataset.labelled, strategy, policy, autoencoder)
+def cmd_augment(args: dict, out_dir: Path) -> tuple[list[Path], int]:
+    layout = _load_layout(args["layout"])
+    dataset = data.load_dataset(args["labelled"], args["unlabelled"], layout)
+    strategy = args["strategy"]
+    policy = aug.AugmentationPolicy(threshold=args["threshold"], seed=args["seed"])
+    result = aug.augment(dataset.labelled, strategy, policy,
+                         _autoencoder(dataset, strategy, policy))
     augmented_path = out_dir / "augmented.csv"
     data.write_labelled_csv(result.samples, layout, augmented_path, sources=result.sources)
     counts_path = out_dir / "counts.json"
     _write_json(counts_path, result.counts)
-    write_manifest(out_dir, "augment", args, [labelled_path, unlabelled_path],
-                   [augmented_path, counts_path], seed, started)
     print(f"strategy {strategy}: {result.counts}")
+    return [augmented_path, counts_path], args["seed"]
 
 
-def cmd_rationalize(args: dict) -> None:
-    started = time.monotonic()
-    out_dir = Path(args["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    layout = _load_layout(args.get("layout"))
-    labelled_path = _resolve_input(args.get("labelled"), "labelled.csv", required=True)
-    dataset = data.load_dataset(labelled_path, None, layout)
+def cmd_rationalize(args: dict, out_dir: Path) -> tuple[list[Path], int]:
+    layout = _load_layout(args["layout"])
+    dataset = data.load_dataset(args["labelled"], None, layout)
     if not dataset.labelled:
         raise DataError("empty labelled dataset")
-    seed = int(args.get("seed") or 0)
-    n_seeds = int(args.get("n_seeds", 5))
-    seeds = [seed + i for i in range(n_seeds)]
-    config = _train_config(args, _load_config(args.get("config")).get("train", {"seed": seed}))
-    kind = args.get("model") or "dnn"
-    result = rationalize.dropout_study(kind, config, dataset, seeds)
+    seeds = [args["seed"] + i for i in range(args["n_seeds"])]
+    config = _train_config(args, _load_config(args["config"]).get("train", {}))
+    result = rationalize.dropout_study(args["model"], config, dataset, seeds)
     ranked = rationalize.rank_beacons(result)
 
     study_path = out_dir / "study.csv"
@@ -309,7 +274,7 @@ def cmd_rationalize(args: dict) -> None:
     _write_json(summary_path, {
         "baseline_mean_error_ft": result.baseline_feet,
         "seeds": result.seeds,
-        "model": kind,
+        "model": args["model"],
         "beacons": [
             {"id": i.beacon_id, "residual_samples": i.residual_samples,
              "mean_error_ft": i.mean_error_feet, "delta_ft": i.delta_feet,
@@ -317,77 +282,108 @@ def cmd_rationalize(args: dict) -> None:
             for i in result.impacts
         ],
     })
-    write_manifest(out_dir, "rationalize", args, [labelled_path],
-                   [study_path, summary_path], seed, started)
     print(f"baseline {result.baseline_feet:.1f} ft; "
           f"top impact: {ranked[0][0].beacon_id} ({ranked[0][0].delta_feet})")
+    return [study_path, summary_path], args["seed"]
 
 
-def cmd_synth(args: dict) -> None:
-    started = time.monotonic()
-    out_dir = Path(args["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = int(args.get("seed") or 0)
-    layout = _load_layout(args.get("layout"))
-    model = data.PathLossModel(
-        noise_std=float(args.get("noise_std", 2.0)),
-        detection_floor=float(args.get("detection_floor", -95.0)),
-    )
+def cmd_synth(args: dict, out_dir: Path) -> tuple[list[Path], int]:
+    layout = _load_layout(args["layout"])
     dataset = data.synth_generate(
-        layout, model,
-        n_locations=int(args.get("locations", 200)),
-        samples_per_location=int(args.get("samples_per_location", 5)),
-        seed=seed,
-        n_unlabelled=int(args.get("unlabelled_count", 0)),
-    )
+        layout, data.PathLossModel(noise_std=args["noise_std"]), n_locations=args["locations"],
+        samples_per_location=args["samples_per_location"], seed=args["seed"],
+        n_unlabelled=args["unlabelled_count"])
     labelled_path = out_dir / "labelled.csv"
     unlabelled_path = out_dir / "unlabelled.csv"
     layout_path = out_dir / "layout.json"
     data.write_labelled_csv(dataset.labelled, layout, labelled_path)
     data.write_unlabelled_csv(dataset.unlabelled, layout, unlabelled_path)
     data.save_layout(layout, layout_path)
-    write_manifest(out_dir, "synth", args, [],
-                   [labelled_path, unlabelled_path, layout_path], seed, started)
     print(f"wrote {len(dataset.labelled)} labelled / {len(dataset.unlabelled)} unlabelled samples")
+    return [labelled_path, unlabelled_path, layout_path], args["seed"]
 
 
-def cmd_rerun(args: dict) -> None:
+COMMANDS = {"train": cmd_train, "tune": cmd_tune, "augment": cmd_augment,
+            "rationalize": cmd_rationalize, "synth": cmd_synth}
+
+
+def _run(command: str, args: dict) -> None:
+    """Resolve the inputs, run one command and write its manifest."""
+    started = time.monotonic()
+    out_dir = Path(args["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    inputs = _resolve_inputs(args)
+    args = {**args, **inputs}
+    artifacts, seed = COMMANDS[command](args, out_dir)
+    write_manifest(out_dir, command, args, [Path(p) for p in inputs.values()],
+                   artifacts, seed, started)
+
+
+def _rerun(args: dict) -> None:
     manifest_path = Path(args["manifest"])
     try:
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        command = manifest["command"]
-        recorded = manifest["args"]
-    except (OSError, ValueError, KeyError) as e:
+        manifest = json.loads(manifest_path.read_text())
+        command = str(manifest["command"])
+        recorded = dict(manifest["args"])
+        inputs = dict(manifest["inputs"])
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"bad manifest {manifest_path}: {e}") from None
-    if command not in COMMANDS or command == "rerun":
+    if command not in COMMANDS:
         raise ConfigError(f"manifest names unknown command {command!r}")
-    if args.get("out_dir"):
-        recorded = dict(recorded, out_dir=args["out_dir"])
-    COMMANDS[command](recorded)
-
-
-COMMANDS = {
-    "train": cmd_train,
-    "tune": cmd_tune,
-    "augment": cmd_augment,
-    "rationalize": cmd_rationalize,
-    "synth": cmd_synth,
-    "rerun": cmd_rerun,
-}
+    defaults = vars(build_parser().parse_args([command]))
+    del defaults["command"]
+    missing = [f"--{name.replace('_', '-')}" for name in defaults if name not in recorded]
+    if missing:
+        raise ConfigError(f"manifest {manifest_path} does not record {', '.join(missing)}")
+    for path, digest in inputs.items():
+        if not Path(path).is_file():
+            raise DataError(f"recorded input is missing: {path}")
+        if _sha256(Path(path)) != digest:
+            raise DataError(f"recorded input has changed since the run: {path}")
+    # unregistered options are dropped; a null (older versions' unset --seed) takes the parser default
+    replay = {name: defaults[name] if recorded[name] is None else recorded[name]
+              for name in defaults}
+    if args["out_dir"]:
+        replay["out_dir"] = args["out_dir"]
+    _run(command, replay)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--labelled", help="labelled CSV (location,date,<beacons>)")
-    p.add_argument("--unlabelled", help="unlabelled CSV (date,<beacons>)")
-    p.add_argument("--layout", help="beacon layout JSON (default: built-in layout)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (1 = fully serial)")
-    p.add_argument("--out-dir", default="out", dest="out_dir")
+def _in_range(cast, low, high):
+    """argparse type: ``cast`` the text and require a finite value in [low, high]."""
+    def parse(text: str):
+        value = cast(text)
+        if not (math.isfinite(value) and low <= value <= high):
+            raise argparse.ArgumentTypeError(f"{text} is not in [{low}, {high}]")
+        return value
+    parse.__name__ = cast.__name__  # argparse names the type in its "invalid value" message
+    return parse
+
+
+STRATEGIES = ("none", "naive", "autoencoder", "hybrid")
+OPTIMIZERS = ("adam", "sgd")
+
+# options that several commands register: flag -> add_argument keywords
+SHARED = {
+    "--labelled": dict(help="labelled CSV (location,date,<beacons>)"),
+    "--unlabelled": dict(help="unlabelled CSV (date,<beacons>)"),
+    "--layout": dict(help="beacon layout JSON (default: built-in layout)"),
+    "--config": dict(help='JSON file; its "train" section sets training fields, flags override them'),
+    "--seed": dict(type=int, default=0),
+    "--jobs": dict(type=int, default=1, help="accepted for compatibility; the run is always serial"),
+    "--out-dir": dict(default="out"),
+    "--model": dict(choices=("dnn", "cnn"), default="dnn"),
+    "--epochs": dict(type=int, default=None),
+    "--threshold": dict(type=_in_range(int, 1, math.inf), default=10,
+                        help="a cell with fewer labelled rows is under-represented"),
+}
+
+
+def _add(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **SHARED[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,59 +393,56 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a localization model")
-    _add_common(p)
-    p.add_argument("--model", choices=("dnn", "cnn"), default="dnn")
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, default=None, dest="learning_rate")
-    p.add_argument("--strategy", choices=("none", "naive", "autoencoder", "hybrid"),
-                   default="none", help="augmentation applied before training")
-    p.add_argument("--threshold", type=int, default=10,
-                   help="under-representation threshold for augmentation")
-    p.add_argument("--ratio", type=float, default=0.8, help="train fraction of the split")
-    p.add_argument("--paper-protocol", action="store_true", dest="paper_protocol",
+    _add(p, "--labelled", "--unlabelled", "--layout", "--config", "--jobs", "--out-dir",
+         "--model", "--epochs", "--threshold")
+    p.add_argument("--seed", type=int, default=None, help="default: the config's seed, else 0")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
+    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--learning-rate", type=_in_range(float, 0.0, math.inf), default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default="none",
+                   help="augmentation applied before training")
+    p.add_argument("--ratio", type=_in_range(float, 0.0, 1.0), default=0.8,
+                   help="train fraction of the split; both partitions must be non-empty")
+    p.add_argument("--paper-protocol", action="store_true",
                    help="augment the full pool before splitting instead of train-split only")
 
     p = sub.add_parser("tune", help="hyperparameter search")
-    _add_common(p)
-    p.add_argument("--spec", help="experiment spec JSON (algorithm, max_trials, goal, space)")
-    p.add_argument("--model", choices=("dnn", "cnn"), default="dnn")
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p.add_argument("--epochs", type=int, default=None)
+    _add(p, "--labelled", "--layout", "--out-dir", "--model", "--epochs")
+    p.add_argument("--seed", type=int, default=None, help="default: the spec's seed, else 0")
+    p.add_argument("--spec", help="experiment spec JSON (algorithm, max_trials, goal, seed, space)")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
 
     p = sub.add_parser("augment", help="grow the labelled set")
-    _add_common(p)
-    p.add_argument("--strategy", choices=("none", "naive", "autoencoder", "hybrid"),
-                   default="naive")
-    p.add_argument("--threshold", type=int, default=10)
+    _add(p, "--labelled", "--unlabelled", "--layout", "--seed", "--out-dir", "--threshold")
+    p.add_argument("--strategy", choices=STRATEGIES, default="naive")
 
     p = sub.add_parser("rationalize", help="per-beacon dropout study")
-    _add_common(p)
-    p.add_argument("--model", choices=("dnn", "cnn"), default="dnn")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--n-seeds", type=int, default=5, dest="n_seeds")
+    _add(p, "--labelled", "--layout", "--config", "--seed", "--jobs", "--out-dir",
+         "--model", "--epochs")
+    p.add_argument("--n-seeds", type=_in_range(int, 1, math.inf), default=5)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_common(p)
-    p.add_argument("--locations", type=int, default=200)
-    p.add_argument("--samples-per-location", type=int, default=5, dest="samples_per_location")
-    p.add_argument("--unlabelled-count", type=int, default=0, dest="unlabelled_count")
-    p.add_argument("--noise-std", type=float, default=2.0, dest="noise_std")
+    _add(p, "--layout", "--seed", "--out-dir")
+    p.add_argument("--locations", type=_in_range(int, 1, data.GRID_SIZE ** 2), default=200)
+    p.add_argument("--samples-per-location", type=_in_range(int, 1, math.inf), default=5)
+    p.add_argument("--unlabelled-count", type=_in_range(int, 0, math.inf), default=0)
+    p.add_argument("--noise-std", type=_in_range(float, 0.0, math.inf), default=2.0)
 
     p = sub.add_parser("rerun", help="re-execute a command from its manifest")
     p.add_argument("manifest")
-    p.add_argument("--out-dir", default=None, dest="out_dir")
+    p.add_argument("--out-dir", default=None)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    args = {k: v for k, v in vars(ns).items() if k != "command"}
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        COMMANDS[ns.command](args)
+        if command == "rerun":
+            _rerun(args)
+        else:
+            _run(command, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -197,7 +197,9 @@ class ReLU(Layer):
 
 class Sigmoid(Layer):
     def forward(self, x):
-        self._y = 1.0 / (1.0 + np.exp(-x))
+        # exp(-x) overflows below x = -log(float64 max); 1 / (1 + inf) = 0 is the value there
+        e = np.exp(-x, out=np.full(np.shape(x), np.inf), where=~(x < -709.782712893384))
+        self._y = 1.0 / (1.0 + e)
         return self._y
 
     def backward(self, dy):

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +122,8 @@ class TestTune:
             "seed": 1,
         }))
         out = tmp_path / "out"
-        code = run(["tune", *common_args(corpus), "--spec", str(spec),
+        code = run(["tune", "--labelled", str(corpus / "labelled.csv"),
+                    "--layout", str(corpus / "layout.json"), "--spec", str(spec),
                     "--out-dir", str(out), "--epochs", "2"])
         assert code == 0
         with open(out / "trials.csv") as f:
@@ -142,7 +145,8 @@ class TestTune:
             "space": [{"name": "learning_rate", "min": 0.001, "max": 0.002}],
         }))
         out = tmp_path / "out"
-        assert run(["tune", *common_args(corpus), "--spec", str(spec),
+        assert run(["tune", "--labelled", str(corpus / "labelled.csv"),
+                    "--layout", str(corpus / "layout.json"), "--spec", str(spec),
                     "--out-dir", str(out), "--epochs", "1"]) == 0
         with open(out / "trials.csv") as f:
             assert len(list(csv.DictReader(f))) == 1
@@ -150,7 +154,8 @@ class TestTune:
     def test_bad_spec_is_config_error(self, corpus, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text("{not json")
-        assert run(["tune", *common_args(corpus), "--spec", str(spec),
+        assert run(["tune", "--labelled", str(corpus / "labelled.csv"),
+                    "--layout", str(corpus / "layout.json"), "--spec", str(spec),
                     "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
@@ -177,7 +182,8 @@ class TestAugmentCommand:
 
 class TestRationalizeCommand:
     def test_study_outputs(self, corpus, tmp_path):
-        code = run(["rationalize", *common_args(corpus), "--out-dir", str(tmp_path),
+        code = run(["rationalize", "--labelled", str(corpus / "labelled.csv"),
+                    "--layout", str(corpus / "layout.json"), "--out-dir", str(tmp_path),
                     "--epochs", "2", "--n-seeds", "1", "--seed", "0"])
         assert code == 0
         with open(tmp_path / "study.csv") as f:
@@ -197,6 +203,33 @@ class TestRationalizeCommand:
         assert code == cli.EXIT_DATA
 
 
+def edit_one_rssi(path):
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[1].split(",")
+    fields[2] = repr(float(fields[2]) - 1.0)  # synthetic readings lie well inside [-200, 0]
+    lines[1] = ",".join(fields)
+    path.write_text("".join(lines))
+
+
+def reformat_json(path):
+    """Same content, other bytes."""
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=4))
+
+
+def train_on_copies(corpus, tmp_path):
+    """Train on copies of the corpus inputs plus a config file under tmp_path/c."""
+    (tmp_path / "c").mkdir()
+    for name in ("labelled.csv", "layout.json"):
+        shutil.copy(corpus / name, tmp_path / "c" / name)
+    (tmp_path / "c" / "config.json").write_text(json.dumps({"train": {"epochs": 2}}))
+    first = tmp_path / "first"
+    assert run(["train", "--labelled", str(tmp_path / "c" / "labelled.csv"),
+                "--layout", str(tmp_path / "c" / "layout.json"),
+                "--config", str(tmp_path / "c" / "config.json"),
+                "--out-dir", str(first), "--seed", "5"]) == 0
+    return first
+
+
 class TestRerun:
     def test_bitwise_reproduction(self, corpus, tmp_path):
         first = tmp_path / "first"
@@ -212,3 +245,128 @@ class TestRerun:
         bad = tmp_path / "m.json"
         bad.write_text("{}")
         assert run(["rerun", str(bad)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("name, change", [
+        ("labelled.csv", edit_one_rssi),
+        ("layout.json", reformat_json),
+        ("config.json", reformat_json),
+        ("config.json", Path.unlink),
+    ], ids=["rssi-edited", "layout-reformatted", "config-reformatted", "config-deleted"])
+    def test_refuses_changed_or_missing_input(self, corpus, tmp_path, capsys, name, change):
+        first = train_on_copies(corpus, tmp_path)
+        path = tmp_path / "c" / name
+        change(path)
+        second = tmp_path / "second"
+        assert run(["rerun", str(first / "manifest.json"),
+                    "--out-dir", str(second)]) == cli.EXIT_DATA
+        assert str(path) in capsys.readouterr().err
+        assert not (second / "model.bin").exists()
+
+    def test_reproduces_from_another_directory(self, corpus, tmp_path, monkeypatch):
+        (tmp_path / "c").mkdir()
+        for name in ("labelled.csv", "layout.json"):
+            shutil.copy(corpus / name, tmp_path / "c" / name)
+        monkeypatch.chdir(tmp_path)
+        assert run(["train", "--labelled", "c/labelled.csv", "--layout", "c/layout.json",
+                    "--out-dir", "first", "--epochs", "3", "--seed", "5"]) == 0
+        manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+        assert all(Path(p).is_absolute() for p in manifest["inputs"])
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert run(["rerun", str(tmp_path / "first" / "manifest.json"),
+                    "--out-dir", "second"]) == 0
+        for name in ("model.bin", "metrics.json", "cdf.csv"):
+            assert ((tmp_path / "first" / name).read_bytes()
+                    == (tmp_path / "elsewhere" / "second" / name).read_bytes())
+
+    def test_manifest_lacking_a_registered_option_is_config_error(self, trained, tmp_path, capsys):
+        manifest = json.loads((trained / "manifest.json").read_text())
+        del manifest["args"]["ratio"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["rerun", str(path), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert "--ratio" in capsys.readouterr().err
+
+    def test_recorded_option_no_longer_registered_is_ignored(self, corpus, tmp_path):
+        first = tmp_path / "first"
+        assert run(["augment", *common_args(corpus), "--out-dir", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["args"].update(config=None, jobs=1)  # augment registered both once
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["rerun", str(path), "--out-dir", str(tmp_path / "second")]) == 0
+        assert ((first / "augmented.csv").read_bytes()
+                == (tmp_path / "second" / "augmented.csv").read_bytes())
+
+
+class TestInputResolution:
+    def test_data_dir_fallback_is_recorded_as_absolute_input(self, corpus, tmp_path, monkeypatch):
+        monkeypatch.setenv("FINGERLOC_DATA_DIR", str(corpus))
+        assert run(["augment", "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        expected = {str((corpus / n).resolve())
+                    for n in ("labelled.csv", "unlabelled.csv", "layout.json")}
+        assert set(manifest["inputs"]) == expected
+        assert manifest["args"]["labelled"] == str((corpus / "labelled.csv").resolve())
+
+    def test_unknown_train_config_key_is_config_error(self, corpus, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"epoch": 2}}))
+        assert run(["train", *common_args(corpus), "--config", str(config),
+                    "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "epoch" in capsys.readouterr().err
+
+
+# the options each subcommand registers; each is read by that command
+OPTIONS = {
+    "train": {"--labelled", "--unlabelled", "--layout", "--config", "--seed", "--jobs",
+              "--out-dir", "--model", "--optimizer", "--epochs", "--batch-size",
+              "--learning-rate", "--strategy", "--threshold", "--ratio", "--paper-protocol"},
+    "tune": {"--labelled", "--layout", "--seed", "--out-dir", "--spec", "--model",
+             "--optimizer", "--epochs"},
+    "augment": {"--labelled", "--unlabelled", "--layout", "--seed", "--out-dir",
+                "--strategy", "--threshold"},
+    "rationalize": {"--labelled", "--layout", "--config", "--seed", "--jobs", "--out-dir",
+                    "--model", "--epochs", "--n-seeds"},
+    "synth": {"--layout", "--seed", "--out-dir", "--locations", "--samples-per-location",
+              "--unlabelled-count", "--noise-std"},
+    "rerun": {"--out-dir"},
+}
+
+
+def test_option_surface():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                  for name, p in sub.choices.items()}
+    assert registered == OPTIONS
+    assert sum(len(flags) for flags in registered.values()) == 48
+
+
+INVALID_FLAGS = [
+    ["synth", "--locations", "0"],
+    ["synth", "--samples-per-location", "0"],
+    ["synth", "--locations", "626"],
+    ["synth", "--noise-std", "-1"],
+    ["synth", "--unlabelled-count", "-1"],
+    ["train", "--ratio", "0"],
+    ["train", "--ratio", "1.0"],
+    ["train", "--ratio", "1.5"],
+    ["train", "--ratio", "0.001"],
+    ["train", "--strategy", "naive", "--threshold", "0"],
+    ["train", "--learning-rate", "-1"],
+    ["augment", "--threshold", "0"],
+    ["rationalize", "--n-seeds", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_FLAGS, ids=" ".join)
+def test_invalid_flag_value_exits_2_without_traceback(argv, corpus, tmp_path, capsys):
+    inputs = [] if argv[0] == "synth" else ["--labelled", str(corpus / "labelled.csv"),
+                                            "--layout", str(corpus / "layout.json")]
+    try:
+        status = run([*argv, *inputs, "--out-dir", str(tmp_path)])
+    except SystemExit as e:  # argparse rejects a value with exit status 2
+        status = e.code
+    assert status == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err

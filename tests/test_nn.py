@@ -138,6 +138,16 @@ class TestForward:
         out = layer.forward(np.array([[-1.0, 0.0, 2.0]]))
         assert out.tolist() == [[0.0, 0.0, 2.0]]
 
+    def test_sigmoid_saturates_without_overflow(self):
+        with np.errstate(over="raise"):
+            out = nn.Sigmoid().forward(np.array([[-800.0, 0.0, 800.0]]))
+        assert out.tolist() == [[0.0, 0.5, 1.0]]
+
+    def test_sigmoid_in_range_bits_match_textbook_form(self):
+        x = np.random.Generator(np.random.PCG64(4)).uniform(-709.78, 50.0, size=(200, 5))
+        x[0, :3] = [-709.782712893384, -1e-300, 0.0]
+        assert np.array_equal(nn.Sigmoid().forward(x), 1.0 / (1.0 + np.exp(-x)))
+
     def test_dense_identity_passthrough(self):
         layer = nn.Dense(3, 3)
         layer.params[0] = np.eye(3)
