@@ -208,6 +208,7 @@ def cmd_tune(args: dict, out_dir: Path) -> tuple[list[Path], int]:
         space = (hpo.SearchSpace(tuple((p["name"], float(p["min"]), float(p["max"]))
                                        for p in spec["space"]))
                  if "space" in spec else hpo.default_space(args["optimizer"]))
+        hpo.check_bindable(space)
         exp_config = hpo.ExperimentConfig(
             algorithm=spec.get("algorithm", "bayesian"), max_trials=int(spec.get("max_trials", 15)),
             goal=float(spec.get("goal", 1.2)), seed=seed)
@@ -340,12 +341,21 @@ def _rerun(args: dict) -> None:
             raise DataError(f"recorded input is missing: {path}")
         if _sha256(Path(path)) != digest:
             raise DataError(f"recorded input has changed since the run: {path}")
-    # unregistered options are dropped; a null (older versions' unset --seed) takes the parser default
-    replay = {name: defaults[name] if recorded[name] is None else recorded[name]
-              for name in defaults}
-    if args["out_dir"]:
-        replay["out_dir"] = args["out_dir"]
-    _run(command, replay)
+    recorded["out_dir"] = args["out_dir"] or recorded["out_dir"]
+    # replayed values pass the parser's checks again; unregistered options are dropped and
+    # a null (older versions' unset --seed) or an unset switch takes the parser default
+    argv = [command]
+    for name in defaults:
+        value, flag = recorded[name], "--" + name.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv.append(f"{flag}={value}")
+    try:
+        replay = vars(build_parser().parse_args(argv))
+    except SystemExit:  # argparse has printed which option it rejected
+        raise ConfigError(f"manifest {manifest_path} records a value the command rejects") from None
+    _run(replay.pop("command"), replay)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import norm
 
 from .data import Dataset, split
-from .errors import ExperimentFailedError, GridExhausted, NumericalError
+from .errors import DataError, ExperimentFailedError, GridExhausted, NumericalError
 from .models import build_model, xy
 from .nn import TrainConfig, evaluate, train
 
@@ -149,13 +149,17 @@ def surrogate_ei(surrogate: GpSurrogate, queries: np.ndarray, best: float) -> np
 # ---------------------------------------------------------------------------
 # suggestion strategies
 
+def check_algorithm(algorithm: str) -> None:
+    if algorithm not in ("grid", "random", "bayesian"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
 class Suggester:
     """Produces the next parameter assignment given the trial history."""
 
     def __init__(self, algorithm: str, space: SearchSpace, seed: int, max_trials: int = 15,
                  lengthscale: float = DEFAULT_LENGTHSCALE):
-        if algorithm not in ("grid", "random", "bayesian"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+        check_algorithm(algorithm)
         self.algorithm = algorithm
         self.space = space
         self.rng = np.random.Generator(np.random.PCG64(seed))
@@ -203,6 +207,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_algorithm(self.algorithm)
         if self.max_trials < 1:
             raise ValueError("max trials must be >= 1")
         if self.goal <= 0:
@@ -257,14 +262,20 @@ def default_space(optimizer: str) -> SearchSpace:
     return ADAM_SPACE if optimizer == "adam" else SGD_SPACE
 
 
+def check_bindable(space: SearchSpace) -> None:
+    unknown = set(space.names) - set(TUNABLE_FIELDS)
+    if unknown:
+        raise ValueError(f"search space names not bindable to a train config: {sorted(unknown)}")
+
+
 def training_objective(model_kind: str, dataset: Dataset, space: SearchSpace,
                        base_config: TrainConfig, split_ratio: float = 0.8,
                        split_seed: int = 0) -> Callable[[dict[str, float]], float]:
     """Objective: train on a fixed split, return mean test error in grid units."""
-    unknown = set(space.names) - set(TUNABLE_FIELDS)
-    if unknown:
-        raise ValueError(f"search space names not bindable to a train config: {sorted(unknown)}")
+    check_bindable(space)
     train_set, test_set = split(dataset.labelled, split_ratio, split_seed)
+    if not train_set or not test_set:
+        raise DataError(f"{len(dataset.labelled)} labelled rows are too few to split at ratio {split_ratio}")
     layout = dataset.layout
     x_train, y_train = xy(model_kind, train_set, layout)
     x_test, y_test = xy(model_kind, test_set, layout)

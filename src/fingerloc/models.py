@@ -11,8 +11,7 @@ Architectures:
 
 Image codec: every beacon pixel is written as rssi / -200, so a no-signal
 beacon (-200 dBm) produces the brightest pixel value 1.0. That is the
-deliberate, literal convention for this encoding; pass
-``write_no_signal=False`` to leave no-signal beacons at 0 instead.
+deliberate, literal convention for this encoding.
 """
 from __future__ import annotations
 
@@ -25,12 +24,11 @@ from .nn import Conv2d, Dense, Flatten, MaxPool2d, Network, ReLU, Sigmoid
 MODEL_KINDS = ("dnn", "cnn", "autoencoder")
 
 DNN_HIDDEN = (50, 50, 50)
-CNN_POOLING = ((3, 3), (2, 2))  # after conv1 / conv2; configurable assumption
+CNN_POOLING = ((3, 3), (2, 2))  # after conv1 / conv2
 AUTOENCODER_SIZES = (13, 8, 4, 8, 13)
 
 
-def build_model(kind: str, seed: int, n_beacons: int = 13,
-                pooling: tuple[tuple[int, int], tuple[int, int]] = CNN_POOLING) -> Network:
+def build_model(kind: str, seed: int, n_beacons: int = 13) -> Network:
     if kind == "dnn":
         layers = []
         n_in = n_beacons
@@ -40,7 +38,7 @@ def build_model(kind: str, seed: int, n_beacons: int = 13,
         layers.append(Dense(n_in, 2))
         return Network(layers, seed=seed)
     if kind == "cnn":
-        p1, p2 = pooling
+        p1, p2 = CNN_POOLING
         h = GRID_SIZE - 7 + 1
         h = -(-h // p1[0])
         h = h - 5 + 1
@@ -79,17 +77,14 @@ def beacon_pixels(layout: BeaconLayout) -> list[tuple[int, int]]:
     return pixels
 
 
-def encode_fingerprint_image(rssi: np.ndarray | tuple[float, ...], layout: BeaconLayout,
-                             write_no_signal: bool = True) -> np.ndarray:
-    """Encode one RSSI vector as a 25x25x1 grayscale image."""
+def encode_fingerprint_image(rssi: np.ndarray | tuple[float, ...], layout: BeaconLayout) -> np.ndarray:
+    """Encode RSSI vectors (..., n_beacons) as 25x25x1 grayscale images (..., 25, 25, 1)."""
     rssi = np.asarray(rssi, dtype=np.float64)
-    if rssi.shape != (layout.n_beacons,):
+    if rssi.shape[-1:] != (layout.n_beacons,):
         raise ValueError(f"RSSI vector length {rssi.shape} != layout beacon count {layout.n_beacons}")
-    img = np.zeros((GRID_SIZE, GRID_SIZE, 1))
-    for (row, col), v in zip(beacon_pixels(layout), rssi):
-        if not write_no_signal and v == NO_SIGNAL:
-            continue
-        img[row, col, 0] = v / NO_SIGNAL
+    rows, cols = np.array(beacon_pixels(layout)).T
+    img = np.zeros((*rssi.shape[:-1], GRID_SIZE, GRID_SIZE, 1))
+    img[..., rows, cols, 0] = rssi / NO_SIGNAL
     return img
 
 
@@ -110,7 +105,7 @@ def prepare_inputs(kind: str, rssi_vectors: np.ndarray, layout: BeaconLayout) ->
     if kind == "dnn":
         return rssi_vectors
     if kind == "cnn":
-        return np.stack([encode_fingerprint_image(v, layout) for v in rssi_vectors])
+        return encode_fingerprint_image(rssi_vectors, layout)
     if kind == "autoencoder":
         return rssi_vectors / NO_SIGNAL
     raise ValueError(f"unknown model kind {kind!r}")

@@ -5,6 +5,9 @@ Flatten layers with hand-written backprop, RMSE and MSE losses, Adam and
 SGD-with-momentum optimizers, a seeded training loop, and a versioned
 serialization format. Double precision throughout; the gradient-check suite
 depends on it.
+
+A layer's ``params`` and ``grads`` are views into its ``Network``'s one
+parameter vector ``theta`` and one gradient vector ``grad``.
 """
 from __future__ import annotations
 
@@ -28,14 +31,14 @@ SERIAL_VERSION = 1
 # layers
 
 class Layer:
-    """Base layer: parameter arrays in ``params``, matching grads in ``grads``."""
+    """Base layer: zeroed parameter arrays of the given shapes in ``params``, grads in ``grads``.
 
-    params: list[np.ndarray]
-    grads: list[np.ndarray]
+    A ``Network`` rebinds them to views into its ``theta`` and ``grad``, so layers write in place.
+    """
 
-    def __init__(self):
-        self.params = []
-        self.grads = []
+    def __init__(self, *shapes: tuple[int, ...]):
+        self.params: list[np.ndarray] = [np.zeros(shape) for shape in shapes]
+        self.grads: list[np.ndarray] = [np.zeros(shape) for shape in shapes]
 
     def init_params(self, rng: np.random.Generator) -> None:
         pass
@@ -57,16 +60,13 @@ def _glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: in
 
 class Dense(Layer):
     def __init__(self, n_in: int, n_out: int):
-        super().__init__()
+        super().__init__((n_in, n_out), (n_out,))
         self.n_in = n_in
         self.n_out = n_out
-        self.params = [np.zeros((n_in, n_out)), np.zeros(n_out)]
-        self.grads = [np.zeros_like(p) for p in self.params]
 
     def init_params(self, rng):
-        self.params[0] = _glorot_uniform(rng, (self.n_in, self.n_out), self.n_in, self.n_out)
-        self.params[1] = np.zeros(self.n_out)
-        self.grads = [np.zeros_like(p) for p in self.params]
+        self.params[0][...] = _glorot_uniform(rng, (self.n_in, self.n_out), self.n_in, self.n_out)
+        self.params[1][...] = 0.0
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.n_in:
@@ -75,8 +75,8 @@ class Dense(Layer):
         return x @ self.params[0] + self.params[1]
 
     def backward(self, dy):
-        self.grads[0] = self._x.T @ dy
-        self.grads[1] = dy.sum(axis=0)
+        self.grads[0][...] = self._x.T @ dy
+        self.grads[1][...] = dy.sum(axis=0)
         return dy @ self.params[0].T
 
     def spec(self):
@@ -87,20 +87,16 @@ class Conv2d(Layer):
     """Valid-padding 2-d convolution, channels-last (B, H, W, C)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, int]):
-        super().__init__()
+        super().__init__((*kernel, in_channels, out_channels), (out_channels,))
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kh, self.kw = kernel
-        w_shape = (self.kh, self.kw, in_channels, out_channels)
-        self.params = [np.zeros(w_shape), np.zeros(out_channels)]
-        self.grads = [np.zeros_like(p) for p in self.params]
 
     def init_params(self, rng):
         fan_in = self.kh * self.kw * self.in_channels
         fan_out = self.kh * self.kw * self.out_channels
-        self.params[0] = _glorot_uniform(rng, self.params[0].shape, fan_in, fan_out)
-        self.params[1] = np.zeros(self.out_channels)
-        self.grads = [np.zeros_like(p) for p in self.params]
+        self.params[0][...] = _glorot_uniform(rng, self.params[0].shape, fan_in, fan_out)
+        self.params[1][...] = 0.0
 
     def _check(self, x):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
@@ -124,16 +120,14 @@ class Conv2d(Layer):
         x = self._x
         oh, ow = dy.shape[1], dy.shape[2]
         w = self.params[0]
-        dw = np.zeros_like(w)
         dx = np.zeros_like(x)
         flat_dy = dy.reshape(-1, self.out_channels)
         for i in range(self.kh):
             for j in range(self.kw):
                 patch = x[:, i:i + oh, j:j + ow, :].reshape(-1, self.in_channels)
-                dw[i, j] = patch.T @ flat_dy
+                self.grads[0][i, j] = patch.T @ flat_dy
                 dx[:, i:i + oh, j:j + ow, :] += dy @ w[i, j].T
-        self.grads[0] = dw
-        self.grads[1] = flat_dy.sum(axis=0)
+        self.grads[1][...] = flat_dy.sum(axis=0)
         return dx
 
     def spec(self):
@@ -239,10 +233,19 @@ def _layer_from_spec(spec: dict) -> Layer:
 
 
 class Network:
-    """Sequential composition of layers."""
+    """Sequential composition of layers over one parameter and one gradient vector."""
 
     def __init__(self, layers: Sequence[Layer], seed: int | None = None):
         self.layers = list(layers)
+        self.theta = np.concatenate([np.zeros(0), *(p.ravel() for p in self.parameters())])
+        self.grad = np.zeros_like(self.theta)
+        start = 0
+        for layer in self.layers:
+            for k, p in enumerate(layer.params):
+                span = slice(start, start + p.size)
+                layer.params[k] = self.theta[span].reshape(p.shape)
+                layer.grads[k] = self.grad[span].reshape(p.shape)
+                start += p.size
         if seed is not None:
             self.init_params(seed)
 
@@ -270,15 +273,8 @@ class Network:
     def gradients(self) -> list[np.ndarray]:
         return [g for layer in self.layers for g in layer.grads]
 
-    def set_parameters(self, values: Sequence[np.ndarray]) -> None:
-        i = 0
-        for layer in self.layers:
-            for k in range(len(layer.params)):
-                layer.params[k] = np.array(values[i], dtype=np.float64)
-                i += 1
-
     def count_params(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.theta.size
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +324,23 @@ class AdamState:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        """Update ``p`` in place from its gradient ``g``."""
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m = np.zeros_like(p)
+            self.v = np.zeros_like(p)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, m, v = self.beta1, self.beta2, self.m, self.v
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= self.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + self.epsilon)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= self.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + self.epsilon)
 
 
 class SgdMomentumState:
@@ -353,15 +349,15 @@ class SgdMomentumState:
             raise ValueError("momentum must be in [0, 1)")
         self.learning_rate = learning_rate
         self.momentum = momentum
-        self.velocity: list[np.ndarray] | None = None
+        self.velocity: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        """Update ``p`` in place from its gradient ``g``."""
         if self.velocity is None:
-            self.velocity = [np.zeros_like(p) for p in params]
-        for p, g, v in zip(params, grads, self.velocity):
-            v *= self.momentum
-            v -= self.learning_rate * g
-            p += v
+            self.velocity = np.zeros_like(p)
+        self.velocity *= self.momentum
+        self.velocity -= self.learning_rate * g
+        p += self.velocity
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +403,15 @@ def train(network: Network, inputs: np.ndarray, targets: np.ndarray,
     rng = np.random.Generator(np.random.PCG64(config.seed))
     loss_fn = config.loss
     history = []
-    params = network.parameters()
     for epoch in range(config.epochs):
         order = rng.permutation(len(inputs))
         epoch_losses = []
         for b, start in enumerate(range(0, len(inputs), config.batch_size)):
             idx = order[start:start + config.batch_size]
-            loss, grads = backward(network, inputs[idx], targets[idx], loss_fn)
+            loss, _ = backward(network, inputs[idx], targets[idx], loss_fn)
             if not math.isfinite(loss) or loss > DIVERGENCE_BOUND:
                 raise DivergedError(epoch, b, loss)
-            optimizer.step(params, grads)
+            optimizer.step(network.theta, network.grad)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return history
@@ -448,25 +443,13 @@ def evaluate(network: Network, inputs: np.ndarray, targets: np.ndarray,
 # ---------------------------------------------------------------------------
 # serialization
 
-def _encode_array(a: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode_array(s: str, shape: tuple[int, ...]) -> np.ndarray:
-    raw = base64.b64decode(s)
-    expected = int(np.prod(shape)) * 8
-    if len(raw) != expected:
-        raise LoadError(f"parameter blob length {len(raw)} != expected {expected}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-
-
 def save_network(network: Network) -> bytes:
     payload = {
         "format": SERIAL_FORMAT,
         "version": SERIAL_VERSION,
         "layers": [layer.spec() for layer in network.layers],
         "params": [
-            {"shape": list(p.shape), "data": _encode_array(p)}
+            {"shape": list(p.shape), "data": base64.b64encode(p.astype("<f8").tobytes()).decode("ascii")}
             for p in network.parameters()
         ],
     }
@@ -489,8 +472,13 @@ def load_network(blob: bytes) -> Network:
     if payload.get("format") != SERIAL_FORMAT or payload.get("version") != SERIAL_VERSION:
         raise LoadError(f"unsupported format/version: {payload.get('format')}/{payload.get('version')}")
     network = Network([_layer_from_spec(s) for s in payload["layers"]])
-    values = [_decode_array(p["data"], tuple(p["shape"])) for p in payload["params"]]
-    if len(values) != len(network.parameters()):
-        raise LoadError("parameter count mismatch")
-    network.set_parameters(values)
+    params = network.parameters()
+    recorded, shapes = [entry["shape"] for entry in payload["params"]], [list(p.shape) for p in params]
+    if recorded != shapes:
+        raise LoadError(f"parameter shapes {recorded} != layer shapes {shapes}")
+    for p, entry in zip(params, payload["params"]):
+        raw = base64.b64decode(entry["data"])
+        if len(raw) != p.nbytes:
+            raise LoadError(f"parameter blob length {len(raw)} != expected {p.nbytes}")
+        p[...] = np.frombuffer(raw, dtype="<f8").reshape(p.shape)
     return network

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import NO_SIGNAL, Dataset, split
-from .errors import FingerlocError
+from .errors import DataError, FingerlocError
 from .models import build_model, xy
 from .nn import TrainConfig, evaluate, train
 
@@ -49,7 +49,7 @@ def _mean_error_feet(model_kind: str, config: TrainConfig, dataset: Dataset,
     for seed in seeds:
         train_set, test_set = split(dataset.labelled, ratio, seed)
         if not train_set or not test_set:
-            raise ValueError("split produced an empty partition")
+            raise DataError(f"{len(dataset.labelled)} labelled rows are too few to split at ratio {ratio}")
         x_train, y_train = xy(model_kind, train_set, layout)
         x_test, y_test = xy(model_kind, test_set, layout)
         network = build_model(model_kind, seed=seed, n_beacons=layout.n_beacons)

@@ -158,6 +158,18 @@ class TestTune:
                     "--layout", str(corpus / "layout.json"), "--spec", str(spec),
                     "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("spec, bad", [
+        ({"algorithm": "foo"}, "foo"),
+        ({"space": [{"name": "epochs", "min": 1, "max": 5}]}, "epochs"),
+    ], ids=["unknown-algorithm", "untunable-name"])
+    def test_spec_value_that_cannot_run_is_config_error(self, corpus, tmp_path, capsys, spec, bad):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run(["tune", "--labelled", str(corpus / "labelled.csv"),
+                    "--layout", str(corpus / "layout.json"), "--spec", str(path),
+                    "--out-dir", str(tmp_path), "--epochs", "1"]) == cli.EXIT_CONFIG
+        assert bad in capsys.readouterr().err
+
 
 class TestAugmentCommand:
     def test_counts_and_source_column(self, corpus, tmp_path):
@@ -201,6 +213,15 @@ class TestRationalizeCommand:
                     "--layout", str(corpus / "layout.json"),
                     "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("command", [["tune"], ["rationalize", "--n-seeds", "1"]], ids=" ".join)
+def test_labelled_file_too_small_to_split_is_data_error(corpus, tmp_path, capsys, command):
+    one = tmp_path / "one.csv"
+    one.write_text("".join((corpus / "labelled.csv").read_text().splitlines(keepends=True)[:2]))
+    assert run([*command, "--labelled", str(one), "--layout", str(corpus / "layout.json"),
+                "--out-dir", str(tmp_path / "out"), "--epochs", "1"]) == cli.EXIT_DATA
+    assert "too few to split" in capsys.readouterr().err
 
 
 def edit_one_rssi(path):
@@ -297,6 +318,18 @@ class TestRerun:
         assert run(["rerun", str(path), "--out-dir", str(tmp_path / "second")]) == 0
         assert ((first / "augmented.csv").read_bytes()
                 == (tmp_path / "second" / "augmented.csv").read_bytes())
+
+    def test_replayed_value_is_validated_like_a_fresh_one(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert run(["synth", "--out-dir", str(first), "--locations", "2",
+                    "--samples-per-location", "1"]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["args"]["locations"] = 0
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["rerun", str(path), "--out-dir", str(tmp_path / "second")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--locations" in err and "Traceback" not in err
 
 
 class TestInputResolution:

@@ -60,11 +60,6 @@ class TestImageCodec:
         for row, col in models.beacon_pixels(layout):
             assert img[row, col, 0] == 1.0
 
-    def test_no_signal_suppressed_when_configured(self, layout):
-        img = models.encode_fingerprint_image([data.NO_SIGNAL] * 13, layout,
-                                              write_no_signal=False)
-        assert np.all(img == 0.0)
-
     def test_decode_pixel_to_dbm(self, layout):
         img = np.zeros((25, 25, 1))
         row, col = models.beacon_pixels(layout)[0]

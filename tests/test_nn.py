@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -207,35 +209,35 @@ class TestLosses:
 
 class TestOptimizers:
     def test_zero_grad_is_fixed_point_adam(self):
-        p = [np.array([1.0, 2.0])]
-        g = [np.zeros(2)]
+        p = np.array([1.0, 2.0])
+        g = np.zeros(2)
         state = nn.AdamState()
-        before = p[0].copy()
+        before = p.copy()
         for _ in range(3):
             state.step(p, g)
-        assert np.array_equal(p[0], before)
+        assert np.array_equal(p, before)
 
     def test_sgd_first_step(self):
-        p = [np.array([1.0])]
-        g = [np.array([1.0])]
+        p = np.array([1.0])
+        g = np.array([1.0])
         nn.SgdMomentumState(learning_rate=0.01).step(p, g)
-        assert p[0][0] == pytest.approx(1.0 - 0.01)
+        assert p[0] == pytest.approx(1.0 - 0.01)
 
     def test_adam_first_step_delta(self):
-        p = [np.array([1.0])]
-        g = [np.array([1.0])]
+        p = np.array([1.0])
+        g = np.array([1.0])
         nn.AdamState(learning_rate=0.001).step(p, g)
         # bias-corrected m/sqrt(v) ratio is 1 at t=1 (up to epsilon)
-        assert p[0][0] == pytest.approx(1.0 - 0.001, abs=1e-9)
+        assert p[0] == pytest.approx(1.0 - 0.001, abs=1e-9)
 
     def test_sgd_velocity_accumulates(self):
-        p = [np.array([0.0])]
-        g = [np.array([1.0])]
+        p = np.array([0.0])
+        g = np.array([1.0])
         state = nn.SgdMomentumState(learning_rate=0.1, momentum=0.5)
         state.step(p, g)
         state.step(p, g)
         # v1 = -0.1, v2 = 0.5*(-0.1) - 0.1 = -0.15 -> p = -0.25
-        assert p[0][0] == pytest.approx(-0.25)
+        assert p[0] == pytest.approx(-0.25)
 
     def test_invalid_momentum(self):
         with pytest.raises(ValueError):
@@ -368,6 +370,33 @@ class TestSerialization:
         restored = nn.load_network(nn.save_network(net))
         for a, b in zip(net.parameters(), restored.parameters()):
             assert np.array_equal(a, b)
+
+    def test_shape_disagreeing_with_layer_spec_rejected(self):
+        doc = json.loads(nn.save_network(nn.Network([nn.Dense(2, 3)], seed=0)))
+        doc["payload"]["params"][0]["shape"] = [3, 2]  # same byte length as the (2, 3) weight
+        body = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        with pytest.raises(LoadError, match="shape"):
+            nn.load_network(json.dumps(doc).encode("utf-8"))
+
+
+def assert_views_into_vectors(net):
+    assert np.array_equal(np.concatenate([p.ravel() for p in net.parameters()]), net.theta)
+    for layer in net.layers:
+        for p, g in zip(layer.params, layer.grads, strict=True):
+            assert np.shares_memory(p, net.theta)
+            assert np.shares_memory(g, net.grad)
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("kind, n", [("dnn", 10), ("cnn", 2)])
+    def test_params_and_grads_stay_views(self, layout, kind, n):
+        x, y = _toy_problem(n=n)
+        net = models.build_model(kind, seed=0)
+        assert_views_into_vectors(net)
+        nn.train(net, models.prepare_inputs(kind, x, layout), y, nn.TrainConfig(epochs=2, seed=0))
+        assert_views_into_vectors(net)
+        assert_views_into_vectors(nn.load_network(nn.save_network(net)))
 
 
 class TestInitialization:
