@@ -60,11 +60,7 @@ def _resolve_inputs(args: dict) -> dict[str, str]:
 
 
 def _load_layout(path: str | None) -> data.BeaconLayout:
-    if path is None:
-        return data.default_layout()
-    if not Path(path).exists():
-        raise DataError(f"layout file not found: {path}")
-    return data.load_layout(path)
+    return data.default_layout() if path is None else data.load_layout(path)
 
 
 def _sha256(path: Path) -> str:
@@ -174,11 +170,7 @@ def cmd_train(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     if strategy != "none" and not args["paper_protocol"]:
         train_set = aug.augment(train_set, strategy, policy, autoencoder).samples
 
-    x_train, y_train = models.xy(kind, train_set, layout)
-    x_test, y_test = models.xy(kind, test_set, layout)
-    network = models.build_model(kind, seed=config.seed, n_beacons=layout.n_beacons)
-    history = nn.train(network, x_train, y_train, config)
-    metrics = nn.evaluate(network, x_test, y_test, layout.cell_feet)
+    network, history, metrics = models.fit(kind, train_set, test_set, layout, config)
 
     model_path = out_dir / "model.bin"
     model_path.write_bytes(nn.save_network(network))
@@ -195,7 +187,7 @@ def cmd_train(args: dict, out_dir: Path) -> tuple[list[Path], int]:
         "parameter_count": network.count_params(),
     })
     cdf_path = out_dir / "cdf.csv"
-    write_cdf(metrics.per_sample_errors_feet(layout.cell_feet), cdf_path)
+    write_cdf(metrics.per_sample_errors_feet, cdf_path)
     print(f"mean error: {metrics.mean_error_grid:.3f} grid units / "
           f"{metrics.mean_error_feet:.1f} ft ({len(test_set)} test samples)")
     return [model_path, metrics_path, cdf_path], config.seed
@@ -253,8 +245,6 @@ def cmd_augment(args: dict, out_dir: Path) -> tuple[list[Path], int]:
 def cmd_rationalize(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     layout = _load_layout(args["layout"])
     dataset = data.load_dataset(args["labelled"], None, layout)
-    if not dataset.labelled:
-        raise DataError("empty labelled dataset")
     seeds = [args["seed"] + i for i in range(args["n_seeds"])]
     config = _train_config(args, _load_config(args["config"]).get("train", {}))
     result = rationalize.dropout_study(args["model"], config, dataset, seeds)
@@ -411,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=_in_range(float, 0.0, math.inf), default=None)
     p.add_argument("--strategy", choices=STRATEGIES, default="none",
                    help="augmentation applied before training")
-    p.add_argument("--ratio", type=_in_range(float, 0.0, 1.0), default=0.8,
+    p.add_argument("--ratio", type=_in_range(float, 0.0, 1.0), default=models.HOLDOUT_RATIO,
                    help="train fraction of the split; both partitions must be non-empty")
     p.add_argument("--paper-protocol", action="store_true",
                    help="augment the full pool before splitting instead of train-split only")
@@ -465,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     except FingerlocError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:  # an unreadable or non-UTF-8 input file
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     return 0

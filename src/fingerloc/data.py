@@ -163,17 +163,19 @@ def decode_location_label(label: str) -> GridPoint:
 def load_layout(path: str | Path) -> BeaconLayout:
     """Read a layout JSON file: grid size, cell feet, beacon positions."""
     with open(path) as f:
-        doc = json.load(f)
-    grid = doc.get("grid", [GRID_SIZE, GRID_SIZE])
-    if list(grid) != [GRID_SIZE, GRID_SIZE]:
+        try:
+            doc = json.load(f)
+            grid = list(doc.get("grid", [GRID_SIZE, GRID_SIZE]))
+            beacons = doc["beacons"]
+            ids = tuple(b["id"] for b in beacons)
+            xs = tuple(float(b["x"]) for b in beacons)
+            ys = tuple(float(b["y"]) for b in beacons)
+            cell_feet = float(doc.get("cell_feet", DEFAULT_CELL_FEET))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:  # not JSON, or not a layout
+            raise LayoutError(f"malformed layout {path}: {e!r}") from None
+    if grid != [GRID_SIZE, GRID_SIZE]:
         raise LayoutError(f"unsupported grid {grid}, expected [{GRID_SIZE}, {GRID_SIZE}]")
-    beacons = doc["beacons"]
-    return BeaconLayout(
-        ids=tuple(b["id"] for b in beacons),
-        xs=tuple(float(b["x"]) for b in beacons),
-        ys=tuple(float(b["y"]) for b in beacons),
-        cell_feet=float(doc.get("cell_feet", DEFAULT_CELL_FEET)),
-    )
+    return BeaconLayout(ids=ids, xs=xs, ys=ys, cell_feet=cell_feet)
 
 
 def save_layout(layout: BeaconLayout, path: str | Path) -> None:

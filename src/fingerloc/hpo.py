@@ -17,9 +17,9 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import norm
 
 from .data import Dataset, split
-from .errors import DataError, ExperimentFailedError, GridExhausted, NumericalError
-from .models import build_model, xy
-from .nn import TrainConfig, evaluate, train
+from .errors import ExperimentFailedError, GridExhausted, NumericalError
+from .models import HOLDOUT_RATIO, fit
+from .nn import TrainConfig
 
 WARMUP_TRIALS = 3
 EI_CANDIDATES = 1024
@@ -268,32 +268,23 @@ def check_bindable(space: SearchSpace) -> None:
         raise ValueError(f"search space names not bindable to a train config: {sorted(unknown)}")
 
 
-def training_objective(model_kind: str, dataset: Dataset, space: SearchSpace,
-                       base_config: TrainConfig, split_ratio: float = 0.8,
+def training_objective(model_kind: str, dataset: Dataset, space: SearchSpace, base_config: TrainConfig,
                        split_seed: int = 0) -> Callable[[dict[str, float]], float]:
-    """Objective: train on a fixed split, return mean test error in grid units."""
+    """Objective: mean test error in grid units of ``models.fit`` on one ``HOLDOUT_RATIO`` split."""
     check_bindable(space)
-    train_set, test_set = split(dataset.labelled, split_ratio, split_seed)
-    if not train_set or not test_set:
-        raise DataError(f"{len(dataset.labelled)} labelled rows are too few to split at ratio {split_ratio}")
-    layout = dataset.layout
-    x_train, y_train = xy(model_kind, train_set, layout)
-    x_test, y_test = xy(model_kind, test_set, layout)
+    train_set, test_set = split(dataset.labelled, HOLDOUT_RATIO, split_seed)
 
     def objective(assignment: dict[str, float]) -> float:
         config = replace(base_config, **assignment)
-        network = build_model(model_kind, seed=config.seed, n_beacons=layout.n_beacons)
-        train(network, x_train, y_train, config)
-        return evaluate(network, x_test, y_test, layout.cell_feet).mean_error_grid
+        return fit(model_kind, train_set, test_set, dataset.layout, config)[2].mean_error_grid
 
     return objective
 
 
 def run_experiment(model_kind: str, dataset: Dataset, space: SearchSpace, config: ExperimentConfig,
-                   base_config: TrainConfig | None = None, split_ratio: float = 0.8) -> ExperimentResult:
+                   base_config: TrainConfig | None = None) -> ExperimentResult:
     """Tune a model's optimizer hyperparameters on a dataset."""
     if base_config is None:
         base_config = TrainConfig(seed=config.seed)
-    objective = training_objective(model_kind, dataset, space, base_config,
-                                   split_ratio=split_ratio, split_seed=config.seed)
+    objective = training_objective(model_kind, dataset, space, base_config, split_seed=config.seed)
     return run_search(objective, space, config)

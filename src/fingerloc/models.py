@@ -18,14 +18,16 @@ from __future__ import annotations
 import numpy as np
 
 from .data import GRID_SIZE, NO_SIGNAL, BeaconLayout, Fingerprints
-from .errors import LayoutError
-from .nn import Conv2d, Dense, Flatten, MaxPool2d, Network, ReLU, Sigmoid
+from .errors import DataError, LayoutError
+from .nn import (Conv2d, Dense, Flatten, MaxPool2d, Metrics, Network, ReLU, Sigmoid, TrainConfig,
+                 evaluate, train)
 
 MODEL_KINDS = ("dnn", "cnn", "autoencoder")
 
 DNN_HIDDEN = (50, 50, 50)
 CNN_POOLING = ((3, 3), (2, 2))  # after conv1 / conv2
 AUTOENCODER_SIZES = (13, 8, 4, 8, 13)
+HOLDOUT_RATIO = 0.8  # train fraction of every split
 
 
 def build_model(kind: str, seed: int, n_beacons: int = 13) -> Network:
@@ -114,3 +116,13 @@ def prepare_inputs(kind: str, rssi_vectors: np.ndarray, layout: BeaconLayout) ->
 def xy(kind: str, table: Fingerprints, layout: BeaconLayout) -> tuple[np.ndarray, np.ndarray]:
     """Model inputs and (N, 2) float grid-coordinate targets of labelled rows."""
     return prepare_inputs(kind, table.rssi, layout), table.cells.astype(np.float64)
+
+
+def fit(kind: str, train_set: Fingerprints, test_set: Fingerprints, layout: BeaconLayout,
+        config: TrainConfig) -> tuple[Network, list[float], Metrics]:
+    """Build the model seeded by ``config.seed``, train it on ``train_set``, score it on ``test_set``."""
+    if not (len(train_set) and len(test_set)):
+        raise DataError(f"{len(train_set) + len(test_set)} labelled rows are too few to split")
+    network = build_model(kind, seed=config.seed, n_beacons=layout.n_beacons)
+    history = train(network, *xy(kind, train_set, layout), config)
+    return network, history, evaluate(network, *xy(kind, test_set, layout), layout.cell_feet)

@@ -6,8 +6,8 @@ SGD-with-momentum optimizers, a seeded training loop, and a versioned
 serialization format. Double precision throughout; the gradient-check suite
 depends on it.
 
-A layer's ``params`` and ``grads`` are views into its ``Network``'s one
-parameter vector ``theta`` and one gradient vector ``grad``.
+A layer's ``params`` and ``grads`` are tuples of views into its ``Network``'s
+one parameter vector ``theta`` and one gradient vector ``grad``.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ class Layer:
     """
 
     def __init__(self, *shapes: tuple[int, ...]):
-        self.params: list[np.ndarray] = [np.zeros(shape) for shape in shapes]
-        self.grads: list[np.ndarray] = [np.zeros(shape) for shape in shapes]
+        self.params: tuple[np.ndarray, ...] = tuple(np.zeros(shape) for shape in shapes)
+        self.grads: tuple[np.ndarray, ...] = tuple(np.zeros(shape) for shape in shapes)
 
     def init_params(self, rng: np.random.Generator) -> None:
         pass
@@ -216,7 +216,7 @@ class Flatten(Layer):
 
 
 def _layer_from_spec(spec: dict) -> Layer:
-    kind = spec.get("kind")
+    kind = spec["kind"]
     if kind == "dense":
         return Dense(spec["in"], spec["out"])
     if kind == "conv2d":
@@ -241,11 +241,12 @@ class Network:
         self.grad = np.zeros_like(self.theta)
         start = 0
         for layer in self.layers:
-            for k, p in enumerate(layer.params):
-                span = slice(start, start + p.size)
-                layer.params[k] = self.theta[span].reshape(p.shape)
-                layer.grads[k] = self.grad[span].reshape(p.shape)
+            spans = []
+            for p in layer.params:
+                spans.append((slice(start, start + p.size), p.shape))
                 start += p.size
+            layer.params = tuple(self.theta[span].reshape(shape) for span, shape in spans)
+            layer.grads = tuple(self.grad[span].reshape(shape) for span, shape in spans)
         if seed is not None:
             self.init_params(seed)
 
@@ -421,10 +422,7 @@ def train(network: Network, inputs: np.ndarray, targets: np.ndarray,
 class Metrics:
     mean_error_grid: float
     mean_error_feet: float
-    per_sample_errors_grid: np.ndarray
-
-    def per_sample_errors_feet(self, cell_feet: float) -> np.ndarray:
-        return self.per_sample_errors_grid * cell_feet
+    per_sample_errors_feet: np.ndarray
 
 
 def evaluate(network: Network, inputs: np.ndarray, targets: np.ndarray,
@@ -437,7 +435,7 @@ def evaluate(network: Network, inputs: np.ndarray, targets: np.ndarray,
     mean_grid = float(errors.mean())
     return Metrics(mean_error_grid=mean_grid,
                    mean_error_feet=mean_grid * cell_feet,
-                   per_sample_errors_grid=errors)
+                   per_sample_errors_feet=errors * cell_feet)
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +469,17 @@ def load_network(blob: bytes) -> Network:
         raise LoadError("checksum mismatch")
     if payload.get("format") != SERIAL_FORMAT or payload.get("version") != SERIAL_VERSION:
         raise LoadError(f"unsupported format/version: {payload.get('format')}/{payload.get('version')}")
-    network = Network([_layer_from_spec(s) for s in payload["layers"]])
-    params = network.parameters()
-    recorded, shapes = [entry["shape"] for entry in payload["params"]], [list(p.shape) for p in params]
-    if recorded != shapes:
-        raise LoadError(f"parameter shapes {recorded} != layer shapes {shapes}")
-    for p, entry in zip(params, payload["params"]):
-        raw = base64.b64decode(entry["data"])
-        if len(raw) != p.nbytes:
-            raise LoadError(f"parameter blob length {len(raw)} != expected {p.nbytes}")
-        p[...] = np.frombuffer(raw, dtype="<f8").reshape(p.shape)
+    try:
+        network = Network([_layer_from_spec(s) for s in payload["layers"]])
+        params = network.parameters()
+        recorded, shapes = [entry["shape"] for entry in payload["params"]], [list(p.shape) for p in params]
+        if recorded != shapes:
+            raise LoadError(f"parameter shapes {recorded} != layer shapes {shapes}")
+        for p, entry in zip(params, payload["params"]):
+            raw = base64.b64decode(entry["data"])
+            if len(raw) != p.nbytes:
+                raise LoadError(f"parameter blob length {len(raw)} != expected {p.nbytes}")
+            p[...] = np.frombuffer(raw, dtype="<f8").reshape(p.shape)
+    except (KeyError, TypeError, ValueError) as e:  # a missing field, a non-dict entry, bad base64
+        raise LoadError(f"malformed layer or parameter entry: {e!r}") from None
     return network

@@ -1,8 +1,9 @@
 """Beacon rationalization: input-layer dropout of individual beacons.
 
 Silencing a beacon sets its RSSI to no-signal in every labelled sample and
-removes the samples for which it was the only beacon with signal. Retraining
-on each residual dataset quantifies the beacon's contribution to accuracy.
+removes the samples for which it was the only beacon with signal. One
+``models.fit`` per seed on each residual dataset, split at ``HOLDOUT_RATIO``,
+quantifies the beacon's contribution to accuracy.
 """
 from __future__ import annotations
 
@@ -11,9 +12,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import NO_SIGNAL, Dataset, split
-from .errors import DataError, FingerlocError
-from .models import build_model, xy
-from .nn import TrainConfig, evaluate, train
+from .errors import FingerlocError
+from .models import HOLDOUT_RATIO, fit
+from .nn import TrainConfig
 
 
 def drop_beacon(dataset: Dataset, beacon_id: str) -> Dataset:
@@ -42,37 +43,27 @@ class DropoutStudyResult:
     seeds: list[int]
 
 
-def _mean_error_feet(model_kind: str, config: TrainConfig, dataset: Dataset,
-                     seeds: list[int], ratio: float) -> float:
-    errors = []
-    layout = dataset.layout
-    for seed in seeds:
-        train_set, test_set = split(dataset.labelled, ratio, seed)
-        if not train_set or not test_set:
-            raise DataError(f"{len(dataset.labelled)} labelled rows are too few to split at ratio {ratio}")
-        x_train, y_train = xy(model_kind, train_set, layout)
-        x_test, y_test = xy(model_kind, test_set, layout)
-        network = build_model(model_kind, seed=seed, n_beacons=layout.n_beacons)
-        cfg = replace(config, seed=seed)
-        train(network, x_train, y_train, cfg)
-        errors.append(evaluate(network, x_test, y_test, layout.cell_feet).mean_error_feet)
-    return float(np.mean(errors))
+def _mean_error_feet(model_kind: str, config: TrainConfig, dataset: Dataset, seeds: list[int]) -> float:
+    return float(np.mean([
+        fit(model_kind, *split(dataset.labelled, HOLDOUT_RATIO, seed), dataset.layout,
+            replace(config, seed=seed))[2].mean_error_feet
+        for seed in seeds]))
 
 
 def dropout_study(model_kind: str, config: TrainConfig, dataset: Dataset,
-                  seeds: list[int], ratio: float = 0.8) -> DropoutStudyResult:
+                  seeds: list[int]) -> DropoutStudyResult:
     """Baseline plus one retrain per silenced beacon, averaged over seeds.
 
     Per-beacon failures are recorded on the impact row; the study continues.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    baseline = _mean_error_feet(model_kind, config, dataset, seeds, ratio)
+    baseline = _mean_error_feet(model_kind, config, dataset, seeds)
     impacts = []
     for beacon_id in dataset.layout.ids:
         residual = drop_beacon(dataset, beacon_id)
         try:
-            err = _mean_error_feet(model_kind, config, residual, seeds, ratio)
+            err = _mean_error_feet(model_kind, config, residual, seeds)
             impacts.append(BeaconImpact(beacon_id=beacon_id,
                                         residual_samples=len(residual.labelled),
                                         mean_error_feet=err,

@@ -2,10 +2,12 @@ import argparse
 import csv
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fingerloc import cli, data
 
@@ -403,3 +405,44 @@ def test_invalid_flag_value_exits_2_without_traceback(argv, corpus, tmp_path, ca
         status = e.code
     assert status == cli.EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+BEACONS = b",".join(b"b30%02d" % i for i in range(1, 14))
+READINGS = b",".join([b"-70"] * 13)
+
+# (input flag, content of the file given to it)
+MALFORMED_FILES = [
+    ("--layout", b"{not json"),
+    ("--layout", b'{"cell_feet": 10}'),
+    ("--layout", b'{"beacons": [{"id": "b1", "x": "left", "y": 3}]}'),
+    ("--layout", b"[1, 2]"),
+    ("--labelled", b"location,date," + BEACONS + b"\nA01,d\xe9c," + READINGS + b"\n"),
+    ("--unlabelled", b"date," + BEACONS + b"\nd\xe9c," + READINGS + b"\n"),
+]
+
+
+@pytest.mark.parametrize("flag, content", MALFORMED_FILES, ids=[
+    "layout-not-json", "layout-without-beacons", "layout-non-numeric-x", "layout-list-root",
+    "labelled-not-utf8", "unlabelled-not-utf8"])
+def test_malformed_input_file_exits_3_without_traceback(flag, content, corpus, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    inputs = {"--labelled": corpus / "labelled.csv", "--layout": corpus / "layout.json", flag: bad}
+    argv = ["train", *(str(a) for pair in inputs.items() for a in pair),
+            "--out-dir", str(tmp_path / "out"), "--epochs", "1"]
+    assert run(argv) == cli.EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=100))
+def test_cdf_rows_form_a_distribution(errors):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cdf.csv"
+        cli.write_cdf(np.array(errors), path)
+        with open(path) as f:
+            rows = list(csv.DictReader(f))
+    assert len(rows) == len(errors)
+    for column in ("error_ft", "fraction"):
+        values = [float(r[column]) for r in rows]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+    assert float(rows[-1]["fraction"]) == 1.0

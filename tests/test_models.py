@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fingerloc import data, models
-from fingerloc.errors import LayoutError
+from fingerloc import data, models, nn
+from fingerloc.errors import DataError, LayoutError
 
 rssi_vectors = st.lists(st.floats(min_value=-200.0, max_value=0.0), min_size=13, max_size=13)
 
@@ -99,3 +99,25 @@ class TestImageCodec:
         vectors = np.full((2, 13), -100.0)
         batch = models.prepare_inputs("autoencoder", vectors, layout)
         assert np.all(batch == 0.5)
+
+
+class TestFit:
+    CONFIG = nn.TrainConfig(epochs=3, seed=4)
+
+    def test_empty_partition_is_data_error(self, synth_dataset, layout):
+        train_set, test_set = data.split(synth_dataset.labelled, 1.0, 0)
+        with pytest.raises(DataError, match="too few to split"):
+            models.fit("dnn", train_set, test_set, layout, self.CONFIG)
+
+    def test_metrics_are_evaluate_on_the_returned_network(self, synth_dataset, layout):
+        train_set, test_set = data.split(synth_dataset.labelled, models.HOLDOUT_RATIO, 0)
+        network, history, metrics = models.fit("dnn", train_set, test_set, layout, self.CONFIG)
+        assert len(history) == self.CONFIG.epochs
+        again = nn.evaluate(network, *models.xy("dnn", test_set, layout), layout.cell_feet)
+        assert metrics.mean_error_grid == again.mean_error_grid
+        assert metrics.mean_error_feet == again.mean_error_feet
+        assert np.array_equal(metrics.per_sample_errors_feet, again.per_sample_errors_feet)
+        # the model is the one build_model seeds with config.seed
+        fresh = models.build_model("dnn", seed=self.CONFIG.seed)
+        assert nn.train(fresh, *models.xy("dnn", train_set, layout), self.CONFIG) == history
+        assert np.array_equal(fresh.theta, network.theta)

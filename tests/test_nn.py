@@ -152,8 +152,8 @@ class TestForward:
 
     def test_dense_identity_passthrough(self):
         layer = nn.Dense(3, 3)
-        layer.params[0] = np.eye(3)
-        layer.params[1] = np.zeros(3)
+        layer.params[0][...] = np.eye(3)
+        layer.params[1][...] = np.zeros(3)
         x = np.array([[1.0, -2.0, 3.0]])
         assert np.array_equal(layer.forward(x), x)
 
@@ -172,8 +172,8 @@ class TestForward:
         rng = np.random.Generator(np.random.PCG64(9))
         net = nn.Network([nn.Dense(4, 6), nn.ReLU(), nn.Dense(6, 2)])
         for layer in (net.layers[0], net.layers[2]):
-            layer.params[0] = rng.uniform(0.1, 1.0, size=layer.params[0].shape)
-            layer.params[1] = np.zeros_like(layer.params[1])
+            layer.params[0][...] = rng.uniform(0.1, 1.0, size=layer.params[0].shape)
+            layer.params[1][...] = np.zeros_like(layer.params[1])
         x = rng.uniform(0.1, 1.0, size=(3, 4))
         np.testing.assert_allclose(net.forward(2.5 * x), 2.5 * net.forward(x), rtol=1e-12)
 
@@ -302,14 +302,14 @@ class TestTraining:
 class TestEvaluate:
     def test_perfect_prediction(self):
         net = nn.Network([nn.Dense(2, 2)])
-        net.layers[0].params[0] = np.eye(2)
+        net.layers[0].params[0][...] = np.eye(2)
         x = np.array([[3.0, 4.0]])
         m = nn.evaluate(net, x, x, cell_feet=10.0)
         assert m.mean_error_feet == 0.0
 
     def test_three_four_five(self):
         net = nn.Network([nn.Dense(2, 2)])
-        net.layers[0].params[0] = np.eye(2)
+        net.layers[0].params[0][...] = np.eye(2)
         x = np.array([[3.0, 4.0]])
         target = np.array([[0.0, 0.0]])
         m = nn.evaluate(net, x, target, cell_feet=10.0)
@@ -318,7 +318,7 @@ class TestEvaluate:
 
     def test_grid_to_feet_factor(self):
         net = nn.Network([nn.Dense(2, 2)])
-        net.layers[0].params[0] = np.eye(2)
+        net.layers[0].params[0][...] = np.eye(2)
         x = np.array([[2.2, 0.0]])
         m = nn.evaluate(net, x, np.array([[0.0, 0.0]]), cell_feet=10.0)
         assert m.mean_error_feet == pytest.approx(22.0)
@@ -379,6 +379,19 @@ class TestSerialization:
         with pytest.raises(LoadError, match="shape"):
             nn.load_network(json.dumps(doc).encode("utf-8"))
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda payload: payload["layers"][0].pop("in"),
+        lambda payload: payload["layers"].insert(0, "dense"),
+        lambda payload: payload["params"][0].update(data="abc"),
+    ], ids=["spec-missing-field", "spec-not-a-dict", "bad-base64"])
+    def test_malformed_entry_with_valid_checksum_rejected(self, corrupt):
+        doc = json.loads(nn.save_network(nn.Network([nn.Dense(2, 3)], seed=0)))
+        corrupt(doc["payload"])
+        body = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        with pytest.raises(LoadError):
+            nn.load_network(json.dumps(doc).encode("utf-8"))
+
 
 def assert_views_into_vectors(net):
     assert np.array_equal(np.concatenate([p.ravel() for p in net.parameters()]), net.theta)
@@ -397,6 +410,14 @@ class TestParameterVector:
         nn.train(net, models.prepare_inputs(kind, x, layout), y, nn.TrainConfig(epochs=2, seed=0))
         assert_views_into_vectors(net)
         assert_views_into_vectors(nn.load_network(nn.save_network(net)))
+
+    def test_parameters_cannot_be_rebound(self):
+        # a rebound array would leave theta, and the optimizer would never step it
+        layer = nn.Network([nn.Dense(2, 2)]).layers[0]
+        with pytest.raises(TypeError):
+            layer.params[0] = np.eye(2)
+        with pytest.raises(TypeError):
+            layer.grads[0] = np.eye(2)
 
 
 class TestInitialization:

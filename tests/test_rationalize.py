@@ -134,15 +134,15 @@ class TestDropoutStudy:
     def test_programming_error_propagates(self, synth_dataset, monkeypatch):
         # the baseline trains once per seed; the first per-beacon retrain then fails
         calls = []
-        real_train = rationalize.train
+        real_fit = rationalize.fit
 
-        def train(*args, **kwargs):
+        def fit(*args, **kwargs):
             calls.append(1)
             if len(calls) > 1:
                 raise TypeError("bug in training code")
-            return real_train(*args, **kwargs)
+            return real_fit(*args, **kwargs)
 
-        monkeypatch.setattr(rationalize, "train", train)
+        monkeypatch.setattr(rationalize, "fit", fit)
         with pytest.raises(TypeError, match="bug in training code"):
             rationalize.dropout_study("dnn", FAST_CONFIG, synth_dataset, seeds=[0])
 
