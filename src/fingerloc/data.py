@@ -39,6 +39,8 @@ class BeaconLayout:
     cell_feet: float = DEFAULT_CELL_FEET
 
     def __post_init__(self):
+        if not self.ids:
+            raise LayoutError("layout has no beacons")
         if len(self.ids) != len(self.xs) or len(self.ids) != len(self.ys):
             raise LayoutError("beacon id and coordinate counts differ")
         if len(set(self.ids)) != len(self.ids):

@@ -34,7 +34,11 @@ class Layer:
     """Base layer: zeroed parameter arrays of the given shapes in ``params``, grads in ``grads``.
 
     A ``Network`` rebinds them to views into its ``theta`` and ``grad``, so layers write in place.
+    ``input_grad`` says whether ``backward`` must return the gradient of its input; a ``Network``
+    clears it on its first layer, whose input gradient no one reads.
     """
+
+    input_grad = True
 
     def __init__(self, *shapes: tuple[int, ...]):
         self.params: tuple[np.ndarray, ...] = tuple(np.zeros(shape) for shape in shapes)
@@ -77,14 +81,20 @@ class Dense(Layer):
     def backward(self, dy):
         self.grads[0][...] = self._x.T @ dy
         self.grads[1][...] = dy.sum(axis=0)
-        return dy @ self.params[0].T
+        return dy @ self.params[0].T if self.input_grad else None
 
     def spec(self):
         return {"kind": "dense", "in": self.n_in, "out": self.n_out}
 
 
 class Conv2d(Layer):
-    """Valid-padding 2-d convolution, channels-last (B, H, W, C)."""
+    """Valid-padding 2-d convolution, channels-last (B, H, W, C).
+
+    Pixel-sparse forward: with one input channel and at most half the input pixels non-zero in
+    any row (an encoded fingerprint has one per beacon), ``forward`` adds only those pixels'
+    terms. Each term is one exact product, the skipped ones are exact zeros and the rest are
+    added in the dense loop's order, so every output bit is the same as the dense loop's.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, int]):
         super().__init__((*kernel, in_channels, out_channels), (out_channels,))
@@ -111,22 +121,31 @@ class Conv2d(Layer):
         ow = x.shape[2] - self.kw + 1
         w, b = self.params
         out = np.zeros((x.shape[0], oh, ow, self.out_channels))
-        for i in range(self.kh):
-            for j in range(self.kw):
-                out += x[:, i:i + oh, j:j + ow, :] @ w[i, j]
+        ai, aj = np.nonzero(x.any(axis=(0, 3)))
+        if self.in_channels == 1 and 2 * ai.size <= x.shape[1] * x.shape[2]:
+            vals = x[:, ai, aj, :]
+            for i in range(self.kh):
+                for j in range(self.kw):
+                    keep = (ai >= i) & (ai < i + oh) & (aj >= j) & (aj < j + ow)
+                    out[:, ai[keep] - i, aj[keep] - j] += vals[:, keep] * w[i, j]
+        else:
+            for i in range(self.kh):
+                for j in range(self.kw):
+                    out += x[:, i:i + oh, j:j + ow, :] @ w[i, j]
         return out + b
 
     def backward(self, dy):
         x = self._x
         oh, ow = dy.shape[1], dy.shape[2]
         w = self.params[0]
-        dx = np.zeros_like(x)
+        dx = np.zeros_like(x) if self.input_grad else None
         flat_dy = dy.reshape(-1, self.out_channels)
         for i in range(self.kh):
             for j in range(self.kw):
                 patch = x[:, i:i + oh, j:j + ow, :].reshape(-1, self.in_channels)
                 self.grads[0][i, j] = patch.T @ flat_dy
-                dx[:, i:i + oh, j:j + ow, :] += dy @ w[i, j].T
+                if dx is not None:
+                    dx[:, i:i + oh, j:j + ow, :] += dy @ w[i, j].T
         self.grads[1][...] = flat_dy.sum(axis=0)
         return dx
 
@@ -247,6 +266,8 @@ class Network:
                 start += p.size
             layer.params = tuple(self.theta[span].reshape(shape) for span, shape in spans)
             layer.grads = tuple(self.grad[span].reshape(shape) for span, shape in spans)
+        if self.layers:
+            self.layers[0].input_grad = False
         if seed is not None:
             self.init_params(seed)
 
@@ -265,6 +286,10 @@ class Network:
         return x
 
     def backward_from(self, d_out: np.ndarray) -> None:
+        """Backpropagate ``d_out`` into every layer's ``grads``.
+
+        The first layer's ``input_grad`` is False, so it skips its input gradient.
+        """
         for layer in reversed(self.layers):
             d_out = layer.backward(d_out)
 
@@ -462,11 +487,13 @@ def load_network(blob: bytes) -> Network:
         doc = json.loads(blob.decode("utf-8"))
         checksum = doc["checksum"]
         payload = doc["payload"]
-    except (ValueError, KeyError, UnicodeDecodeError) as e:
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as e:  # TypeError: a non-object root
         raise LoadError(f"not a serialized network: {e}") from None
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if hashlib.sha256(body.encode("utf-8")).hexdigest() != checksum:
         raise LoadError("checksum mismatch")
+    if not isinstance(payload, dict):
+        raise LoadError(f"payload is a {type(payload).__name__}, not an object")
     if payload.get("format") != SERIAL_FORMAT or payload.get("version") != SERIAL_VERSION:
         raise LoadError(f"unsupported format/version: {payload.get('format')}/{payload.get('version')}")
     try:

@@ -434,6 +434,17 @@ def test_malformed_input_file_exits_3_without_traceback(flag, content, corpus, t
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_layout_without_beacons_exits_3(tmp_path, capsys):
+    layout = tmp_path / "layout.json"
+    layout.write_text('{"beacons": []}')
+    labelled = tmp_path / "labelled.csv"
+    labelled.write_text("location,date\n" + "".join(f"{c}0{i},d\n" for i, c in enumerate("ABCDE", 1)))
+    argv = ["train", "--labelled", str(labelled), "--layout", str(layout),
+            "--out-dir", str(tmp_path / "out"), "--epochs", "1"]
+    assert run(argv) == cli.EXIT_DATA
+    assert "no beacons" in capsys.readouterr().err
+
+
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=100))
 def test_cdf_rows_form_a_distribution(errors):
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fingerloc import models, nn
+from fingerloc import data, models, nn
 from fingerloc.errors import DivergedError, LoadError, ShapeError
 
 FD_STEP = 1e-5
@@ -120,6 +120,46 @@ class TestGradients:
             t = rng.normal(size=(2, 2))
             check_gradients(net, x, t)
 
+    def test_conv2d_after_another_layer(self):
+        # the first layer skips its input gradient, so the second conv keeps dx under the oracle
+        rng = np.random.Generator(np.random.PCG64(7))
+        for _ in range(3):
+            h = int(rng.integers(6, 9))
+            cin, mid = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            net = random_net(rng, [nn.Conv2d(cin, mid, (3, 3)), nn.ReLU(), nn.Conv2d(mid, 2, (2, 2)),
+                                   nn.Flatten(), nn.Dense((h - 3) ** 2 * 2, 2)])
+            x = rng.normal(size=(2, h, h, cin))
+            t = rng.normal(size=(2, 2))
+            check_gradients(net, x, t)
+
+    def test_full_cnn_on_encoded_fingerprints(self, layout):
+        # encoded images take Conv2d's pixel-sparse forward
+        rng = np.random.Generator(np.random.PCG64(8))
+        rssi = rng.uniform(-95.0, -45.0, size=(2, layout.n_beacons))
+        rssi[rng.random(rssi.shape) < 0.3] = data.NO_SIGNAL
+        net = models.build_model("cnn", seed=9)
+        # with a zero bias every conv1 output away from the beacons sits on the ReLU kink
+        net.layers[0].params[1][...] = rng.uniform(-0.5, 0.5, size=net.layers[0].out_channels)
+        check_gradients(net, models.prepare_inputs("cnn", rssi, layout), rng.normal(size=(2, 2)),
+                        loss_kind="rmse", max_coords=100)
+
+    def test_layer_outside_a_network_returns_input_gradient(self):
+        rng = np.random.Generator(np.random.PCG64(9))
+        dense = nn.Dense(3, 2)
+        dense.init_params(rng)
+        x = rng.normal(size=(4, 3))
+        dy = rng.normal(size=(4, 2))
+        dense.forward(x)
+        assert np.array_equal(dense.backward(dy), dy @ dense.params[0].T)
+        conv = nn.Conv2d(1, 2, (2, 2))
+        conv.init_params(rng)
+        conv.forward(rng.normal(size=(2, 4, 4, 1)))
+        assert conv.backward(rng.normal(size=(2, 3, 3, 2))).shape == (2, 4, 4, 1)
+        net = nn.Network([nn.Dense(3, 3), nn.Dense(3, 2)], seed=0)
+        net.forward(x)
+        assert net.layers[1].backward(dy).shape == (4, 3)
+        assert net.layers[0].backward(rng.normal(size=(4, 3))) is None
+
     def test_full_dnn_rmse(self):
         rng = np.random.Generator(np.random.PCG64(5))
         net = models.build_model("dnn", seed=7)
@@ -176,6 +216,43 @@ class TestForward:
             layer.params[1][...] = np.zeros_like(layer.params[1])
         x = rng.uniform(0.1, 1.0, size=(3, 4))
         np.testing.assert_allclose(net.forward(2.5 * x), 2.5 * net.forward(x), rtol=1e-12)
+
+
+def textbook_conv(x, w, b):
+    """The dense valid convolution: every kernel offset added over every output pixel."""
+    kh, kw = w.shape[:2]
+    oh, ow = x.shape[1] - kh + 1, x.shape[2] - kw + 1
+    out = np.zeros((x.shape[0], oh, ow, w.shape[3]))
+    for i in range(kh):
+        for j in range(kw):
+            out += x[:, i:i + oh, j:j + ow, :] @ w[i, j]
+    return out + b
+
+
+class TestSparseConv:
+    def _encoded(self, layout, n=400):
+        rng = np.random.Generator(np.random.PCG64(10))
+        rssi = rng.uniform(-95.0, -45.0, size=(n, layout.n_beacons))
+        rssi[rng.random(rssi.shape) < 0.3] = data.NO_SIGNAL
+        return models.prepare_inputs("cnn", rssi, layout)
+
+    def _corner(self, layout):
+        x = np.zeros((3, 25, 25, 1))
+        x[1, 24, 24, 0] = 0.4  # reaches only the last output pixel
+        return x
+
+    @pytest.mark.parametrize("make", [
+        _encoded,
+        lambda self, layout: np.zeros((5, 25, 25, 1)),
+        _corner,
+        lambda self, layout: np.random.Generator(np.random.PCG64(11)).normal(size=(4, 25, 25, 1)),
+    ], ids=["encoded-fingerprints", "all-zero", "corner-pixel", "dense-fallback"])
+    def test_bitwise_equal_to_textbook_loop(self, layout, make):
+        conv = models.build_model("cnn", seed=12).layers[0]
+        conv.params[1][...] = np.linspace(-0.5, 0.5, conv.out_channels)
+        x = make(self, layout)
+        expected = textbook_conv(x, *conv.params)
+        assert np.array_equal(conv.forward(x).view(np.uint64), expected.view(np.uint64))
 
 
 class TestLosses:
@@ -370,6 +447,15 @@ class TestSerialization:
         restored = nn.load_network(nn.save_network(net))
         for a, b in zip(net.parameters(), restored.parameters()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("doc", [{"checksum": None, "payload": []}, []],
+                             ids=["payload-not-an-object", "root-not-an-object"])
+    def test_non_object_document_rejected(self, doc):
+        if isinstance(doc, dict):
+            body = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+            doc["checksum"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        with pytest.raises(LoadError):
+            nn.load_network(json.dumps(doc).encode("utf-8"))
 
     def test_shape_disagreeing_with_layer_spec_rejected(self):
         doc = json.loads(nn.save_network(nn.Network([nn.Dense(2, 3)], seed=0)))
