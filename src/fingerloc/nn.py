@@ -90,10 +90,15 @@ class Dense(Layer):
 class Conv2d(Layer):
     """Valid-padding 2-d convolution, channels-last (B, H, W, C).
 
-    Pixel-sparse forward: with one input channel and at most half the input pixels non-zero in
-    any row (an encoded fingerprint has one per beacon), ``forward`` adds only those pixels'
-    terms. Each term is one exact product, the skipped ones are exact zeros and the rest are
-    added in the dense loop's order, so every output bit is the same as the dense loop's.
+    Pixel-sparse path: with one input channel and at most half the input pixels non-zero in any
+    row (an encoded fingerprint has one per beacon), ``forward`` and the weight gradient visit only
+    those pixels. ``forward`` adds each pixel's products with the flipped kernel into the output
+    pixels it reaches, one pixel at a time in raster order, which for every output pixel is the
+    dense loop's order over the kernel offsets. Each term is one exact product and the skipped ones
+    are exact zeros, so every output bit is the dense loop's. ``backward`` sums each pixel's weight
+    gradient over the batch alone: the dense loop's terms in another order, so it may differ from
+    the dense sum by rounding (on the paper-scale corpus at most 8e-16, 5e-15 of the largest entry).
+    The bias gradient, the input gradient and the dense path give the same bits as before.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, int]):
@@ -114,6 +119,12 @@ class Conv2d(Layer):
         if x.shape[1] < self.kh or x.shape[2] < self.kw:
             raise ShapeError(f"Conv2d: input {x.shape[1]}x{x.shape[2]} smaller than kernel {self.kh}x{self.kw}")
 
+    def _reach(self, r, c, oh, ow):
+        """Output slices that input pixel (r, c) reaches, and the kernel slices (to flip) it meets there."""
+        i0, i1 = max(0, r - oh + 1), min(self.kh, r + 1)
+        j0, j1 = max(0, c - ow + 1), min(self.kw, c + 1)
+        return (slice(r - i1 + 1, r - i0 + 1), slice(c - j1 + 1, c - j0 + 1)), (slice(i0, i1), slice(j0, j1))
+
     def forward(self, x):
         self._check(x)
         self._x = x
@@ -122,31 +133,40 @@ class Conv2d(Layer):
         w, b = self.params
         out = np.zeros((x.shape[0], oh, ow, self.out_channels))
         ai, aj = np.nonzero(x.any(axis=(0, 3)))
+        self._pixels = None
         if self.in_channels == 1 and 2 * ai.size <= x.shape[1] * x.shape[2]:
-            vals = x[:, ai, aj, :]
-            for i in range(self.kh):
-                for j in range(self.kw):
-                    keep = (ai >= i) & (ai < i + oh) & (aj >= j) & (aj < j + ow)
-                    out[:, ai[keep] - i, aj[keep] - j] += vals[:, keep] * w[i, j]
+            vals = x[:, ai, aj, 0].T.copy()  # (pixel, batch)
+            self._pixels = (ai.tolist(), aj.tolist(), vals)
+            for r, c, v in zip(*self._pixels):
+                (orow, ocol), (ki, kj) = self._reach(r, c, oh, ow)
+                out[:, orow, ocol] += v[:, None, None, None] * w[ki, kj, 0][::-1, ::-1]
         else:
             for i in range(self.kh):
                 for j in range(self.kw):
                     out += x[:, i:i + oh, j:j + ow, :] @ w[i, j]
-        return out + b
+        out += b
+        return out
 
     def backward(self, dy):
         x = self._x
         oh, ow = dy.shape[1], dy.shape[2]
         w = self.params[0]
+        dw, db = self.grads
         dx = np.zeros_like(x) if self.input_grad else None
         flat_dy = dy.reshape(-1, self.out_channels)
+        if self._pixels is not None:
+            dw[...] = 0.0
+            for r, c, v in zip(*self._pixels):
+                (orow, ocol), (ki, kj) = self._reach(r, c, oh, ow)
+                dw[ki, kj, 0] += np.tensordot(v, dy[:, orow, ocol], axes=(0, 0))[::-1, ::-1]
         for i in range(self.kh):
             for j in range(self.kw):
-                patch = x[:, i:i + oh, j:j + ow, :].reshape(-1, self.in_channels)
-                self.grads[0][i, j] = patch.T @ flat_dy
+                if self._pixels is None:
+                    patch = x[:, i:i + oh, j:j + ow, :].reshape(-1, self.in_channels)
+                    dw[i, j] = patch.T @ flat_dy
                 if dx is not None:
                     dx[:, i:i + oh, j:j + ow, :] += dy @ w[i, j].T
-        self.grads[1][...] = flat_dy.sum(axis=0)
+        db[...] = flat_dy.sum(axis=0)
         return dx
 
     def spec(self):
@@ -155,7 +175,16 @@ class Conv2d(Layer):
 
 
 class MaxPool2d(Layer):
-    """Max pooling with stride = window; ceil mode, so edge windows may be partial."""
+    """Max pooling with stride = window; ceil mode, so edge windows may be partial.
+
+    ``forward`` takes the running maximum over the ``wh*ww`` window offsets, each a strided view
+    ``x[:, di::wh, dj::ww]``, and records each output's window offset as one small integer: the
+    last offset at which the maximum rose, which is the first in row-major order that holds it, or
+    the first NaN, as ``argmax`` picks. Output values and gradient routing are a per-window
+    ``argmax`` loop's, bit for bit, except for the sign of a zero maximum when a window holds both
+    +0.0 and -0.0 (ReLU emits only +0.0). Stride = window, so no two outputs share an input:
+    ``backward`` assigns each output's gradient to its input, so a -0.0 gradient stays -0.0 there.
+    """
 
     def __init__(self, window: tuple[int, int]):
         super().__init__()
@@ -164,32 +193,29 @@ class MaxPool2d(Layer):
     def forward(self, x):
         if x.ndim != 4:
             raise ShapeError(f"MaxPool2d: got input shape {x.shape}")
-        b, h, w, c = x.shape
-        oh = -(-h // self.wh)
-        ow = -(-w // self.ww)
-        out = np.empty((b, oh, ow, c))
-        self._argmax = np.empty((b, oh, ow, c, 2), dtype=np.int64)
-        for i in range(oh):
-            r0, r1 = i * self.wh, min((i + 1) * self.wh, h)
-            for j in range(ow):
-                c0, c1 = j * self.ww, min((j + 1) * self.ww, w)
-                region = x[:, r0:r1, c0:c1, :]
-                flat = region.reshape(b, -1, c)
-                idx = flat.argmax(axis=1)
-                out[:, i, j, :] = np.take_along_axis(flat, idx[:, None, :], axis=1)[:, 0, :]
-                self._argmax[:, i, j, :, 0] = r0 + idx // (c1 - c0)
-                self._argmax[:, i, j, :, 1] = c0 + idx % (c1 - c0)
+        n = self.wh * self.ww
+        out = x[:, ::self.wh, ::self.ww].astype(np.float64)  # offset (0, 0) lies in every window
+        self._window = np.zeros(out.shape, dtype=np.min_scalar_type(n - 1))
+        for k in range(1, n):
+            v = x[:, k // self.ww::self.wh, k % self.ww::self.ww]
+            cur = out[:, :v.shape[1], :v.shape[2]]  # a partial window lacks the offsets past its edge
+            prev = cur.copy()
+            np.maximum(cur, v, out=cur)
+            # the maximum rose (ties keep the first), or a first NaN arrived: NaN != NaN, so check prev
+            rose = (cur != prev) & (prev == prev)
+            at = self._window[:, :v.shape[1], :v.shape[2]]
+            np.maximum(at, rose * at.dtype.type(k), out=at)
         self._in_shape = x.shape
         return out
 
     def backward(self, dy):
+        b, h, w, c = self._in_shape
+        k = np.arange(self.wh * self.ww)
+        offset = (k // self.ww * w + k % self.ww) * c
+        origin = ((np.arange(b)[:, None, None, None] * h + np.arange(0, h, self.wh)[:, None, None]) * w
+                  + np.arange(0, w, self.ww)[:, None]) * c + np.arange(c)
         dx = np.zeros(self._in_shape)
-        b, oh, ow, c = dy.shape
-        bi = np.arange(b)[:, None, None, None]
-        ci = np.arange(c)[None, None, None, :]
-        rows = self._argmax[..., 0]
-        cols = self._argmax[..., 1]
-        np.add.at(dx, (bi, rows, cols, ci), dy)
+        dx.reshape(-1)[origin + offset[self._window]] = dy
         return dx
 
     def spec(self):
@@ -249,6 +275,15 @@ def _layer_from_spec(spec: dict) -> Layer:
     if kind == "flatten":
         return Flatten()
     raise LoadError(f"unknown layer kind {kind!r}")
+
+
+def _param_shapes(spec: dict) -> list[list]:
+    """The parameter shapes of the layer ``spec`` describes, read from its fields without building it."""
+    if spec["kind"] == "dense":
+        return [[spec["in"], spec["out"]], [spec["out"]]]
+    if spec["kind"] == "conv2d":
+        return [[*spec["kernel"], spec["in"], spec["out"]], [spec["out"]]]
+    return []
 
 
 class Network:
@@ -497,15 +532,19 @@ def load_network(blob: bytes) -> Network:
     if payload.get("format") != SERIAL_FORMAT or payload.get("version") != SERIAL_VERSION:
         raise LoadError(f"unsupported format/version: {payload.get('format')}/{payload.get('version')}")
     try:
-        network = Network([_layer_from_spec(s) for s in payload["layers"]])
-        params = network.parameters()
-        recorded, shapes = [entry["shape"] for entry in payload["params"]], [list(p.shape) for p in params]
+        # check every shape and blob length before anything is allocated, so a short file cannot
+        # ask for an arbitrary amount of memory
+        specs, entries = payload["layers"], payload["params"]
+        recorded = [entry["shape"] for entry in entries]
+        shapes = [shape for spec in specs for shape in _param_shapes(spec)]
         if recorded != shapes:
             raise LoadError(f"parameter shapes {recorded} != layer shapes {shapes}")
-        for p, entry in zip(params, payload["params"]):
-            raw = base64.b64decode(entry["data"])
-            if len(raw) != p.nbytes:
-                raise LoadError(f"parameter blob length {len(raw)} != expected {p.nbytes}")
+        blobs = [base64.b64decode(entry["data"]) for entry in entries]
+        for raw, shape in zip(blobs, shapes):
+            if len(raw) != 8 * math.prod(shape):
+                raise LoadError(f"parameter blob length {len(raw)} != expected {8 * math.prod(shape)}")
+        network = Network([_layer_from_spec(s) for s in specs])
+        for p, raw in zip(network.parameters(), blobs):
             p[...] = np.frombuffer(raw, dtype="<f8").reshape(p.shape)
     except (KeyError, TypeError, ValueError) as e:  # a missing field, a non-dict entry, bad base64
         raise LoadError(f"malformed layer or parameter entry: {e!r}") from None

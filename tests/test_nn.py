@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,112 @@ class TestSparseConv:
         assert np.array_equal(conv.forward(x).view(np.uint64), expected.view(np.uint64))
 
 
+def textbook_conv_dw(x, dy, kh, kw):
+    """The dense weight gradient: every output position's product summed per kernel offset."""
+    oh, ow = dy.shape[1], dy.shape[2]
+    dw = np.zeros((kh, kw, x.shape[3], dy.shape[3]))
+    for i in range(kh):
+        for j in range(kw):
+            dw[i, j] = np.einsum("bpqc,bpqo->co", x[:, i:i + oh, j:j + ow, :], dy)
+    return dw
+
+
+class TestSparseConvWeightGradient:
+    def _edges(self, layout):
+        x = np.zeros((4, 25, 25, 1))
+        for r, c in [(0, 0), (0, 24), (24, 0), (24, 24), (3, 12), (12, 0), (21, 5)]:
+            x[:, r, c, 0] = np.linspace(0.1, 0.9, 4)
+        x[::2, 3, 12, 0] = 0.0  # active in some rows only
+        return x
+
+    @pytest.mark.parametrize("make", [
+        TestSparseConv._encoded,
+        _edges,
+        lambda self, layout: np.zeros((5, 25, 25, 1)),
+    ], ids=["encoded-fingerprints", "edge-and-corner-pixels", "all-zero"])
+    def test_matches_dense_weight_gradient(self, layout, make):
+        # the sparse dw sums per pixel over the batch, so only rounding may differ from the dense sum
+        conv = models.build_model("cnn", seed=13).layers[0]
+        x = make(self, layout)
+        out = conv.forward(x)
+        dy = np.random.Generator(np.random.PCG64(14)).normal(size=out.shape)
+        conv.grads[0][...] = np.nan  # backward must overwrite every entry
+        assert conv.backward(dy) is None
+        expected = textbook_conv_dw(x, dy, conv.kh, conv.kw)
+        assert np.abs(conv.grads[0] - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(conv.grads[1], dy.reshape(-1, conv.out_channels).sum(axis=0))
+
+
+def textbook_maxpool(x, window, dy):
+    """Per-window argmax loop: each output takes its window's first maximum, or first NaN, and
+    that input receives the output's gradient."""
+    wh, ww = window
+    b, h, w, c = x.shape
+    out = np.empty((b, -(-h // wh), -(-w // ww), c))
+    dx = np.zeros(x.shape)
+    for n, i, j, ch in np.ndindex(out.shape):
+        region = x[n, i * wh:(i + 1) * wh, j * ww:(j + 1) * ww, ch]
+        r, q = np.unravel_index(np.argmax(region), region.shape)
+        out[n, i, j, ch] = region[r, q]
+        dx[n, i * wh + r, j * ww + q, ch] += dy[n, i, j, ch]
+    return out, dx
+
+
+class TestMaxPoolContract:
+    def _conv_relu(self, layout, upto):
+        # the CNN's own maxpool inputs: ReLU zeros and, away from the beacons, the constant relu(bias)
+        net = models.build_model("cnn", seed=15)
+        net.layers[0].params[1][...] = np.linspace(-0.3, 0.6, net.layers[0].out_channels)
+        x = TestSparseConv._encoded(self, layout, n=6)
+        x[:, 14:] = 0.0  # no beacon in the bottom rows: conv1 outputs the bias there
+        for layer in net.layers[:upto]:
+            x = layer.forward(x)
+        return x
+
+    def _nan(self, layout):
+        x = np.maximum(np.random.Generator(np.random.PCG64(16)).normal(size=(3, 7, 8, 2)), 0.0)
+        x[0, 0, 1, 0] = np.nan  # after the window's first element
+        x[1, 4, 7, 1] = x[1, 5, 6, 1] = np.nan  # two NaNs in one partial window
+        x[2, 6, 0, 0] = np.nan  # alone in the bottom-edge partial window's first row
+        return x
+
+    @pytest.mark.parametrize("make, window", [
+        (lambda self, layout: self._conv_relu(layout, 2), (3, 3)),
+        (lambda self, layout: self._conv_relu(layout, 5), (2, 2)),
+        (lambda self, layout: np.maximum(np.random.Generator(np.random.PCG64(17)).normal(size=(4, 19, 19, 3)),
+                                         0.0), (3, 3)),
+        (_nan, (3, 3)),
+        (_nan, (2, 3)),
+    ], ids=["conv1-relu-19to7", "conv2-relu-3to2", "relu-zeros", "nan-3x3", "nan-2x3"])
+    def test_bitwise_equal_to_textbook_loop(self, layout, make, window):
+        x = make(self, layout)
+        pool = nn.MaxPool2d(window)
+        out = pool.forward(x)
+        dy = np.random.Generator(np.random.PCG64(18)).normal(size=out.shape)
+        expected_out, expected_dx = textbook_maxpool(x, window, dy)
+        assert np.array_equal(out.view(np.uint64), expected_out.view(np.uint64))
+        assert np.array_equal(pool.backward(dy).view(np.uint64), expected_dx.view(np.uint64))
+
+    def test_cnn_shapes_and_ties_are_exercised(self, layout):
+        # the cases above really hold partial windows and tied maxima
+        x = self._conv_relu(layout, 2)
+        assert x.shape[1:3] == (19, 19) and self._conv_relu(layout, 5).shape[1:3] == (3, 3)
+        windows = x[:, :18, :18].reshape(x.shape[0], 6, 3, 6, 3, -1)
+        top = windows.max(axis=(2, 4), keepdims=True)
+        tied = (windows == top).sum(axis=(2, 4)) > 1
+        assert np.any(tied & (top[:, :, 0, :, 0] > 0))  # the constant relu(bias) away from the beacons
+        assert np.any(tied & (top[:, :, 0, :, 0] == 0))  # windows of ReLU zeros
+
+    def test_nan_batch_still_diverges(self):
+        # a NaN window's gradient goes to its first NaN, so training reports the divergence
+        rng = np.random.Generator(np.random.PCG64(19))
+        net = nn.Network([nn.MaxPool2d((2, 2)), nn.Flatten(), nn.Dense(3 * 3 * 2, 2)], seed=0)
+        x = rng.normal(size=(4, 5, 5, 2))
+        x[2, 4, 4, 1] = np.nan
+        with pytest.raises(DivergedError):
+            nn.train(net, x, rng.normal(size=(4, 2)), nn.TrainConfig(epochs=1, seed=0))
+
+
 class TestLosses:
     def test_zero_loss_zero_grad(self):
         pred = np.ones((2, 3))
@@ -477,6 +584,24 @@ class TestSerialization:
         doc["checksum"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
         with pytest.raises(LoadError):
             nn.load_network(json.dumps(doc).encode("utf-8"))
+
+    def test_short_blob_cannot_allocate_its_spec(self):
+        # a few hundred bytes that ask for a Dense(4000, 4000) fail before anything that size exists
+        payload = {"format": nn.SERIAL_FORMAT, "version": nn.SERIAL_VERSION,
+                   "layers": [{"kind": "dense", "in": 4000, "out": 4000}],
+                   "params": [{"shape": [4000, 4000], "data": ""}, {"shape": [4000], "data": ""}]}
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps({"checksum": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+                           "payload": payload}).encode("utf-8")
+        assert len(blob) < 300
+        tracemalloc.start()
+        try:
+            with pytest.raises(LoadError, match="blob length"):
+                nn.load_network(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def assert_views_into_vectors(net):
