@@ -24,9 +24,9 @@ GOLDEN = {
     "train/cdf.csv": "c01d43208385859f2835fb7c8ea2311babee27c60995a9fa2df6821eae85a091",
     "train/metrics.json": "34c70587f256b5af60d9933ac6cfc22eb33b17f9c38cd4e4b20822c80155ed21",
     "train/model.bin": "7232c7e6906a758303c2d7ca8993a701635fd97aa87b710b1e512392db0f0974",
-    "train_cnn/cdf.csv": "a70414662ad2b5da707e382cc452b4e22162e96f29342f9a17b1f0f3b70134c0",
+    "train_cnn/cdf.csv": "67722d10a7dfbfed575326360dbb53b84fa500d3b930721729d733600132a909",
     "train_cnn/metrics.json": "3e51dba1f536ee7a3bbda1b2e462021cd11ec4008f848df99ee5c9540e94a40a",
-    "train_cnn/model.bin": "da6267cbc89da2bfb72dbfdf823f6e1e776ab0bc4aaf4f05de80b946bc035838",
+    "train_cnn/model.bin": "deff33f3cf1a2361a967043c4a4116793be70748e6ee2e57330cee941e8807e1",
     "tune/best_config.json": "ce9e1cadd73bfaef91d0b380f91cf55ca9bccac7a6f54eca9debcd6b5fd450ad",
     "tune/trials.csv": "3d2dd78128334a293b72df869369b7f3fd3c7262b9755a71a56e641bf3475886",
 }
