@@ -13,8 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.stats import norm
 
 from .data import Dataset, split
 from .errors import ExperimentFailedError, GridExhausted, NumericalError
@@ -93,6 +91,9 @@ class GpSurrogate:
         self.signal_var = signal_var
         self.noise_var = 1e-6 * signal_var if noise_var is None else noise_var
         self.y_mean = float(np.mean(y))
+        # scipy is imported where a GP is fitted, not at module level: it costs about
+        # 0.7 s and 40 MB at start-up, and only tune's Bayesian search uses it
+        from scipy.linalg import cho_solve
         k = self._kernel(x, x) + self.noise_var * np.eye(len(x))
         self.chol = _cholesky_with_jitter(k)
         self.alpha = cho_solve((self.chol, True), y - self.y_mean)
@@ -106,6 +107,7 @@ class GpSurrogate:
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         k_star = self._kernel(self.x, queries)  # (n, q)
         mean = self.y_mean + k_star.T @ self.alpha
+        from scipy.linalg import solve_triangular
         w = solve_triangular(self.chol, k_star, lower=True)
         var = self.signal_var - np.sum(w * w, axis=0)
         return mean, np.maximum(var, 0.0)
@@ -135,9 +137,11 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.n
     ei = np.where(std > 0.0, 0.0, np.maximum(improve, 0.0))
     pos = std > 0.0
     if np.any(pos):
+        from scipy.special import ndtr
         z = improve[pos] / std[pos]
         ei = np.array(ei, dtype=np.float64)
-        ei[pos] = np.maximum(improve[pos] * norm.cdf(z) + std[pos] * norm.pdf(z), 0.0)
+        pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)  # scipy.stats.norm.pdf's own expression
+        ei[pos] = np.maximum(improve[pos] * ndtr(z) + std[pos] * pdf, 0.0)
     return ei
 
 

@@ -225,7 +225,9 @@ class MaxPool2d(Layer):
 class ReLU(Layer):
     def forward(self, x):
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        y = np.maximum(x, 0.0)  # propagates NaN, so a NaN input reaches the loss
+        y += 0.0  # which zero np.maximum returns for -0.0 is up to its kernel; -0.0 + 0.0 is +0.0
+        return y
 
     def backward(self, dy):
         return np.where(self._mask, dy, 0.0)

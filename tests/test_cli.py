@@ -1,7 +1,10 @@
 import argparse
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -443,6 +446,26 @@ def test_layout_without_beacons_exits_3(tmp_path, capsys):
             "--out-dir", str(tmp_path / "out"), "--epochs", "1"]
     assert run(argv) == cli.EXIT_DATA
     assert "no beacons" in capsys.readouterr().err
+
+
+def test_commands_without_a_gp_do_not_load_scipy(tmp_path):
+    # scipy is imported only where tune fits a GP: importing it costs every other command about 1 s
+    script = """if True:
+        import json, sys
+        from fingerloc import cli
+        out = sys.argv[1]
+        assert cli.main(["synth", "--out-dir", out + "/c", "--locations", "10",
+                         "--samples-per-location", "2", "--seed", "0"]) == 0
+        assert cli.main(["train", "--labelled", out + "/c/labelled.csv", "--layout", out + "/c/layout.json",
+                         "--out-dir", out + "/t", "--epochs", "1"]) == 0
+        print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=100))

@@ -107,6 +107,25 @@ class TestExpectedImprovement:
         ei = hpo.expected_improvement(np.full(4, 1.0), sigmas, 1.0)
         assert np.all(np.diff(ei) > 0.0)
 
+    def test_bits_match_the_scipy_stats_form(self):
+        from scipy.stats import norm
+        rng = np.random.Generator(np.random.PCG64(22))
+        n = 20000
+        mean = rng.normal(scale=3.0, size=n)
+        std = np.abs(rng.normal(size=n)) * 10.0 ** rng.uniform(-14.0, 1.0, size=n)
+        std[:1000] = 0.0
+        std[1000:1100] = 5e-324
+        best = 0.25
+        improve = best - mean
+        expected = np.where(std > 0.0, 0.0, np.maximum(improve, 0.0))
+        pos = std > 0.0
+        with np.errstate(over="ignore"):  # improve / 5e-324 is inf
+            z = improve[pos] / std[pos]
+            expected[pos] = np.maximum(improve[pos] * norm.cdf(z) + std[pos] * norm.pdf(z), 0.0)
+            ei = hpo.expected_improvement(mean, std, best)
+        assert np.sum(z > 40.0) > 100 and np.sum(z < -40.0) > 100 and np.any(np.isinf(z))
+        assert np.array_equal(ei.view(np.uint64), expected.view(np.uint64))
+
     def test_zero_at_noiseless_observed_point(self):
         x = np.array([[0.3], [0.7]])
         y = np.array([1.0, 2.0])

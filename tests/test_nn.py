@@ -181,6 +181,13 @@ class TestForward:
         out = layer.forward(np.array([[-1.0, 0.0, 2.0]]))
         assert out.tolist() == [[0.0, 0.0, 2.0]]
 
+    def test_relu_propagates_nan_and_keeps_every_other_bit(self):
+        x = np.array([np.nan, -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, 1.5, -1.5])
+        x = np.concatenate([x, np.random.Generator(np.random.PCG64(20)).normal(size=1000)])
+        out = nn.ReLU().forward(x)
+        assert np.isnan(out[0])
+        assert np.array_equal(out[1:].view(np.uint64), np.where(x > 0, x, 0.0)[1:].view(np.uint64))
+
     def test_sigmoid_saturates_without_overflow(self):
         with np.errstate(over="raise"):
             out = nn.Sigmoid().forward(np.array([[-800.0, 0.0, 800.0]]))
@@ -470,6 +477,19 @@ class TestTraining:
         with pytest.raises(DivergedError):
             nn.train(net, x, y, nn.TrainConfig(epochs=50, learning_rate=1e9,
                                                optimizer="sgd", seed=0))
+
+    def test_nan_pixel_in_cnn_batch_diverges(self):
+        # conv1's NaN outputs must reach the loss: a ReLU that maps NaN to 0 hides them while
+        # conv1's weight gradient reads the NaN pixel and the optimizer spreads it to the weights
+        rng = np.random.Generator(np.random.PCG64(21))
+        x = np.zeros((20, data.GRID_SIZE, data.GRID_SIZE, 1))
+        x[:, 4, 7, 0] = rng.uniform(0.1, 1.0, size=20)
+        x[:, 18, 12, 0] = rng.uniform(0.1, 1.0, size=20)
+        x[13, 18, 12, 0] = np.nan
+        net = models.build_model("cnn", seed=0)
+        with pytest.raises(DivergedError):
+            nn.train(net, x, rng.uniform(0.0, 24.0, size=(20, 2)),
+                     nn.TrainConfig(epochs=3, batch_size=10, seed=0))
 
     def test_empty_training_set(self):
         net = models.build_model("dnn", seed=0)
