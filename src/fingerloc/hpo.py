@@ -91,8 +91,8 @@ class GpSurrogate:
         self.signal_var = signal_var
         self.noise_var = 1e-6 * signal_var if noise_var is None else noise_var
         self.y_mean = float(np.mean(y))
-        # scipy is imported where a GP is fitted, not at module level: it costs about
-        # 0.7 s and 40 MB at start-up, and only tune's Bayesian search uses it
+        # scipy is imported where a GP is fitted, not at module level: it adds about 1 s and
+        # 65 MB to every command's start-up, and only tune's Bayesian search uses it
         from scipy.linalg import cho_solve
         k = self._kernel(x, x) + self.noise_var * np.eye(len(x))
         self.chol = _cholesky_with_jitter(k)

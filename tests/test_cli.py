@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -450,7 +451,7 @@ def test_layout_without_beacons_exits_3(tmp_path, capsys):
 
 def test_commands_without_a_gp_do_not_load_scipy(tmp_path):
     # scipy is imported only where tune fits a GP: importing it costs every other command about 1 s
-    script = """if True:
+    script = textwrap.dedent("""
         import json, sys
         from fingerloc import cli
         out = sys.argv[1]
@@ -459,7 +460,7 @@ def test_commands_without_a_gp_do_not_load_scipy(tmp_path):
         assert cli.main(["train", "--labelled", out + "/c/labelled.csv", "--layout", out + "/c/layout.json",
                          "--out-dir", out + "/t", "--epochs", "1"]) == 0
         print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
-    """
+    """)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True,
