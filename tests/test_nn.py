@@ -299,6 +299,38 @@ class TestSparseConvWeightGradient:
         assert np.array_equal(conv.grads[1], dy.reshape(-1, conv.out_channels).sum(axis=0))
 
 
+def textbook_conv_backward(x, w, dy):
+    """The dense input and weight gradients, one kernel offset at a time, and the bias gradient."""
+    kh, kw = w.shape[:2]
+    oh, ow = dy.shape[1], dy.shape[2]
+    flat_dy = dy.reshape(-1, dy.shape[3])
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, i:i + oh, j:j + ow, :] += dy @ w[i, j].T
+            dw[i, j] = x[:, i:i + oh, j:j + ow, :].reshape(-1, x.shape[3]).T @ flat_dy
+    return dx, dw, flat_dy.sum(axis=0)
+
+
+class TestDenseConv:
+    @pytest.mark.parametrize("batch, size, channels, kernel", [
+        (100, (7, 7), (12, 12), (5, 5)),  # the CNN's second convolution at its training batch
+        (3, (6, 5), (3, 4), (3, 2)),
+    ], ids=["cnn-conv2", "odd-shape"])
+    def test_bitwise_equal_to_textbook_loop(self, batch, size, channels, kernel):
+        rng = np.random.Generator(np.random.PCG64(15))
+        conv = nn.Conv2d(*channels, kernel)
+        conv.init_params(rng)
+        conv.params[1][...] = rng.normal(size=channels[1])
+        x = rng.normal(size=(batch, *size, channels[0]))
+        out = conv.forward(x)
+        assert np.array_equal(out.view(np.uint64), textbook_conv(x, *conv.params).view(np.uint64))
+        dy = rng.normal(size=out.shape)
+        dx = conv.backward(dy)
+        for got, expected in zip((dx, *conv.grads), textbook_conv_backward(x, conv.params[0], dy)):
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def textbook_maxpool(x, window, dy):
     """Per-window argmax loop: each output takes its window's first maximum, or first NaN, and
     that input receives the output's gradient."""
