@@ -99,6 +99,11 @@ class Conv2d(Layer):
     gradient over the batch alone: the dense loop's terms in another order, so it may differ from
     the dense sum by rounding (on the paper-scale corpus at most 8e-16, 5e-15 of the largest entry).
     The bias gradient, the input gradient and the dense path give the same bits as before.
+
+    Dense path: each kernel offset's term of ``forward`` and of the input gradient is one 2-d
+    matrix product over every output pixel of the batch, ``(B*oh*ow, C_in) @ (C_in, C_out)`` and
+    its transpose, not one small product per output row. Each output entry is the same dot product
+    added in the same offset order, so the bits are those of the per-offset loop.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, int]):
@@ -120,10 +125,12 @@ class Conv2d(Layer):
             raise ShapeError(f"Conv2d: input {x.shape[1]}x{x.shape[2]} smaller than kernel {self.kh}x{self.kw}")
 
     def _reach(self, r, c, oh, ow):
-        """Output slices that input pixel (r, c) reaches, and the kernel slices (to flip) it meets there."""
+        """Output slices that input pixel (r, c) reaches, and the slices of the kernel flipped in
+        both axes that it meets there, in the same order as the output pixels."""
         i0, i1 = max(0, r - oh + 1), min(self.kh, r + 1)
         j0, j1 = max(0, c - ow + 1), min(self.kw, c + 1)
-        return (slice(r - i1 + 1, r - i0 + 1), slice(c - j1 + 1, c - j0 + 1)), (slice(i0, i1), slice(j0, j1))
+        return ((slice(r - i1 + 1, r - i0 + 1), slice(c - j1 + 1, c - j0 + 1)),
+                (slice(self.kh - i1, self.kh - i0), slice(self.kw - j1, self.kw - j0)))
 
     def forward(self, x):
         self._check(x)
@@ -137,14 +144,17 @@ class Conv2d(Layer):
         if self.in_channels == 1 and 2 * ai.size <= x.shape[1] * x.shape[2]:
             vals = x[:, ai, aj, 0].T.copy()  # (pixel, batch)
             self._pixels = (ai.tolist(), aj.tolist(), vals)
+            flipped = w[::-1, ::-1, 0].copy()
             for r, c, v in zip(*self._pixels):
                 (orow, ocol), (ki, kj) = self._reach(r, c, oh, ow)
-                out[:, orow, ocol] += v[:, None, None, None] * w[ki, kj, 0][::-1, ::-1]
+                out[:, orow, ocol] += v[:, None, None, None] * flipped[ki, kj]
         else:
+            flat_out = out.reshape(-1, self.out_channels)
             for i in range(self.kh):
                 for j in range(self.kw):
-                    out += x[:, i:i + oh, j:j + ow, :] @ w[i, j]
-        out += b
+                    flat_out += x[:, i:i + oh, j:j + ow, :].reshape(-1, self.in_channels) @ w[i, j]
+        rows = out.reshape(x.shape[0], -1)  # a view, one row per sample
+        rows += np.tile(b, oh * ow)
         return out
 
     def backward(self, dy):
@@ -156,16 +166,17 @@ class Conv2d(Layer):
         flat_dy = dy.reshape(-1, self.out_channels)
         if self._pixels is not None:
             dw[...] = 0.0
+            flipped = dw[::-1, ::-1, 0]
             for r, c, v in zip(*self._pixels):
                 (orow, ocol), (ki, kj) = self._reach(r, c, oh, ow)
-                dw[ki, kj, 0] += np.tensordot(v, dy[:, orow, ocol], axes=(0, 0))[::-1, ::-1]
+                flipped[ki, kj] += np.tensordot(v, dy[:, orow, ocol], axes=(0, 0))
         for i in range(self.kh):
             for j in range(self.kw):
                 if self._pixels is None:
                     patch = x[:, i:i + oh, j:j + ow, :].reshape(-1, self.in_channels)
                     dw[i, j] = patch.T @ flat_dy
                 if dx is not None:
-                    dx[:, i:i + oh, j:j + ow, :] += dy @ w[i, j].T
+                    dx[:, i:i + oh, j:j + ow, :] += (flat_dy @ w[i, j].T).reshape(*dy.shape[:3], -1)
         db[...] = flat_dy.sum(axis=0)
         return dx
 
