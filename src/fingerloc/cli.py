@@ -355,7 +355,8 @@ def _in_range(cast, low, high):
     """argparse type: ``cast`` the text and require a finite value in [low, high]."""
     def parse(text: str):
         value = cast(text)
-        if not (math.isfinite(value) and low <= value <= high):
+        # compared, not converted: math.isfinite overflows on an int past the float range
+        if not (low <= value <= high and value != math.inf):
             raise argparse.ArgumentTypeError(f"{text} is not in [{low}, {high}]")
         return value
     parse.__name__ = cast.__name__  # argparse names the type in its "invalid value" message
@@ -371,7 +372,7 @@ SHARED = {
     "--unlabelled": dict(help="unlabelled CSV (date,<beacons>)"),
     "--layout": dict(help="beacon layout JSON (default: built-in layout)"),
     "--config": dict(help='JSON file; its "train" section sets training fields, flags override them'),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_in_range(int, 0, math.inf), default=0),
     "--jobs": dict(type=int, default=1, help="accepted for compatibility; the run is always serial"),
     "--out-dir": dict(default="out"),
     "--model": dict(choices=("dnn", "cnn"), default="dnn"),
@@ -395,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a localization model")
     _add(p, "--labelled", "--unlabelled", "--layout", "--config", "--jobs", "--out-dir",
          "--model", "--epochs", "--threshold")
-    p.add_argument("--seed", type=int, default=None, help="default: the config's seed, else 0")
+    p.add_argument("--seed", type=_in_range(int, 0, math.inf), default=None,
+                   help="default: the config's seed, else 0")
     p.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--learning-rate", type=_in_range(float, 0.0, math.inf), default=None)
@@ -408,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="hyperparameter search")
     _add(p, "--labelled", "--layout", "--out-dir", "--model", "--epochs")
-    p.add_argument("--seed", type=int, default=None, help="default: the spec's seed, else 0")
+    p.add_argument("--seed", type=_in_range(int, 0, math.inf), default=None,
+                   help="default: the spec's seed, else 0")
     p.add_argument("--spec", help="experiment spec JSON (algorithm, max_trials, goal, seed, space)")
     p.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
 

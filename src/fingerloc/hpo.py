@@ -216,6 +216,8 @@ class ExperimentConfig:
             raise ValueError("max trials must be >= 1")
         if self.goal <= 0:
             raise ValueError("goal must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -456,6 +456,8 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def make_optimizer(self):
         if self.optimizer == "adam":

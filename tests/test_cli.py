@@ -396,6 +396,8 @@ INVALID_FLAGS = [
     ["train", "--learning-rate", "-1"],
     ["augment", "--threshold", "0"],
     ["rationalize", "--n-seeds", "0"],
+    ["synth", "--locations", "1" + "0" * 400],  # past the float range: compared, not converted
+    *([command, "--seed", "-1"] for command in ("synth", "train", "tune", "augment", "rationalize")),
 ]
 
 
@@ -409,6 +411,22 @@ def test_invalid_flag_value_exits_2_without_traceback(argv, corpus, tmp_path, ca
         status = e.code
     assert status == cli.EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, content", [
+    ("train", "--config", {"train": {"seed": -1}}),
+    ("tune", "--spec", {"seed": -1}),
+], ids=["train-config", "tune-spec"])
+def test_negative_seed_in_a_file_exits_2_without_traceback(command, flag, content, corpus,
+                                                          tmp_path, capsys):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(content))
+    status = run([command, "--labelled", str(corpus / "labelled.csv"), "--layout",
+                  str(corpus / "layout.json"), flag, str(path), "--out-dir", str(tmp_path / "out"),
+                  "--epochs", "1"])
+    assert status == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
 
 
 BEACONS = b",".join(b"b30%02d" % i for i in range(1, 14))
