@@ -102,8 +102,9 @@ class Conv2d(Layer):
 
     Dense path: each kernel offset's term of ``forward`` and of the input gradient is one 2-d
     matrix product over every output pixel of the batch, ``(B*oh*ow, C_in) @ (C_in, C_out)`` and
-    its transpose, not one small product per output row. Each output entry is the same dot product
-    added in the same offset order, so the bits are those of the per-offset loop.
+    its transpose; numpy runs a 4-d operand as one small product per output row. Each output entry
+    is the same dot product added in the same offset order, so the bits are those of the per-offset
+    loop.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, int]):
