@@ -18,21 +18,15 @@ from .nn import Network, TrainConfig, train
 # (cell, row indices) per under-represented cell, as find_underrepresented returns them
 Groups = list[tuple[tuple[int, int], np.ndarray]]
 
+# normalized-value cutoff: a decoded rssi/-200 below it counts as "shows signal"
+SIGNAL_TAU = 0.9
+
 
 @dataclass(frozen=True)
 class AugmentationPolicy:
     threshold: int = 10              # a cell with fewer samples is under-represented
-    samples_per_location: int = 1
     autoencoder_epochs: int = 20
-    # normalized-value cutoff: decoded rssi/-200 below tau counts as "shows signal"
-    signal_tau: float = 0.9
     seed: int = 0
-
-    def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if not (0.0 < self.signal_tau < 1.0):
-            raise ValueError("signal tau must be in (0, 1)")
 
 
 def _grown(table: Fingerprints, cells: list[tuple[int, int]], rssi: list[np.ndarray],
@@ -44,7 +38,7 @@ def _grown(table: Fingerprints, cells: list[tuple[int, int]], rssi: list[np.ndar
 
 
 def naive_augment(table: Fingerprints, groups: Groups, policy: AugmentationPolicy) -> Fingerprints:
-    """Uniform-range samples (``policy.samples_per_location``) per grouped cell.
+    """One uniform-range sample per grouped cell.
 
     A beacon contributes only if it has signal in every existing sample at
     the location; otherwise the generated value is no-signal.
@@ -54,27 +48,23 @@ def naive_augment(table: Fingerprints, groups: Groups, policy: AugmentationPolic
     for cell, rows in groups:
         block = table.rssi[rows]
         shared = (block > NO_SIGNAL).all(axis=0)
-        lo, hi = block.min(axis=0)[shared], block.max(axis=0)[shared]
-        for k in range(policy.samples_per_location):
-            values = np.full(block.shape[1], NO_SIGNAL)
-            values[shared] = rng.uniform(lo, hi)
-            cells.append(cell)
-            rssi.append(values)
-            timestamps.append(f"naive-{cell[0]}-{cell[1]}-{k}")
+        values = np.full(block.shape[1], NO_SIGNAL)
+        values[shared] = rng.uniform(block.min(axis=0)[shared], block.max(axis=0)[shared])
+        cells.append(cell)
+        rssi.append(values)
+        timestamps.append(f"naive-{cell[0]}-{cell[1]}-0")  # the sample's index within its cell
     return _grown(table, cells, rssi, timestamps)
 
 
-def train_autoencoder(unlabelled: Fingerprints, policy: AugmentationPolicy, seed: int | None = None,
+def train_autoencoder(unlabelled: Fingerprints, policy: AugmentationPolicy,
                       n_beacons: int = 13) -> tuple[Network, list[float]]:
-    """Fit the reconstruction autoencoder on normalized unlabelled vectors."""
+    """Fit the reconstruction autoencoder, seeded by ``policy.seed``, on normalized unlabelled vectors."""
     if len(unlabelled) == 0:
         raise ValueError("empty unlabelled set")
-    if seed is None:
-        seed = policy.seed
     vectors = unlabelled.rssi / NO_SIGNAL
-    network = build_model("autoencoder", seed=seed, n_beacons=n_beacons)
+    network = build_model("autoencoder", seed=policy.seed, n_beacons=n_beacons)
     config = TrainConfig(epochs=policy.autoencoder_epochs, batch_size=100,
-                         loss="rmse", optimizer="adam", seed=seed)
+                         loss="rmse", optimizer="adam", seed=policy.seed)
     history = train(network, vectors, vectors, config)
     return network, history
 
@@ -92,7 +82,7 @@ def autoencoder_augment(table: Fingerprints, groups: Groups, autoencoder: Networ
         # one batch-1 forward per cell: batching them changes the last bits
         out = np.clip(autoencoder.forward(table.rssi[rows[:1]] / NO_SIGNAL)[0], 0.0, 1.0)
         seen = (table.rssi[rows] > NO_SIGNAL).any(axis=0)
-        if np.any((out < policy.signal_tau) & ~seen):
+        if np.any((out < SIGNAL_TAU) & ~seen):
             discarded += 1
             continue
         cells.append(cell)

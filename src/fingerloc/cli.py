@@ -120,20 +120,20 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _train_config(args: dict, section: dict) -> nn.TrainConfig:
-    """TrainConfig's defaults, overlaid by a config ``train`` section, then by the flags given."""
-    defaults = asdict(nn.TrainConfig())
+def _overlay(cls, section, args: dict, what: str):
+    """``cls``'s defaults, overlaid by the JSON object ``section``, then by the flags given in ``args``."""
     if not isinstance(section, dict):
-        raise ConfigError('the config "train" section must be a JSON object')
+        raise ConfigError(f"the {what} must be a JSON object")
+    defaults = asdict(cls())
     unknown = sorted(set(section) - set(defaults))
     if unknown:
-        raise ConfigError(f"unknown train config keys: {unknown}")
+        raise ConfigError(f"unknown {what} keys: {unknown}")
     values = {**defaults, **section,
               **{k: v for k, v in args.items() if k in defaults and v is not None}}
     try:
-        # coerce to the type of each field's default; learning_rate (default None) is taken as is
-        return nn.TrainConfig(**{k: v if defaults[k] is None else type(defaults[k])(v)
-                                 for k, v in values.items()})
+        # coerce to the type of each field's default; a field whose default is None is taken as is
+        return cls(**{k: v if defaults[k] is None else type(defaults[k])(v)
+                      for k, v in values.items()})
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from None
 
@@ -153,7 +153,7 @@ def _autoencoder(dataset: data.Dataset, strategy: str, policy: aug.AugmentationP
 # commands: (resolved args, out_dir) -> (artifacts, seed)
 
 def cmd_train(args: dict, out_dir: Path) -> tuple[list[Path], int]:
-    config = _train_config(args, _load_config(args["config"]).get("train", {}))
+    config = _overlay(nn.TrainConfig, _load_config(args["config"]).get("train", {}), args, "train config")
     layout = _load_layout(args["layout"])
     dataset = data.load_dataset(args["labelled"], args["unlabelled"], layout)
     kind, strategy, ratio = args["model"], args["strategy"], args["ratio"]
@@ -195,20 +195,17 @@ def cmd_train(args: dict, out_dir: Path) -> tuple[list[Path], int]:
 
 def cmd_tune(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     spec = _load_config(args["spec"])
+    params = spec.pop("space", None)
+    exp_config = _overlay(hpo.ExperimentConfig, spec, args, "experiment spec")
+    base = _overlay(nn.TrainConfig, {"seed": exp_config.seed}, args, "train config")
     try:
-        seed = int(spec.get("seed", 0)) if args["seed"] is None else args["seed"]
-        space = (hpo.SearchSpace(tuple((p["name"], float(p["min"]), float(p["max"]))
-                                       for p in spec["space"]))
-                 if "space" in spec else hpo.default_space(args["optimizer"]))
+        space = (hpo.default_space(args["optimizer"]) if params is None else
+                 hpo.SearchSpace(tuple((p["name"], float(p["min"]), float(p["max"])) for p in params)))
         hpo.check_bindable(space)
-        exp_config = hpo.ExperimentConfig(
-            algorithm=spec.get("algorithm", "bayesian"), max_trials=int(spec.get("max_trials", 15)),
-            goal=float(spec.get("goal", 1.2)), seed=seed)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad experiment spec: {e}") from None
     layout = _load_layout(args["layout"])
     dataset = data.load_dataset(args["labelled"], None, layout)
-    base = _train_config(args, {"seed": seed})
     result = hpo.run_experiment(args["model"], dataset, space, exp_config, base_config=base)
 
     trials_path = out_dir / "trials.csv"
@@ -224,7 +221,7 @@ def cmd_tune(args: dict, out_dir: Path) -> tuple[list[Path], int]:
                             "objective_grid": result.best.objective})
     print(f"best objective {result.best.objective:.4f} grid units after "
           f"{len(result.trials)} trials: {result.best.assignment}")
-    return [trials_path, best_path], seed
+    return [trials_path, best_path], exp_config.seed
 
 
 def cmd_augment(args: dict, out_dir: Path) -> tuple[list[Path], int]:
@@ -246,7 +243,7 @@ def cmd_rationalize(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     layout = _load_layout(args["layout"])
     dataset = data.load_dataset(args["labelled"], None, layout)
     seeds = [args["seed"] + i for i in range(args["n_seeds"])]
-    config = _train_config(args, _load_config(args["config"]).get("train", {}))
+    config = _overlay(nn.TrainConfig, _load_config(args["config"]).get("train", {}), args, "train config")
     result = rationalize.dropout_study(args["model"], config, dataset, seeds)
     ranked = rationalize.rank_beacons(result)
 

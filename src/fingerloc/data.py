@@ -120,9 +120,8 @@ class Dataset:
 class PathLossModel:
     """Log-distance propagation model for synthetic RSSI generation."""
 
-    reference_power: float = -45.0  # dBm at d0
+    reference_power: float = -45.0  # dBm at the reference distance, one grid unit
     exponent: float = 2.2
-    reference_distance: float = 1.0  # grid units
     noise_std: float = 2.0  # dB
     detection_floor: float = -95.0  # dBm; weaker readings become no-signal
 
@@ -336,8 +335,8 @@ def synth_rssi(layout: BeaconLayout, model: PathLossModel, x: float, y: float,
     """One RSSI vector at grid position (x, y) under the path-loss model."""
     values = []
     for bx, by in zip(layout.xs, layout.ys):
-        dist = max(math.hypot(bx - x, by - y), model.reference_distance)
-        rssi = model.reference_power - 10.0 * model.exponent * math.log10(dist / model.reference_distance)
+        dist = max(math.hypot(bx - x, by - y), 1.0)  # in grid units, so in reference distances
+        rssi = model.reference_power - 10.0 * model.exponent * math.log10(dist)
         if model.noise_std > 0:
             rssi += rng.normal(0.0, model.noise_std)
         if rssi < model.detection_floor:

@@ -145,11 +145,6 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.n
     return ei
 
 
-def surrogate_ei(surrogate: GpSurrogate, queries: np.ndarray, best: float) -> np.ndarray:
-    mean, var = surrogate.predict(queries)
-    return expected_improvement(mean, np.sqrt(var), best)
-
-
 # ---------------------------------------------------------------------------
 # suggestion strategies
 
@@ -161,13 +156,11 @@ def check_algorithm(algorithm: str) -> None:
 class Suggester:
     """Produces the next parameter assignment given the trial history."""
 
-    def __init__(self, algorithm: str, space: SearchSpace, seed: int, max_trials: int = 15,
-                 lengthscale: float = DEFAULT_LENGTHSCALE):
+    def __init__(self, algorithm: str, space: SearchSpace, seed: int, max_trials: int = 15):
         check_algorithm(algorithm)
         self.algorithm = algorithm
         self.space = space
         self.rng = np.random.Generator(np.random.PCG64(seed))
-        self.lengthscale = lengthscale
         if algorithm == "grid":
             res = max(1, math.ceil(max_trials ** (1.0 / space.dim)))
             axes = []
@@ -196,10 +189,9 @@ class Suggester:
             return self._random_assignment()
         x = np.stack([self.space.normalize(t.assignment) for t in observed])
         y = np.array([t.objective for t in observed])
-        surrogate = gp_fit(x, y, lengthscale=self.lengthscale)
-        best = float(y.min())
         candidates = self.rng.uniform(0.0, 1.0, size=(EI_CANDIDATES, self.space.dim))
-        ei = surrogate_ei(surrogate, candidates, best)
+        mean, var = gp_fit(x, y).predict(candidates)
+        ei = expected_improvement(mean, np.sqrt(var), float(y.min()))
         return self.space.denormalize(candidates[int(np.argmax(ei))])
 
 
@@ -288,9 +280,7 @@ def training_objective(model_kind: str, dataset: Dataset, space: SearchSpace, ba
 
 
 def run_experiment(model_kind: str, dataset: Dataset, space: SearchSpace, config: ExperimentConfig,
-                   base_config: TrainConfig | None = None) -> ExperimentResult:
-    """Tune a model's optimizer hyperparameters on a dataset."""
-    if base_config is None:
-        base_config = TrainConfig(seed=config.seed)
+                   base_config: TrainConfig) -> ExperimentResult:
+    """Tune a model's optimizer hyperparameters, starting from ``base_config``, on a dataset."""
     objective = training_objective(model_kind, dataset, space, base_config, split_seed=config.seed)
     return run_search(objective, space, config)

@@ -22,47 +22,36 @@ from .errors import DataError, LayoutError
 from .nn import (Conv2d, Dense, Flatten, MaxPool2d, Metrics, Network, ReLU, Sigmoid, TrainConfig,
                  evaluate, train)
 
-MODEL_KINDS = ("dnn", "cnn", "autoencoder")
-
 DNN_HIDDEN = (50, 50, 50)
-CNN_POOLING = ((3, 3), (2, 2))  # after conv1 / conv2
-AUTOENCODER_SIZES = (13, 8, 4, 8, 13)
+AUTOENCODER_HIDDEN = (8, 4, 8)
 HOLDOUT_RATIO = 0.8  # train fraction of every split
+
+
+def _dense_stack(sizes: tuple[int, ...], output: list) -> list:
+    """Dense layers between consecutive ``sizes``, a ReLU after each but the last, then ``output``."""
+    layers = []
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        layers += [Dense(n_in, n_out), ReLU()]
+    layers[-1:] = output
+    return layers
 
 
 def build_model(kind: str, seed: int, n_beacons: int = 13) -> Network:
     if kind == "dnn":
-        layers = []
-        n_in = n_beacons
-        for n_out in DNN_HIDDEN:
-            layers += [Dense(n_in, n_out), ReLU()]
-            n_in = n_out
-        layers.append(Dense(n_in, 2))
-        return Network(layers, seed=seed)
+        return Network(_dense_stack((n_beacons, *DNN_HIDDEN, 2), []), seed=seed)
     if kind == "cnn":
-        p1, p2 = CNN_POOLING
-        h = GRID_SIZE - 7 + 1
-        h = -(-h // p1[0])
-        h = h - 5 + 1
-        h = -(-h // p2[0])
+        side = -(-(GRID_SIZE - 7 + 1) // 3)  # conv1, then a ceil-mode 3x3 pool
+        side = -(-(side - 5 + 1) // 2)  # conv2, then a ceil-mode 2x2 pool
         layers = [
-            Conv2d(1, 12, (7, 7)), ReLU(), MaxPool2d(p1),
-            Conv2d(12, 12, (5, 5)), ReLU(), MaxPool2d(p2),
+            Conv2d(1, 12, (7, 7)), ReLU(), MaxPool2d((3, 3)),
+            Conv2d(12, 12, (5, 5)), ReLU(), MaxPool2d((2, 2)),
             Flatten(),
-            Dense(h * h * 12, 24), ReLU(),
-            Dense(24, 2),
+            *_dense_stack((side * side * 12, 24, 2), []),
         ]
         return Network(layers, seed=seed)
     if kind == "autoencoder":
-        sizes = AUTOENCODER_SIZES
-        if n_beacons != sizes[0]:
-            sizes = (n_beacons, *AUTOENCODER_SIZES[1:-1], n_beacons)
-        layers = []
-        for n_in, n_out in zip(sizes, sizes[1:]):
-            layers.append(Dense(n_in, n_out))
-            layers.append(ReLU())
-        layers[-1] = Sigmoid()  # reconstruction stays in the normalized [0,1] range
-        return Network(layers, seed=seed)
+        # a sigmoid output keeps the reconstruction in the normalized [0,1] range
+        return Network(_dense_stack((n_beacons, *AUTOENCODER_HIDDEN, n_beacons), [Sigmoid()]), seed=seed)
     raise ValueError(f"unknown model kind {kind!r}")
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DivergedError, LoadError, ShapeError
 
 DIVERGENCE_BOUND = 1e6
+ADAM_EPSILON = 1e-8  # added to Adam's step denominator
 SERIAL_FORMAT = "fingerloc-net"
 SERIAL_VERSION = 1
 
@@ -390,14 +391,12 @@ def backward(network: Network, x: np.ndarray, target: np.ndarray, loss_kind: str
 # optimizers
 
 class AdamState:
-    def __init__(self, learning_rate: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, learning_rate: float = 0.001, beta1: float = 0.9, beta2: float = 0.999):
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError("betas must be in [0, 1)")
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -415,7 +414,7 @@ class AdamState:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= self.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + self.epsilon)
+        p -= self.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPSILON)
 
 
 class SgdMomentumState:

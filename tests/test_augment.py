@@ -126,8 +126,7 @@ class TestAutoencoderAugment:
         table = labelled_table([(1, 1)], [vec(b0=-50.0)])
         out = np.ones(13)
         out[0], out[7] = 0.3, 0.95  # 0.95 >= tau: beacon 7 counts as no-signal
-        kept, discarded = autoencoder_augment(table, _ConstantNet(out),
-                                              aug.AugmentationPolicy(signal_tau=0.9))
+        kept, discarded = autoencoder_augment(table, _ConstantNet(out), aug.AugmentationPolicy())
         assert len(kept) == 1 and discarded == 0
 
     def test_adversarial_candidates_never_pass(self):
@@ -141,7 +140,7 @@ class TestAutoencoderAugment:
             for k in kept.rssi:
                 for b in range(13):
                     if b != seen_beacon:
-                        assert k[b] / NO_SIGNAL >= policy.signal_tau
+                        assert k[b] / NO_SIGNAL >= aug.SIGNAL_TAU
 
     def test_generated_values_in_range(self, synth_dataset):
         policy = aug.AugmentationPolicy(autoencoder_epochs=2, seed=0)

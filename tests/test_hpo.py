@@ -130,7 +130,8 @@ class TestExpectedImprovement:
         x = np.array([[0.3], [0.7]])
         y = np.array([1.0, 2.0])
         g = hpo.gp_fit(x, y, noise_var=0.0)
-        ei = hpo.surrogate_ei(g, x, best=float(y.min()))
+        mean, var = g.predict(x)
+        ei = hpo.expected_improvement(mean, np.sqrt(var), best=float(y.min()))
         assert np.all(ei <= 1e-8)
 
 
