@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+import typing
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -121,21 +122,31 @@ def _load_config(path: str | None) -> dict:
 
 
 def _overlay(cls, section, args: dict, what: str):
-    """``cls``'s defaults, overlaid by the JSON object ``section``, then by the flags given in ``args``."""
+    """``cls``'s defaults, overlaid by the JSON object ``section``, then by the flags given in ``args``.
+
+    Each key of ``section`` must name a field, and its value must have the field's type: an
+    integer may stand for a float, and a bool is not a number.
+    """
     if not isinstance(section, dict):
         raise ConfigError(f"the {what} must be a JSON object")
-    defaults = asdict(cls())
-    unknown = sorted(set(section) - set(defaults))
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(section) - set(types))
     if unknown:
         raise ConfigError(f"unknown {what} keys: {unknown}")
-    values = {**defaults, **section,
-              **{k: v for k, v in args.items() if k in defaults and v is not None}}
+    values = {}
     try:
-        # coerce to the type of each field's default; a field whose default is None is taken as is
-        return cls(**{k: v if defaults[k] is None else type(defaults[k])(v)
-                      for k, v in values.items()})
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from None
+        for key, value in section.items():
+            allowed = typing.get_args(types[key]) or (types[key],)  # float | None -> (float, NoneType)
+            if float in allowed and type(value) is int:
+                value = float(value)  # OverflowError past the float range
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                name = getattr(types[key], "__name__", types[key])
+                raise ConfigError(f"{what} {key}: {json.dumps(value)} is not of type {name}")
+            values[key] = value
+        values.update((k, v) for k, v in args.items() if k in types and v is not None)
+        return cls(**values)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{what}: {e}") from None
 
 
 def _autoencoder(dataset: data.Dataset, strategy: str, policy: aug.AugmentationPolicy):
@@ -201,7 +212,7 @@ def cmd_tune(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     try:
         space = (hpo.default_space(args["optimizer"]) if params is None else
                  hpo.SearchSpace(tuple((p["name"], float(p["min"]), float(p["max"])) for p in params)))
-        hpo.check_bindable(space)
+        hpo.check_bindable(space, base)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad experiment spec: {e}") from None
     layout = _load_layout(args["layout"])
@@ -397,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: the config's seed, else 0")
     p.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
     p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=_in_range(float, 0.0, math.inf), default=None)
+    p.add_argument("--learning-rate", type=float, default=None, help="finite and >= 0")
     p.add_argument("--strategy", choices=STRATEGIES, default="none",
                    help="augmentation applied before training")
     p.add_argument("--ratio", type=_in_range(float, 0.0, 1.0), default=models.HOLDOUT_RATIO,

@@ -260,16 +260,20 @@ def default_space(optimizer: str) -> SearchSpace:
     return ADAM_SPACE if optimizer == "adam" else SGD_SPACE
 
 
-def check_bindable(space: SearchSpace) -> None:
+def check_bindable(space: SearchSpace, base_config: TrainConfig) -> None:
+    """Raise ValueError unless each parameter is tunable and ``base_config`` takes both its bounds."""
     unknown = set(space.names) - set(TUNABLE_FIELDS)
     if unknown:
         raise ValueError(f"search space names not bindable to a train config: {sorted(unknown)}")
+    for name, lo, hi in space.params:
+        replace(base_config, **{name: lo})  # each field's valid values form an interval
+        replace(base_config, **{name: hi})
 
 
 def training_objective(model_kind: str, dataset: Dataset, space: SearchSpace, base_config: TrainConfig,
                        split_seed: int = 0) -> Callable[[dict[str, float]], float]:
     """Objective: mean test error in grid units of ``models.fit`` on one ``HOLDOUT_RATIO`` split."""
-    check_bindable(space)
+    check_bindable(space, base_config)
     train_set, test_set = split(dataset.labelled, HOLDOUT_RATIO, split_seed)
 
     def objective(assignment: dict[str, float]) -> float:

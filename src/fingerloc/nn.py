@@ -456,8 +456,11 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.learning_rate is not None and not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.make_optimizer()  # which checks its own hyperparameters
 
     def make_optimizer(self):
         if self.optimizer == "adam":

@@ -429,6 +429,47 @@ def test_negative_seed_in_a_file_exits_2_without_traceback(command, flag, conten
     assert "seed" in err and "Traceback" not in err
 
 
+# (command, its file flag, the file's content, a word the error names)
+UNRUNNABLE_FILE_VALUES = [
+    ("train", "--config", {"train": {"beta1": 1.5}}, "betas"),
+    ("train", "--config", {"train": {"optimizer": "sgd", "momentum": 1.0}}, "momentum"),
+    ("train", "--config", {"train": {"learning_rate": "abc"}}, "learning_rate"),
+    ("train", "--config", {"train": {"learning_rate": -1}}, "learning rate"),
+    ("train", "--config", {"train": {"epochs": 2.7}}, "epochs"),
+    ("train", "--config", {"train": {"epochs": True}}, "epochs"),
+    ("train", "--config", {"train": {"epochs": "3"}}, "epochs"),
+    ("tune", "--spec", {"max_trial": 2}, "max_trial"),
+    ("tune", "--spec", {"max_trials": 2.5}, "max_trials"),
+    ("tune", "--spec", {"seed": True}, "seed"),
+    ("tune", "--spec", {"space": [{"name": "beta1", "min": 0.5, "max": 1.5}]}, "betas"),
+    ("tune", "--spec", {"space": [{"name": "learning_rate", "min": -1, "max": 0.01}]},
+     "learning rate"),
+]
+
+
+@pytest.mark.parametrize("command, flag, content, named", UNRUNNABLE_FILE_VALUES, ids=[
+    "train-beta1", "train-momentum", "train-rate-string", "train-negative-rate",
+    "train-fractional-epochs", "train-bool-epochs", "train-string-epochs", "tune-unknown-key",
+    "tune-fractional-trials", "tune-bool-seed", "tune-beta1-bound", "tune-negative-rate-bound"])
+def test_file_value_that_cannot_run_exits_2_without_traceback(command, flag, content, named, corpus,
+                                                              tmp_path, capsys):
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps(content))
+    status = run([command, "--labelled", str(corpus / "labelled.csv"), "--layout",
+                  str(corpus / "layout.json"), flag, str(path), "--out-dir", str(tmp_path / "out"),
+                  "--epochs", "1"])
+    assert status == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_integer_and_null_stand_for_a_float_rate(corpus, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"train": {"beta1": 0, "learning_rate": None}}))
+    assert run(["train", *common_args(corpus), "--config", str(path),
+                "--out-dir", str(tmp_path / "out"), "--epochs", "1"]) == 0
+
+
 BEACONS = b",".join(b"b30%02d" % i for i in range(1, 14))
 READINGS = b",".join([b"-70"] * 13)
 

@@ -222,6 +222,20 @@ class TestRunExperiment:
         assert result.best.objective is not None
         assert len(result.trials) <= 2
 
+    @pytest.mark.parametrize("param", [("beta1", 0.5, 1.5), ("learning_rate", -1.0, 0.01)],
+                             ids=["beta1-above-1", "negative-rate"])
+    def test_space_bound_the_train_config_rejects(self, synth_dataset, monkeypatch, param):
+        def fit(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(hpo, "fit", fit)
+        space = hpo.SearchSpace((param,))
+        with pytest.raises(ValueError):
+            hpo.check_bindable(space, TrainConfig(epochs=1, seed=0))
+        with pytest.raises(ValueError):
+            hpo.run_experiment("dnn", synth_dataset, space, hpo.ExperimentConfig(max_trials=2, seed=0),
+                               base_config=TrainConfig(epochs=1, seed=0))
+
     def test_unbindable_space_rejected(self, synth_dataset):
         space = hpo.SearchSpace((("dropout", 0.0, 1.0),))
         cfg = hpo.ExperimentConfig(max_trials=1, seed=0)

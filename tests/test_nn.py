@@ -523,6 +523,14 @@ class TestTraining:
             nn.train(net, x, rng.uniform(0.0, 24.0, size=(20, 2)),
                      nn.TrainConfig(epochs=3, batch_size=10, seed=0))
 
+    @pytest.mark.parametrize("fields", [
+        {"beta1": 1.5}, {"beta2": 1.0}, {"optimizer": "sgd", "momentum": 1.0},
+        {"learning_rate": -1.0}, {"learning_rate": math.inf}, {"learning_rate": math.nan},
+    ], ids=["beta1", "beta2", "momentum", "negative-rate", "infinite-rate", "nan-rate"])
+    def test_config_rejects_what_its_optimizer_cannot_run(self, fields):
+        with pytest.raises(ValueError):
+            nn.TrainConfig(**fields)
+
     def test_empty_training_set(self):
         net = models.build_model("dnn", seed=0)
         with pytest.raises(ValueError):
