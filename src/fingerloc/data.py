@@ -335,7 +335,7 @@ def synth_rssi(layout: BeaconLayout, model: PathLossModel, x: float, y: float,
     """One RSSI vector at grid position (x, y) under the path-loss model."""
     values = []
     for bx, by in zip(layout.xs, layout.ys):
-        dist = max(math.hypot(bx - x, by - y), 1.0)  # in grid units, so in reference distances
+        dist = max(math.hypot(bx - x, by - y), 1.0)  # grid units: the reference distance is one
         rssi = model.reference_power - 10.0 * model.exponent * math.log10(dist)
         if model.noise_std > 0:
             rssi += rng.normal(0.0, model.noise_std)
