@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import NO_SIGNAL, Fingerprints, GridPoint, encode_location_label, find_underrepresented
+from .data import NO_SIGNAL, Fingerprints, encode_location_label, find_underrepresented
 from .models import build_model
 from .nn import Network, TrainConfig, train
 
@@ -32,7 +32,7 @@ class AugmentationPolicy:
 def _grown(table: Fingerprints, cells: list[tuple[int, int]], rssi: list[np.ndarray],
            timestamps: list[str]) -> Fingerprints:
     """Generated rows, each labelled with its cell's label."""
-    labels = [encode_location_label(GridPoint(float(x), float(y))) for x, y in cells]
+    labels = [encode_location_label(cell) for cell in cells]
     rssi = np.array(rssi, dtype=np.float64).reshape(len(rssi), table.rssi.shape[1])
     return Fingerprints(rssi, timestamps, cells, labels)
 
@@ -69,8 +69,8 @@ def train_autoencoder(unlabelled: Fingerprints, policy: AugmentationPolicy,
     return network, history
 
 
-def autoencoder_augment(table: Fingerprints, groups: Groups, autoencoder: Network,
-                        policy: AugmentationPolicy) -> tuple[Fingerprints, int]:
+def autoencoder_augment(table: Fingerprints, groups: Groups,
+                        autoencoder: Network) -> tuple[Fingerprints, int]:
     """Reconstruct the first sample of each grouped cell.
 
     A candidate is discarded when it shows signal on a beacon never seen
@@ -115,7 +115,7 @@ def augment(table: Fingerprints, strategy: str, policy: AugmentationPolicy,
     if strategy in ("autoencoder", "hybrid"):
         if autoencoder is None:
             raise ValueError("autoencoder strategy requires a trained autoencoder")
-        new, discarded = autoencoder_augment(table, groups, autoencoder, policy)
+        new, discarded = autoencoder_augment(table, groups, autoencoder)
         counts["kept"] = len(new)
         counts["discarded"] = discarded
         parts.append(new)

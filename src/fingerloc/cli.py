@@ -121,32 +121,42 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _overlay(cls, section, args: dict, what: str):
-    """``cls``'s defaults, overlaid by the JSON object ``section``, then by the flags given in ``args``.
-
-    Each key of ``section`` must name a field, and its value must have the field's type: an
-    integer may stand for a float, and a bool is not a number.
-    """
+def _checked(section, types: dict, what: str) -> dict:
+    """The JSON object ``section``, whose keys must be in ``types`` and whose values must have their type.
+    An integer may stand for a float and is converted; a bool is not a number."""
     if not isinstance(section, dict):
         raise ConfigError(f"the {what} must be a JSON object")
-    types = typing.get_type_hints(cls)
     unknown = sorted(set(section) - set(types))
     if unknown:
         raise ConfigError(f"unknown {what} keys: {unknown}")
     values = {}
+    for key, value in section.items():
+        allowed = typing.get_args(types[key]) or (types[key],)  # float | None -> (float, NoneType)
+        if float in allowed and type(value) is int and abs(value) <= sys.float_info.max:
+            value = float(value)  # an integer past the float range fails the type test below
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            name = getattr(types[key], "__name__", types[key])
+            raise ConfigError(f"{what} {key}: {json.dumps(value)} is not of type {name}")
+        values[key] = value
+    return values
+
+
+def _overlay(cls, section, args: dict, what: str):
+    """``cls``'s defaults, overlaid by the JSON object ``section`` (see :func:`_checked`), then by the flags in ``args``."""
+    types = typing.get_type_hints(cls)
+    values = _checked(section, types, what)
+    values.update((k, v) for k, v in args.items() if k in types and v is not None)
     try:
-        for key, value in section.items():
-            allowed = typing.get_args(types[key]) or (types[key],)  # float | None -> (float, NoneType)
-            if float in allowed and type(value) is int:
-                value = float(value)  # OverflowError past the float range
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                name = getattr(types[key], "__name__", types[key])
-                raise ConfigError(f"{what} {key}: {json.dumps(value)} is not of type {name}")
-            values[key] = value
-        values.update((k, v) for k, v in args.items() if k in types and v is not None)
         return cls(**values)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{what}: {e}") from None
+
+
+def _train_config(args: dict) -> nn.TrainConfig:
+    """The ``--config`` file's ``train`` section overlaid by the flags given. ``objective_grid`` is
+    allowed beside it, so that ``tune``'s ``best_config.json`` passes back as written."""
+    doc = _checked(_load_config(args["config"]), {"train": dict, "objective_grid": float}, "config")
+    return _overlay(nn.TrainConfig, doc.get("train", {}), args, "train config")
 
 
 def _autoencoder(dataset: data.Dataset, strategy: str, policy: aug.AugmentationPolicy):
@@ -164,7 +174,7 @@ def _autoencoder(dataset: data.Dataset, strategy: str, policy: aug.AugmentationP
 # commands: (resolved args, out_dir) -> (artifacts, seed)
 
 def cmd_train(args: dict, out_dir: Path) -> tuple[list[Path], int]:
-    config = _overlay(nn.TrainConfig, _load_config(args["config"]).get("train", {}), args, "train config")
+    config = _train_config(args)
     layout = _load_layout(args["layout"])
     dataset = data.load_dataset(args["labelled"], args["unlabelled"], layout)
     kind, strategy, ratio = args["model"], args["strategy"], args["ratio"]
@@ -210,8 +220,12 @@ def cmd_tune(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     exp_config = _overlay(hpo.ExperimentConfig, spec, args, "experiment spec")
     base = _overlay(nn.TrainConfig, {"seed": exp_config.seed}, args, "train config")
     try:
-        space = (hpo.default_space(args["optimizer"]) if params is None else
-                 hpo.SearchSpace(tuple((p["name"], float(p["min"]), float(p["max"])) for p in params)))
+        if params is None:
+            space = hpo.default_space(args["optimizer"])
+        else:
+            entries = [_checked(p, {"name": str, "min": float, "max": float}, "search-space entry")
+                       for p in params]
+            space = hpo.SearchSpace(tuple((e["name"], e["min"], e["max"]) for e in entries))
         hpo.check_bindable(space, base)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad experiment spec: {e}") from None
@@ -254,7 +268,7 @@ def cmd_rationalize(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     layout = _load_layout(args["layout"])
     dataset = data.load_dataset(args["labelled"], None, layout)
     seeds = [args["seed"] + i for i in range(args["n_seeds"])]
-    config = _overlay(nn.TrainConfig, _load_config(args["config"]).get("train", {}), args, "train config")
+    config = _train_config(args)
     result = rationalize.dropout_study(args["model"], config, dataset, seeds)
     ranked = rationalize.rank_beacons(result)
 

@@ -1,8 +1,8 @@
 """RSSI fingerprint dataset handling.
 
 Loads labelled/unlabelled beacon CSVs, decodes grid-cell location labels,
-splits, histograms, and generates synthetic corpora from a log-distance
-path-loss model for tests and offline runs.
+splits, groups under-represented cells, and generates synthetic corpora
+from a log-distance path-loss model for tests and offline runs.
 """
 from __future__ import annotations
 
@@ -58,12 +58,6 @@ class BeaconLayout:
             return self.ids.index(beacon_id)
         except ValueError:
             raise LayoutError(f"unknown beacon id {beacon_id!r}") from None
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    x: float
-    y: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,17 +126,16 @@ class PathLossModel:
             raise ValueError("detection floor below the no-signal value")
 
 
-def encode_location_label(point: GridPoint) -> str:
-    """Inverse of :func:`decode_location_label`; integer cells only."""
-    col = int(point.x)
-    row = int(point.y)
+def encode_location_label(cell: tuple[int, int]) -> str:
+    """Inverse of :func:`decode_location_label`: the label of the integer cell ``(col, row)``."""
+    col, row = cell
     if not (0 <= col < GRID_SIZE and 0 <= row < GRID_SIZE):
         raise MalformedLabelError(f"cell ({col}, {row}) outside grid")
     return f"{chr(ord('A') + col)}{row:02d}"
 
 
-def decode_location_label(label: str) -> GridPoint:
-    """Decode a ``<letter><digits>`` grid label to a GridPoint.
+def decode_location_label(label: str) -> tuple[int, int]:
+    """Decode a ``<letter><digits>`` grid label to its integer cell ``(col, row)``.
 
     The letter A..Y selects the column (A -> 0) and the digits select the
     row (must be < 25).
@@ -158,7 +151,7 @@ def decode_location_label(label: str) -> GridPoint:
     row = int(digits)
     if row >= GRID_SIZE:
         raise MalformedLabelError(f"label {label!r}: row {row} >= {GRID_SIZE}")
-    return GridPoint(float(col), float(row))
+    return col, row
 
 
 def load_layout(path: str | Path) -> BeaconLayout:
@@ -241,10 +234,9 @@ def parse_labelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> Fin
     """Parse a ``location,date,<beacons...>`` CSV into a labelled table."""
     labels, timestamps, cells, rssi = [], [], [], []
     for lineno, (label, timestamp), values in _csv_rows(stream, layout, ("location", "date"), "labelled"):
-        point = decode_location_label(label)
+        cells.append(decode_location_label(label))
         labels.append(label)
         timestamps.append(timestamp)
-        cells.append((int(point.x), int(point.y)))
         rssi.append(_parse_rssi_row(values, lineno))
     return Fingerprints(_rssi_matrix(rssi, layout), timestamps, cells, labels)
 
@@ -308,13 +300,6 @@ def split(table: Fingerprints, ratio: float, seed: int) -> tuple[Fingerprints, F
     return table.take(order[:n_train]), table.take(order[n_train:])
 
 
-def sample_histogram(table: Fingerprints) -> np.ndarray:
-    """Count rows per grid cell; shape (25, 25) indexed [x, y]."""
-    grid = np.zeros((GRID_SIZE, GRID_SIZE), dtype=np.int64)
-    np.add.at(grid, (table.cells[:, 0], table.cells[:, 1]), 1)
-    return grid
-
-
 def find_underrepresented(table: Fingerprints, threshold: int) -> list[tuple[tuple[int, int], np.ndarray]]:
     """Cells holding at least one but fewer than ``threshold`` rows.
 
@@ -356,7 +341,7 @@ def synth_generate(layout: BeaconLayout, model: PathLossModel, n_locations: int,
     rng = np.random.Generator(np.random.PCG64(seed))
     flat = rng.choice(GRID_SIZE * GRID_SIZE, size=n_locations, replace=False)
     cells = np.repeat(np.stack([flat // GRID_SIZE, flat % GRID_SIZE], axis=1), samples_per_location, axis=0)
-    labels = [encode_location_label(GridPoint(float(cx), float(cy))) for cx, cy in cells.tolist()]
+    labels = [encode_location_label(cell) for cell in cells.tolist()]
     timestamps = [f"synth-{k}-{j}" for k in range(n_locations) for j in range(samples_per_location)]
     rssi = [synth_rssi(layout, model, float(cx), float(cy), rng) for cx, cy in cells.tolist()]
     labelled = Fingerprints(_rssi_matrix(rssi, layout), timestamps, cells, labels)

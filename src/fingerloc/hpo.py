@@ -29,6 +29,8 @@ class SearchSpace:
     params: tuple[tuple[str, float, float], ...]  # (name, lower, upper)
 
     def __post_init__(self):
+        if not self.params:
+            raise ValueError("search space has no parameters")
         names = [p[0] for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")

@@ -1,4 +1,4 @@
-"""Model builders and the RSSI <-> grayscale-image codec for the CNN path.
+"""Model builders and the RSSI -> grayscale-image encoder for the CNN path.
 
 Architectures:
   * dnn: 13 -> 50 -> 50 -> 50 -> 2, ReLU hidden layers, linear output.
@@ -9,7 +9,7 @@ Architectures:
   * autoencoder: 13 -> 8 -> 4 -> 8 -> 13 on normalized RSSI vectors,
     ReLU hidden layers, sigmoid output.
 
-Image codec: every beacon pixel is written as rssi / -200, so a no-signal
+Image encoding: every beacon pixel is written as rssi / -200, so a no-signal
 beacon (-200 dBm) produces the brightest pixel value 1.0. That is the
 deliberate, literal convention for this encoding.
 """
@@ -77,17 +77,6 @@ def encode_fingerprint_image(rssi: np.ndarray | tuple[float, ...], layout: Beaco
     img = np.zeros((*rssi.shape[:-1], GRID_SIZE, GRID_SIZE, 1))
     img[..., rows, cols, 0] = rssi / NO_SIGNAL
     return img
-
-
-def decode_image_rssi(image: np.ndarray, layout: BeaconLayout) -> tuple[float, ...]:
-    """Read the beacon pixels back to dBm, clamped to [-200, 0]."""
-    if image.shape != (GRID_SIZE, GRID_SIZE, 1):
-        raise ValueError(f"image shape {image.shape} != ({GRID_SIZE}, {GRID_SIZE}, 1)")
-    values = []
-    for row, col in beacon_pixels(layout):
-        v = float(image[row, col, 0]) * NO_SIGNAL
-        values.append(min(max(v, NO_SIGNAL), 0.0))
-    return tuple(values)
 
 
 def prepare_inputs(kind: str, rssi_vectors: np.ndarray, layout: BeaconLayout) -> np.ndarray:

@@ -21,7 +21,7 @@ def synth_dataset(layout):
 
 def labelled_table(cells, rssi, timestamps=None):
     """A labelled table, one row per (cell, RSSI vector); labels encode the cells."""
-    labels = [data.encode_location_label(data.GridPoint(float(x), float(y))) for x, y in cells]
+    labels = [data.encode_location_label(cell) for cell in cells]
     if timestamps is None:
         timestamps = [""] * len(cells)
     return data.Fingerprints(np.array(rssi, dtype=np.float64), timestamps, cells, labels)

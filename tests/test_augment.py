@@ -13,7 +13,7 @@ def naive(table, policy):
 
 def autoencoder_augment(table, net, policy):
     groups = data.find_underrepresented(table, policy.threshold)
-    return aug.autoencoder_augment(table, groups, net, policy)
+    return aug.autoencoder_augment(table, groups, net)
 
 
 def vec(**overrides):

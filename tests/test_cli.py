@@ -144,6 +144,21 @@ class TestTune:
         assert run(["train", *common_args(corpus), "--config", str(cfg_path),
                     "--out-dir", str(out2), "--epochs", "2"]) == 0
 
+    def test_best_config_passes_back_as_written(self, corpus, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"algorithm": "random", "max_trials": 1}))
+        assert run(["tune", "--labelled", str(corpus / "labelled.csv"), "--layout",
+                    str(corpus / "layout.json"), "--spec", str(spec),
+                    "--out-dir", str(tmp_path / "tune"), "--epochs", "1"]) == 0
+        best = tmp_path / "tune" / "best_config.json"
+        train_only = tmp_path / "train_only.json"
+        train_only.write_text(json.dumps({"train": json.loads(best.read_text())["train"]}))
+        for name, config in (("as_written", best), ("train_only", train_only)):
+            assert run(["train", *common_args(corpus), "--config", str(config),
+                        "--out-dir", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "as_written" / "model.bin").read_bytes()
+                == (tmp_path / "train_only" / "model.bin").read_bytes())
+
     def test_goal_met_first_trial(self, corpus, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -444,13 +459,23 @@ UNRUNNABLE_FILE_VALUES = [
     ("tune", "--spec", {"space": [{"name": "beta1", "min": 0.5, "max": 1.5}]}, "betas"),
     ("tune", "--spec", {"space": [{"name": "learning_rate", "min": -1, "max": 0.01}]},
      "learning rate"),
+    ("train", "--config", {"trian": {"epochs": 2}}, "trian"),
+    ("rationalize", "--config", {"trian": {"epochs": 2}}, "trian"),
+    ("tune", "--spec", {"space": [{"name": "learning_rate", "min": "0.001", "max": True}],
+                        "max_trials": 2, "algorithm": "random"}, "min"),
+    ("tune", "--spec", {"space": [{"name": "learning_rate", "min": 0.001, "max": 0.002,
+                                   "log": True}], "max_trials": 2, "algorithm": "random"}, "log"),
+    ("tune", "--spec", {"algorithm": "grid", "space": []}, "no parameters"),
+    ("tune", "--spec", {"algorithm": "random", "max_trials": 2, "space": []}, "no parameters"),
 ]
 
 
 @pytest.mark.parametrize("command, flag, content, named", UNRUNNABLE_FILE_VALUES, ids=[
     "train-beta1", "train-momentum", "train-rate-string", "train-negative-rate",
     "train-fractional-epochs", "train-bool-epochs", "train-string-epochs", "tune-unknown-key",
-    "tune-fractional-trials", "tune-bool-seed", "tune-beta1-bound", "tune-negative-rate-bound"])
+    "tune-fractional-trials", "tune-bool-seed", "tune-beta1-bound", "tune-negative-rate-bound",
+    "train-unknown-section", "rationalize-unknown-section", "tune-string-and-bool-bounds",
+    "tune-unknown-entry-key", "tune-empty-grid-space", "tune-empty-random-space"])
 def test_file_value_that_cannot_run_exits_2_without_traceback(command, flag, content, named, corpus,
                                                               tmp_path, capsys):
     path = tmp_path / "values.json"

@@ -12,10 +12,10 @@ from fingerloc.errors import LayoutError, MalformedLabelError, RowError, SchemaE
 
 class TestLocationCodec:
     def test_a01(self):
-        assert data.decode_location_label("A01") == data.GridPoint(0.0, 1.0)
+        assert data.decode_location_label("A01") == (0, 1)
 
     def test_o02(self):
-        assert data.decode_location_label("O02") == data.GridPoint(14.0, 2.0)
+        assert data.decode_location_label("O02") == (14, 2)
 
     def test_letter_out_of_range(self):
         with pytest.raises(MalformedLabelError):
@@ -31,8 +31,7 @@ class TestLocationCodec:
 
     @given(st.integers(0, 24), st.integers(0, 24))
     def test_round_trip(self, col, row):
-        point = data.GridPoint(float(col), float(row))
-        assert data.decode_location_label(data.encode_location_label(point)) == point
+        assert data.decode_location_label(data.encode_location_label((col, row))) == (col, row)
 
     @given(st.sampled_from("ABCDEFGHIJKLMNOPQRSTUVWXY"), st.integers(0, 24))
     def test_canonical_label_round_trip(self, letter, row):
@@ -127,20 +126,6 @@ class TestSplit:
         assert sorted(rows) == list(range(n))
 
 
-class TestHistogram:
-    def test_empty(self, synth_dataset):
-        assert data.sample_histogram(synth_dataset.labelled.take([])).sum() == 0
-
-    def test_single_sample(self):
-        grid = data.sample_histogram(labelled_table([(3, 7)], [[-70.0] * 13]))
-        assert grid[3, 7] == 1
-        assert grid.sum() == 1
-
-    def test_total_equals_count(self, synth_dataset):
-        grid = data.sample_histogram(synth_dataset.labelled)
-        assert grid.sum() == len(synth_dataset.labelled)
-
-
 class TestUnderrepresented:
     def test_threshold_one_is_empty(self, synth_dataset):
         assert data.find_underrepresented(synth_dataset.labelled, 1) == []
@@ -200,7 +185,7 @@ class TestSynthGenerate:
     def test_labels_decode_to_locations(self, synth_dataset):
         t = synth_dataset.labelled
         for label, (x, y) in zip(t.labels.tolist(), t.cells.tolist()):
-            assert data.decode_location_label(label) == data.GridPoint(float(x), float(y))
+            assert data.decode_location_label(label) == (x, y)
 
 
 class TestLayout:

@@ -164,6 +164,10 @@ class TestSuggest:
         with pytest.raises(ValueError):
             hpo.Suggester("hyperband", self.SPACE, seed=0)
 
+    def test_empty_space_rejected(self):
+        with pytest.raises(ValueError, match="no parameters"):
+            hpo.SearchSpace(())
+
 
 class TestRunSearch:
     SPACE = hpo.SearchSpace((("learning_rate", 0.001, 0.002),))
