@@ -2,8 +2,8 @@
 
 Three strategies: range-sampling ("naive"), autoencoder reconstruction of
 one existing sample per location trained on the unlabelled pool, and their
-union ("hybrid"). Originals are never mutated; generated samples carry the
-location label of the cell they were grown from.
+union ("hybrid"). Originals are never mutated; a generated sample's location
+is the cell it was grown from.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import NO_SIGNAL, Fingerprints, encode_location_label, find_underrepresented
+from .data import NO_SIGNAL, Fingerprints, find_underrepresented
 from .models import build_model
 from .nn import Network, TrainConfig, train
 
@@ -31,10 +31,9 @@ class AugmentationPolicy:
 
 def _grown(table: Fingerprints, cells: list[tuple[int, int]], rssi: list[np.ndarray],
            timestamps: list[str]) -> Fingerprints:
-    """Generated rows, each labelled with its cell's label."""
-    labels = [encode_location_label(cell) for cell in cells]
+    """Generated rows, each located at the cell it was grown from."""
     rssi = np.array(rssi, dtype=np.float64).reshape(len(rssi), table.rssi.shape[1])
-    return Fingerprints(rssi, timestamps, cells, labels)
+    return Fingerprints(rssi, timestamps, cells)
 
 
 def naive_augment(table: Fingerprints, groups: Groups, policy: AugmentationPolicy) -> Fingerprints:
@@ -56,13 +55,13 @@ def naive_augment(table: Fingerprints, groups: Groups, policy: AugmentationPolic
     return _grown(table, cells, rssi, timestamps)
 
 
-def train_autoencoder(unlabelled: Fingerprints, policy: AugmentationPolicy,
-                      n_beacons: int = 13) -> tuple[Network, list[float]]:
-    """Fit the reconstruction autoencoder, seeded by ``policy.seed``, on normalized unlabelled vectors."""
+def train_autoencoder(unlabelled: Fingerprints, policy: AugmentationPolicy) -> tuple[Network, list[float]]:
+    """Fit the reconstruction autoencoder, one input per beacon column and seeded by ``policy.seed``,
+    on normalized unlabelled vectors."""
     if len(unlabelled) == 0:
         raise ValueError("empty unlabelled set")
     vectors = unlabelled.rssi / NO_SIGNAL
-    network = build_model("autoencoder", seed=policy.seed, n_beacons=n_beacons)
+    network = build_model("autoencoder", seed=policy.seed, n_beacons=vectors.shape[1])
     config = TrainConfig(epochs=policy.autoencoder_epochs, batch_size=100,
                          loss="rmse", optimizer="adam", seed=policy.seed)
     history = train(network, vectors, vectors, config)
@@ -93,9 +92,8 @@ def autoencoder_augment(table: Fingerprints, groups: Groups,
 
 @dataclass
 class AugmentationResult:
-    samples: Fingerprints             # originals followed by generated
-    sources: list[str]                # per-row provenance
-    counts: dict[str, int]
+    samples: Fingerprints             # originals, then naive rows, then autoencoder rows
+    counts: dict[str, int]            # rows of each kind ("original", "naive", "kept"), "discarded", "total"
 
 
 def augment(table: Fingerprints, strategy: str, policy: AugmentationPolicy,
@@ -106,12 +104,10 @@ def augment(table: Fingerprints, strategy: str, policy: AugmentationPolicy,
     groups = find_underrepresented(table, policy.threshold)
     counts = {"original": len(table), "naive": 0, "kept": 0, "discarded": 0}
     parts = [table]
-    sources = ["original"] * len(table)
     if strategy in ("naive", "hybrid"):
         new = naive_augment(table, groups, policy)
         counts["naive"] = len(new)
         parts.append(new)
-        sources += ["naive"] * len(new)
     if strategy in ("autoencoder", "hybrid"):
         if autoencoder is None:
             raise ValueError("autoencoder strategy requires a trained autoencoder")
@@ -119,7 +115,6 @@ def augment(table: Fingerprints, strategy: str, policy: AugmentationPolicy,
         counts["kept"] = len(new)
         counts["discarded"] = discarded
         parts.append(new)
-        sources += ["autoencoder"] * len(new)
     out = Fingerprints(*(np.concatenate([getattr(t, f.name) for t in parts]) for f in fields(Fingerprints)))
     counts["total"] = len(out)
-    return AugmentationResult(samples=out, sources=sources, counts=counts)
+    return AugmentationResult(samples=out, counts=counts)

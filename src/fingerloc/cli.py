@@ -165,9 +165,7 @@ def _autoencoder(dataset: data.Dataset, strategy: str, policy: aug.AugmentationP
         return None
     if not dataset.unlabelled:
         raise DataError(f"the {strategy} strategy needs an unlabelled file")
-    autoencoder, _ = aug.train_autoencoder(dataset.unlabelled, policy,
-                                           n_beacons=dataset.layout.n_beacons)
-    return autoencoder
+    return aug.train_autoencoder(dataset.unlabelled, policy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,7 @@ def cmd_augment(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     result = aug.augment(dataset.labelled, strategy, policy,
                          _autoencoder(dataset, strategy, policy))
     augmented_path = out_dir / "augmented.csv"
-    data.write_labelled_csv(result.samples, layout, augmented_path, sources=result.sources)
+    data.write_labelled_csv(result.samples, layout, augmented_path)
     counts_path = out_dir / "counts.json"
     _write_json(counts_path, result.counts)
     print(f"strategy {strategy}: {result.counts}")

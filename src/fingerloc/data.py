@@ -66,22 +66,19 @@ class Fingerprints:
 
     ``rssi`` is (N, n_beacons) float64 dBm and ``timestamps`` (N,) text.
     Labelled rows also carry ``cells``, the (N, 2) integer grid cell
-    ``[x, y]``, and ``labels``, the location label text as read; both are
-    None for unlabelled rows. Tables compare equal when every column is
-    exactly equal.
+    ``[x, y]`` that is each row's location; it is None for unlabelled rows.
+    Tables compare equal when every column is exactly equal.
     """
 
     rssi: np.ndarray
     timestamps: np.ndarray
-    cells: np.ndarray | None
-    labels: np.ndarray | None
+    cells: np.ndarray | None = None
 
     def __post_init__(self):
         columns = {"rssi": np.asarray(self.rssi, dtype=np.float64),
                    "timestamps": np.asarray(self.timestamps, dtype=str)}
         if self.cells is not None:
             columns["cells"] = np.asarray(self.cells, dtype=np.int64).reshape(-1, 2)
-            columns["labels"] = np.asarray(self.labels, dtype=str)
         if columns["rssi"].ndim != 2 or any(len(c) != len(columns["rssi"]) for c in columns.values()):
             raise ValueError("fingerprint columns must be row-aligned and rssi 2-D")
         for name, column in columns.items():
@@ -99,8 +96,7 @@ class Fingerprints:
     def take(self, index) -> "Fingerprints":
         """The rows at ``index`` (integer indices or a boolean mask), in that order."""
         return Fingerprints(self.rssi[index], self.timestamps[index],
-                            None if self.cells is None else self.cells[index],
-                            None if self.labels is None else self.labels[index])
+                            None if self.cells is None else self.cells[index])
 
 
 @dataclass(frozen=True)
@@ -137,21 +133,21 @@ def encode_location_label(cell: tuple[int, int]) -> str:
 def decode_location_label(label: str) -> tuple[int, int]:
     """Decode a ``<letter><digits>`` grid label to its integer cell ``(col, row)``.
 
-    The letter A..Y selects the column (A -> 0) and the digits select the
-    row (must be < 25).
+    The ASCII letter A..Y, in either case, selects the column (A -> 0) and
+    the ASCII digits select the row (must be < 25).
     """
     if len(label) < 2:
         raise MalformedLabelError(f"label {label!r} too short")
     letter, digits = label[0], label[1:]
-    col = ord(letter.upper()) - ord("A")
+    col = ord(letter.upper()) - ord("A") if letter.isascii() else -1  # "ß".upper() is "SS"
     if not (0 <= col < GRID_SIZE):
         raise MalformedLabelError(f"label {label!r}: letter must be A..Y")
-    if not digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):  # int() reads "٣" as 3 and refuses "²"
         raise MalformedLabelError(f"label {label!r}: row part is not numeric")
-    row = int(digits)
-    if row >= GRID_SIZE:
+    row = digits.lstrip("0") or "0"
+    if len(row) > 2 or int(row) >= GRID_SIZE:  # length first: int() refuses over 4300 digits
         raise MalformedLabelError(f"label {label!r}: row {row} >= {GRID_SIZE}")
-    return col, row
+    return col, int(row)
 
 
 def load_layout(path: str | Path) -> BeaconLayout:
@@ -232,13 +228,12 @@ def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str
 
 def parse_labelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> Fingerprints:
     """Parse a ``location,date,<beacons...>`` CSV into a labelled table."""
-    labels, timestamps, cells, rssi = [], [], [], []
+    timestamps, cells, rssi = [], [], []
     for lineno, (label, timestamp), values in _csv_rows(stream, layout, ("location", "date"), "labelled"):
         cells.append(decode_location_label(label))
-        labels.append(label)
         timestamps.append(timestamp)
         rssi.append(_parse_rssi_row(values, lineno))
-    return Fingerprints(_rssi_matrix(rssi, layout), timestamps, cells, labels)
+    return Fingerprints(_rssi_matrix(rssi, layout), timestamps, cells)
 
 
 def parse_unlabelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> Fingerprints:
@@ -247,35 +242,27 @@ def parse_unlabelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> F
     for lineno, (timestamp,), values in _csv_rows(stream, layout, ("date",), "unlabelled"):
         timestamps.append(timestamp)
         rssi.append(_parse_rssi_row(values, lineno))
-    return Fingerprints(_rssi_matrix(rssi, layout), timestamps, None, None)
+    return Fingerprints(_rssi_matrix(rssi, layout), timestamps)
 
 
 def load_dataset(labelled_path: str | Path, unlabelled_path: str | Path | None, layout: BeaconLayout) -> Dataset:
     with open(labelled_path, newline="") as f:
         labelled = parse_labelled_csv(f, layout)
-    unlabelled = Fingerprints(_rssi_matrix([], layout), [], None, None)
+    unlabelled = Fingerprints(_rssi_matrix([], layout), [])
     if unlabelled_path is not None:
         with open(unlabelled_path, newline="") as f:
             unlabelled = parse_unlabelled_csv(f, layout)
     return Dataset(labelled=labelled, unlabelled=unlabelled, layout=layout)
 
 
-def write_labelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path,
-                       sources: Sequence[str] | None = None) -> None:
-    """Write labelled rows; with ``sources`` an extra provenance column is added."""
+def write_labelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path) -> None:
+    """Write labelled rows, each location as its cell's canonical label."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        header = ["location", "date", *layout.ids]
-        if sources is not None:
-            header.append("source")
-        writer.writerow(header)
+        writer.writerow(["location", "date", *layout.ids])
         # .tolist() gives Python floats, whose repr is the plain number
-        rows = zip(table.labels.tolist(), table.timestamps.tolist(), table.rssi.tolist())
-        for i, (label, timestamp, rssi) in enumerate(rows):
-            row = [label, timestamp, *(_fmt(v) for v in rssi)]
-            if sources is not None:
-                row.append(sources[i])
-            writer.writerow(row)
+        for cell, timestamp, rssi in zip(table.cells.tolist(), table.timestamps.tolist(), table.rssi.tolist()):
+            writer.writerow([encode_location_label(cell), timestamp, *(_fmt(v) for v in rssi)])
 
 
 def write_unlabelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path) -> None:
@@ -341,15 +328,14 @@ def synth_generate(layout: BeaconLayout, model: PathLossModel, n_locations: int,
     rng = np.random.Generator(np.random.PCG64(seed))
     flat = rng.choice(GRID_SIZE * GRID_SIZE, size=n_locations, replace=False)
     cells = np.repeat(np.stack([flat // GRID_SIZE, flat % GRID_SIZE], axis=1), samples_per_location, axis=0)
-    labels = [encode_location_label(cell) for cell in cells.tolist()]
     timestamps = [f"synth-{k}-{j}" for k in range(n_locations) for j in range(samples_per_location)]
     rssi = [synth_rssi(layout, model, float(cx), float(cy), rng) for cx, cy in cells.tolist()]
-    labelled = Fingerprints(_rssi_matrix(rssi, layout), timestamps, cells, labels)
+    labelled = Fingerprints(_rssi_matrix(rssi, layout), timestamps, cells)
     unlabelled_rssi = []
     for _ in range(n_unlabelled):
         x = rng.uniform(0.0, GRID_SIZE)
         y = rng.uniform(0.0, GRID_SIZE)
         unlabelled_rssi.append(synth_rssi(layout, model, x, y, rng))
     unlabelled = Fingerprints(_rssi_matrix(unlabelled_rssi, layout),
-                              [f"synth-u-{k}" for k in range(n_unlabelled)], None, None)
+                              [f"synth-u-{k}" for k in range(n_unlabelled)])
     return Dataset(labelled=labelled, unlabelled=unlabelled, layout=layout)

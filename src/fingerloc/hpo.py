@@ -126,11 +126,6 @@ def _cholesky_with_jitter(k: np.ndarray) -> np.ndarray:
     raise NumericalError("kernel matrix not positive definite after jitter escalation")
 
 
-def gp_fit(points: np.ndarray, objectives: np.ndarray, lengthscale: float = DEFAULT_LENGTHSCALE,
-           signal_var: float | None = None, noise_var: float | None = None) -> GpSurrogate:
-    return GpSurrogate(points, objectives, lengthscale, signal_var, noise_var)
-
-
 def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:
     """EI for minimization: (best - mu) Phi(z) + sigma phi(z), z = (best - mu)/sigma."""
     mean = np.asarray(mean, dtype=np.float64)
@@ -192,7 +187,7 @@ class Suggester:
         x = np.stack([self.space.normalize(t.assignment) for t in observed])
         y = np.array([t.objective for t in observed])
         candidates = self.rng.uniform(0.0, 1.0, size=(EI_CANDIDATES, self.space.dim))
-        mean, var = gp_fit(x, y).predict(candidates)
+        mean, var = GpSurrogate(x, y).predict(candidates)
         ei = expected_improvement(mean, np.sqrt(var), float(y.min()))
         return self.space.denormalize(candidates[int(np.argmax(ei))])
 
@@ -230,10 +225,7 @@ def run_search(objective: Callable[[dict[str, float]], float], space: SearchSpac
     suggester = Suggester(config.algorithm, space, config.seed, config.max_trials)
     trials: list[Trial] = []
     for number in range(1, config.max_trials + 1):
-        try:
-            assignment = suggester.suggest(trials)
-        except GridExhausted:
-            break
+        assignment = suggester.suggest(trials)  # a grid lattice has at least max_trials points
         try:
             value = float(objective(assignment))
             status = "ok" if math.isfinite(value) else "diverged"

@@ -20,11 +20,10 @@ def synth_dataset(layout):
 
 
 def labelled_table(cells, rssi, timestamps=None):
-    """A labelled table, one row per (cell, RSSI vector); labels encode the cells."""
-    labels = [data.encode_location_label(cell) for cell in cells]
+    """A labelled table, one row per (cell, RSSI vector)."""
     if timestamps is None:
         timestamps = [""] * len(cells)
-    return data.Fingerprints(np.array(rssi, dtype=np.float64), timestamps, cells, labels)
+    return data.Fingerprints(np.array(rssi, dtype=np.float64), timestamps, cells)
 
 
 def uci_paths():

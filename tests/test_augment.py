@@ -35,7 +35,7 @@ class TestNaive:
         assert -70.0 <= g[0] <= -60.0
         assert -85.0 <= g[1] <= -80.0
         assert g[2] == NO_SIGNAL
-        assert generated.labels[0] == table.labels[0]
+        assert generated.cells.tolist() == [[4, 4]]
 
     def test_single_sample_location_degenerate_range(self):
         table = labelled_table([(2, 3)], [vec(b0=-55.0, b5=-90.0)])
@@ -84,7 +84,7 @@ class TestAutoencoderTraining:
     def test_reconstruction_trend_on_memorization_set(self):
         rng = np.random.Generator(np.random.PCG64(0))
         rssi = [rng.uniform(-150.0, -40.0, 13) for _ in range(10)]
-        vectors = data.Fingerprints(np.array(rssi), [""] * 10, None, None)
+        vectors = data.Fingerprints(np.array(rssi), [""] * 10)
         policy = aug.AugmentationPolicy(autoencoder_epochs=500, seed=0)
         _, history = aug.train_autoencoder(vectors, policy)
         # non-increasing trend with 5% slack between the first and last quarter
@@ -149,6 +149,12 @@ class TestAutoencoderAugment:
         assert ((NO_SIGNAL <= kept.rssi) & (kept.rssi <= 0.0)).all()
 
 
+def kinds(result):
+    """The originals, the naive rows and the autoencoder rows of an augmentation, by row range."""
+    ends = np.cumsum([result.counts[k] for k in ("original", "naive", "kept")])
+    return [result.samples.take(np.arange(lo, hi)) for lo, hi in zip([0, *ends[:2]], ends)]
+
+
 class TestHybrid:
     def test_accounting_identity(self, synth_dataset):
         policy = aug.AugmentationPolicy(autoencoder_epochs=2, seed=0)
@@ -157,9 +163,11 @@ class TestHybrid:
         c = result.counts
         assert c["total"] == c["original"] + c["naive"] + c["kept"]
         assert len(result.samples) == c["total"]
-        assert result.sources.count("original") == c["original"]
-        assert result.sources.count("naive") == c["naive"]
-        assert result.sources.count("autoencoder") == c["kept"]
+        originals, naive_rows, autoencoder_rows = kinds(result)
+        assert originals == synth_dataset.labelled
+        assert len(naive_rows) == c["naive"] > 0 and len(autoencoder_rows) == c["kept"] > 0
+        assert all(t.startswith("naive-") for t in naive_rows.timestamps)
+        assert all(t.startswith("autoenc-") for t in autoencoder_rows.timestamps)
 
     def test_no_underrepresented_is_identity(self):
         samples = labelled_table([(0, 0)] * 12, [vec(b0=-50.0)] * 12, [f"s{i}" for i in range(12)])
@@ -170,7 +178,7 @@ class TestHybrid:
     def test_strategy_none_is_identity(self, synth_dataset):
         result = aug.augment(synth_dataset.labelled, "none", aug.AugmentationPolicy())
         assert result.samples == synth_dataset.labelled
-        assert set(result.sources) == {"original"}
+        assert result.counts["total"] == result.counts["original"] == len(synth_dataset.labelled)
 
     def test_autoencoder_strategy_requires_network(self, synth_dataset):
         with pytest.raises(ValueError):
@@ -182,6 +190,5 @@ class TestHybrid:
         result = aug.augment(synth_dataset.labelled, "hybrid", policy, net)
         under = {cell for cell, _ in data.find_underrepresented(synth_dataset.labelled,
                                                                 policy.threshold)}
-        for cell, src in zip(result.samples.cells.tolist(), result.sources):
-            if src != "original":
-                assert tuple(cell) in under
+        for cell in result.samples.cells[result.counts["original"]:].tolist():
+            assert tuple(cell) in under

@@ -113,10 +113,15 @@ class TestTrain:
         assert metrics["strategy"] == "hybrid"
 
     def test_paper_protocol_flag(self, corpus, tmp_path):
-        code = run(["train", *common_args(corpus), "--out-dir", str(tmp_path),
+        first = tmp_path / "first"
+        code = run(["train", *common_args(corpus), "--out-dir", str(first),
                     "--epochs", "2", "--strategy", "naive", "--paper-protocol",
                     "--seed", "0"])
         assert code == 0
+        # the switch is replayed from the manifest's recorded true value
+        assert run(["rerun", str(first / "manifest.json"), "--out-dir", str(tmp_path / "second")]) == 0
+        for name in ("model.bin", "metrics.json"):
+            assert (first / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
 
 
 class TestTune:
@@ -192,25 +197,37 @@ class TestTune:
         assert bad in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def augmented(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("augment")
+    assert run(["augment", *common_args(corpus), "--strategy", "hybrid",
+                "--out-dir", str(out), "--seed", "2"]) == 0
+    return out
+
+
 class TestAugmentCommand:
-    def test_counts_and_source_column(self, corpus, tmp_path):
-        code = run(["augment", *common_args(corpus), "--strategy", "hybrid",
-                    "--out-dir", str(tmp_path), "--seed", "2"])
-        assert code == 0
-        counts = json.loads((tmp_path / "counts.json").read_text())
+    def test_counts_and_row_order(self, corpus, augmented):
+        counts = json.loads((augmented / "counts.json").read_text())
         assert counts["total"] == counts["original"] + counts["naive"] + counts["kept"]
-        with open(tmp_path / "augmented.csv") as f:
+        with open(augmented / "augmented.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == counts["total"]
-        assert {r["source"] for r in rows} <= {"original", "naive", "autoencoder"}
+        # the originals as read, then the naive rows, then the autoencoder rows
+        assert (augmented / "augmented.csv").read_text().startswith((corpus / "labelled.csv").read_text())
+        n, k = counts["original"], counts["naive"]
+        assert all(r["date"].startswith("naive-") for r in rows[n:n + k])
+        assert all(r["date"].startswith("autoenc-") for r in rows[n + k:])
+
+    @pytest.mark.parametrize("command", [["train"], ["rationalize", "--n-seeds", "1"]], ids=" ".join)
+    def test_output_is_a_labelled_csv(self, corpus, augmented, tmp_path, command):
+        assert run([*command, "--labelled", str(augmented / "augmented.csv"),
+                    "--layout", str(corpus / "layout.json"), "--out-dir", str(tmp_path),
+                    "--epochs", "1"]) == 0
 
     def test_strategy_none_copies_originals(self, corpus, tmp_path):
         assert run(["augment", *common_args(corpus), "--strategy", "none",
                     "--out-dir", str(tmp_path)]) == 0
-        with open(tmp_path / "augmented.csv") as f:
-            rows = list(csv.DictReader(f))
-        assert all(r["source"] == "original" for r in rows)
-        assert len(rows) == 160
+        assert (tmp_path / "augmented.csv").read_bytes() == (corpus / "labelled.csv").read_bytes()
 
 
 class TestRationalizeCommand:
@@ -287,6 +304,14 @@ class TestRerun:
         bad = tmp_path / "m.json"
         bad.write_text("{}")
         assert run(["rerun", str(bad)]) == cli.EXIT_CONFIG
+
+    def test_manifest_naming_an_unknown_command_is_config_error(self, trained, tmp_path, capsys):
+        manifest = json.loads((trained / "manifest.json").read_text())
+        manifest["command"] = "serve"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["rerun", str(path), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert "serve" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, change", [
         ("labelled.csv", edit_one_rssi),
@@ -467,6 +492,9 @@ UNRUNNABLE_FILE_VALUES = [
                                    "log": True}], "max_trials": 2, "algorithm": "random"}, "log"),
     ("tune", "--spec", {"algorithm": "grid", "space": []}, "no parameters"),
     ("tune", "--spec", {"algorithm": "random", "max_trials": 2, "space": []}, "no parameters"),
+    ("tune", "--spec", {"algorithm": "random", "max_trials": 2, "space": [1]}, "JSON object"),
+    ("train", "--config", [{"train": {"epochs": 2}}], "JSON object"),
+    ("train", "--config", {"train": [{"epochs": 2}]}, "train"),
 ]
 
 
@@ -475,7 +503,8 @@ UNRUNNABLE_FILE_VALUES = [
     "train-fractional-epochs", "train-bool-epochs", "train-string-epochs", "tune-unknown-key",
     "tune-fractional-trials", "tune-bool-seed", "tune-beta1-bound", "tune-negative-rate-bound",
     "train-unknown-section", "rationalize-unknown-section", "tune-string-and-bool-bounds",
-    "tune-unknown-entry-key", "tune-empty-grid-space", "tune-empty-random-space"])
+    "tune-unknown-entry-key", "tune-empty-grid-space", "tune-empty-random-space",
+    "tune-entry-not-an-object", "train-config-root-not-an-object", "train-section-not-an-object"])
 def test_file_value_that_cannot_run_exits_2_without_traceback(command, flag, content, named, corpus,
                                                               tmp_path, capsys):
     path = tmp_path / "values.json"
@@ -505,13 +534,17 @@ MALFORMED_FILES = [
     ("--layout", b'{"beacons": [{"id": "b1", "x": "left", "y": 3}]}'),
     ("--layout", b"[1, 2]"),
     ("--labelled", b"location,date," + BEACONS + b"\nA01,d\xe9c," + READINGS + b"\n"),
+    ("--labelled", b"location,date," + BEACONS + b"\nA\xc2\xb2,d," + READINGS + b"\n"),  # A²
+    ("--labelled", b""),
+    ("--labelled", b"location,date," + BEACONS + b"\nA01,d,strong," + READINGS[4:] + b"\n"),
     ("--unlabelled", b"date," + BEACONS + b"\nd\xe9c," + READINGS + b"\n"),
 ]
 
 
 @pytest.mark.parametrize("flag, content", MALFORMED_FILES, ids=[
     "layout-not-json", "layout-without-beacons", "layout-non-numeric-x", "layout-list-root",
-    "labelled-not-utf8", "unlabelled-not-utf8"])
+    "labelled-not-utf8", "labelled-non-ascii-digit", "labelled-empty", "labelled-non-numeric-rssi",
+    "unlabelled-not-utf8"])
 def test_malformed_input_file_exits_3_without_traceback(flag, content, corpus, tmp_path, capsys):
     bad = tmp_path / "bad"
     bad.write_bytes(content)
@@ -520,6 +553,30 @@ def test_malformed_input_file_exits_3_without_traceback(flag, content, corpus, t
             "--out-dir", str(tmp_path / "out"), "--epochs", "1"]
     assert run(argv) == cli.EXIT_DATA
     assert "Traceback" not in capsys.readouterr().err
+
+
+# (argv after the labelled and layout inputs, a --spec file's content or None, exit status,
+# a phrase the error names)
+UNFINISHABLE_RUNS = [
+    (["train", "--learning-rate", "1e9", "--epochs", "3"], None, cli.EXIT_NUMERICAL, "diverged"),
+    (["tune", "--epochs", "3"], {"algorithm": "random", "max_trials": 2,
+                                 "space": [{"name": "learning_rate", "min": 1e9, "max": 2e9}]},
+     cli.EXIT_NUMERICAL, "all trials diverged"),
+    (["train", "--strategy", "hybrid", "--epochs", "1"], None, cli.EXIT_DATA, "needs an unlabelled file"),
+]
+
+
+@pytest.mark.parametrize("argv, spec, status, named", UNFINISHABLE_RUNS,
+                         ids=["train-diverges", "tune-all-trials-diverge", "hybrid-without-unlabelled"])
+def test_run_that_cannot_finish_exits_without_traceback(argv, spec, status, named, corpus, tmp_path,
+                                                        capsys):
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = [*argv, "--spec", str(tmp_path / "spec.json")]
+    assert run([*argv, "--labelled", str(corpus / "labelled.csv"), "--layout",
+                str(corpus / "layout.json"), "--out-dir", str(tmp_path / "out")]) == status
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_layout_without_beacons_exits_3(tmp_path, capsys):

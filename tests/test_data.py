@@ -1,9 +1,10 @@
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fingerloc import data
 from conftest import labelled_table
@@ -33,6 +34,19 @@ class TestLocationCodec:
     def test_round_trip(self, col, row):
         assert data.decode_location_label(data.encode_location_label((col, row))) == (col, row)
 
+    @given(st.text())
+    @example("A\u00b2")  # superscript two: isdigit() holds but int() refuses it
+    @example("A\u0663")  # Arabic-Indic three: int() reads it as 3
+    @example("\u00df1")  # sharp s: its upper case is two letters
+    @example("A" + "0" * 5000 + "1")  # int() refuses more than 4300 digits
+    def test_any_text_is_an_ascii_label_of_a_cell_or_malformed(self, label):
+        try:
+            col, row = data.decode_location_label(label)
+        except MalformedLabelError:
+            return
+        assert label.isascii()
+        assert 0 <= col < data.GRID_SIZE and 0 <= row < data.GRID_SIZE
+
     @given(st.sampled_from("ABCDEFGHIJKLMNOPQRSTUVWXY"), st.integers(0, 24))
     def test_canonical_label_round_trip(self, letter, row):
         label = f"{letter}{row:02d}"
@@ -49,7 +63,7 @@ class TestParsing:
         rows = [f"A0{i},2024-01-0{i+1}," + ",".join(["-70"] * 13) for i in range(3)]
         table = data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
         assert len(table) == 3
-        assert table.labels[0] == "A00"
+        assert table.cells[0].tolist() == [0, 0]
         assert table.rssi[0].tolist() == [-70.0] * 13
 
     def test_all_no_signal_row_accepted(self, layout):
@@ -182,10 +196,12 @@ class TestSynthGenerate:
         for table in (synth_dataset.labelled, synth_dataset.unlabelled):
             assert ((data.NO_SIGNAL <= table.rssi) & (table.rssi <= 0.0)).all()
 
-    def test_labels_decode_to_locations(self, synth_dataset):
-        t = synth_dataset.labelled
-        for label, (x, y) in zip(t.labels.tolist(), t.cells.tolist()):
-            assert data.decode_location_label(label) == (x, y)
+    def test_labels_decode_to_locations(self, synth_dataset, tmp_path):
+        path = tmp_path / "labelled.csv"
+        data.write_labelled_csv(synth_dataset.labelled, synth_dataset.layout, path)
+        with open(path, newline="") as f:
+            labels = [row["location"] for row in csv.DictReader(f)]
+        assert [list(data.decode_location_label(label)) for label in labels] == synth_dataset.labelled.cells.tolist()
 
 
 class TestLayout:
@@ -215,6 +231,13 @@ class TestCsvRoundTrip:
             parsed = data.parse_labelled_csv(f.read(), synth_dataset.layout)
         assert parsed == synth_dataset.labelled
 
+    def test_labels_written_in_canonical_form(self, layout, tmp_path):
+        rows = [f"{label},ts," + ",".join(["-70"] * 13) for label in ("a1", "A001", "A01", "y24")]
+        path = tmp_path / "labelled.csv"
+        data.write_labelled_csv(data.parse_labelled_csv(_labelled_csv(layout, rows), layout), layout, path)
+        with open(path, newline="") as f:
+            assert [row["location"] for row in csv.DictReader(f)] == ["A01", "A01", "A01", "Y24"]
+
     def test_unlabelled_round_trip(self, synth_dataset, tmp_path):
         path = tmp_path / "unlabelled.csv"
         data.write_unlabelled_csv(synth_dataset.unlabelled, synth_dataset.layout, path)
@@ -240,7 +263,7 @@ class TestCsvRoundTrip:
     @given(rssi_rows, st.data())
     def test_unlabelled_round_trip_property(self, layout, tmp_path_factory, rssi, gen):
         stamps = gen.draw(st.lists(self.stamps, min_size=len(rssi), max_size=len(rssi)))
-        table = data.Fingerprints(np.array(rssi).reshape(len(rssi), 13), stamps, None, None)
+        table = data.Fingerprints(np.array(rssi).reshape(len(rssi), 13), stamps)
         path = tmp_path_factory.mktemp("csv") / "unlabelled.csv"
         data.write_unlabelled_csv(table, layout, path)
         assert data.parse_unlabelled_csv(path.read_text(), layout) == table

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fingerloc import hpo
-from fingerloc.errors import ExperimentFailedError, GridExhausted
+from fingerloc.errors import DivergedError, ExperimentFailedError, GridExhausted
 from fingerloc.nn import TrainConfig
 
 PHI_AT_ZERO = 1.0 / math.sqrt(2.0 * math.pi)  # standard normal density at 0
@@ -27,7 +27,7 @@ def dense_gp_oracle(x, y, query, lengthscale, signal_var, noise_var):
 
 class TestGpSurrogate:
     def test_interpolates_single_observation(self):
-        g = hpo.gp_fit(np.array([[0.5]]), np.array([2.0]), noise_var=0.0)
+        g = hpo.GpSurrogate(np.array([[0.5]]), np.array([2.0]), noise_var=0.0)
         mean, var = g.predict(np.array([[0.5]]))
         assert mean[0] == pytest.approx(2.0)
         assert var[0] == pytest.approx(0.0, abs=1e-9)
@@ -35,7 +35,7 @@ class TestGpSurrogate:
     def test_reverts_to_prior_far_away(self):
         x = np.array([[0.1], [0.2]])
         y = np.array([1.0, 3.0])
-        g = hpo.gp_fit(x, y, lengthscale=0.05)
+        g = hpo.GpSurrogate(x, y, lengthscale=0.05)
         mean, var = g.predict(np.array([[50.0]]))
         assert mean[0] == pytest.approx(g.y_mean)
         assert var[0] == pytest.approx(g.signal_var, rel=1e-9)
@@ -47,7 +47,7 @@ class TestGpSurrogate:
             n = int(rng.integers(2, 8))
             x = rng.uniform(size=(n, d))
             y = rng.normal(size=n)
-            g = hpo.gp_fit(x, y)
+            g = hpo.GpSurrogate(x, y)
             query = rng.uniform(size=(5, d))
             mean, var = g.predict(query)
             o_mean, o_var = dense_gp_oracle(x, y, query, g.lengthscale,
@@ -59,7 +59,7 @@ class TestGpSurrogate:
         rng = np.random.Generator(np.random.PCG64(1))
         x = rng.uniform(size=(6, 2))
         y = rng.normal(size=6)
-        g = hpo.gp_fit(x, y)
+        g = hpo.GpSurrogate(x, y)
         _, var = g.predict(rng.uniform(size=(50, 2)))
         assert np.all(var <= g.signal_var + 1e-9)
 
@@ -72,16 +72,16 @@ class TestGpSurrogate:
             extra_y = rng.normal(size=1)
             queries = rng.uniform(size=(20, 1))
             sf, nv = 1.0, 1e-6
-            g1 = hpo.gp_fit(x, y, signal_var=sf, noise_var=nv)
-            g2 = hpo.gp_fit(np.vstack([x, extra_x]), np.append(y, extra_y),
-                            signal_var=sf, noise_var=nv)
+            g1 = hpo.GpSurrogate(x, y, signal_var=sf, noise_var=nv)
+            g2 = hpo.GpSurrogate(np.vstack([x, extra_x]), np.append(y, extra_y),
+                                 signal_var=sf, noise_var=nv)
             _, v1 = g1.predict(queries)
             _, v2 = g2.predict(queries)
             assert np.all(v2 <= v1 + 1e-9)
 
     def test_requires_finite_objectives(self):
         with pytest.raises(ValueError):
-            hpo.gp_fit(np.array([[0.5]]), np.array([np.nan]))
+            hpo.GpSurrogate(np.array([[0.5]]), np.array([np.nan]))
 
 
 class TestExpectedImprovement:
@@ -129,7 +129,7 @@ class TestExpectedImprovement:
     def test_zero_at_noiseless_observed_point(self):
         x = np.array([[0.3], [0.7]])
         y = np.array([1.0, 2.0])
-        g = hpo.gp_fit(x, y, noise_var=0.0)
+        g = hpo.GpSurrogate(x, y, noise_var=0.0)
         mean, var = g.predict(x)
         ei = hpo.expected_improvement(mean, np.sqrt(var), best=float(y.min()))
         assert np.all(ei <= 1e-8)
@@ -198,6 +198,19 @@ class TestRunSearch:
         assert result.best.objective == 1.0
         assert result.trials[0].status == "diverged"
         assert result.trials[0].objective is None
+
+    def test_objective_raising_diverged_error_is_a_diverged_trial(self):
+        outcomes = iter([DivergedError(epoch=1, batch=0, loss=float("inf")), 2.0])
+
+        def objective(assignment):
+            outcome = next(outcomes)
+            if isinstance(outcome, DivergedError):
+                raise outcome
+            return outcome
+
+        cfg = hpo.ExperimentConfig(algorithm="random", max_trials=2, goal=1e-18, seed=1)
+        result = hpo.run_search(objective, self.SPACE, cfg)
+        assert [(t.status, t.objective) for t in result.trials] == [("diverged", None), ("ok", 2.0)]
 
     def test_all_diverged_fails(self):
         cfg = hpo.ExperimentConfig(algorithm="random", max_trials=3, goal=1e-18, seed=1)

@@ -11,7 +11,7 @@ from conftest import labelled_table
 
 
 def no_unlabelled(layout):
-    return data.Fingerprints(np.empty((0, layout.n_beacons)), [], None, None)
+    return data.Fingerprints(np.empty((0, layout.n_beacons)), [])
 
 
 def beacons_with_signal(rssi):
