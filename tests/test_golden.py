@@ -14,7 +14,7 @@ from fingerloc import cli
 SEED = "5"
 
 GOLDEN = {
-    "augment/augmented.csv": "81722b7adaa8cd74807d411c6fcf257738446661720d2c9fdd3e6383db043af8",
+    "augment/augmented.csv": "7bea61c1671227aa82515a987195a9d9589c12d3838347c5e36a1a1e3f8f4bdf",
     "augment/counts.json": "a701448863090f3a47516de125ae3b4ae53538c18c6749091f22479f9323194e",
     "corpus/labelled.csv": "1847e30964c8868a544deb5ef1d9ffee6629dac15d9f7cce4dad426fdde1be10",
     "corpus/layout.json": "190feba8bd105f7e49a02351bc0de8c1b88c4edf6c31f4d61c41d286d37f4e91",
