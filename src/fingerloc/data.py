@@ -11,6 +11,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -21,6 +22,7 @@ from .errors import LayoutError, MalformedLabelError, RowError, SchemaError
 GRID_SIZE = 25
 NO_SIGNAL = -200.0
 DEFAULT_CELL_FEET = 10.0
+_SYNTH_BLOCK_ROWS = 256  # rows whose distances are Python floats at one time
 
 _DEFAULT_LAYOUT_PATH = Path(__file__).parent / "layouts" / "default_layout.json"
 
@@ -116,8 +118,13 @@ class PathLossModel:
     detection_floor: float = -95.0  # dBm; weaker readings become no-signal
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"path-loss {f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.exponent <= 0:
             raise ValueError("path-loss exponent must be positive")
+        if self.noise_std < 0:
+            raise ValueError("noise standard deviation must not be negative")
         if self.detection_floor < NO_SIGNAL:
             raise ValueError("detection floor below the no-signal value")
 
@@ -218,6 +225,9 @@ def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str
         raise SchemaError(
             f"{what} header must be {','.join(lead)},<{layout.n_beacons} beacon columns>; got {len(header)} columns"
         )
+    for column, (name, beacon) in enumerate(zip(header[len(lead):], layout.ids), start=len(lead) + 1):
+        if name.strip() != beacon:
+            raise SchemaError(f"{what} header column {column} is {name.strip()!r}, expected beacon {beacon!r}")
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -302,19 +312,30 @@ def find_underrepresented(table: Fingerprints, threshold: int) -> list[tuple[tup
             for g in np.argsort(first) if counts[g] < threshold]
 
 
-def synth_rssi(layout: BeaconLayout, model: PathLossModel, x: float, y: float,
-               rng: np.random.Generator) -> tuple[float, ...]:
-    """One RSSI vector at grid position (x, y) under the path-loss model."""
-    values = []
-    for bx, by in zip(layout.xs, layout.ys):
-        dist = max(math.hypot(bx - x, by - y), 1.0)  # grid units: the reference distance is one
-        rssi = model.reference_power - 10.0 * model.exponent * math.log10(dist)
-        if model.noise_std > 0:
-            rssi += rng.normal(0.0, model.noise_std)
-        if rssi < model.detection_floor:
-            rssi = NO_SIGNAL
-        values.append(min(max(rssi, NO_SIGNAL), 0.0))
-    return tuple(values)
+def synth_rssi(layout: BeaconLayout, model: PathLossModel, xy: np.ndarray,
+               noise: np.ndarray | None = None) -> np.ndarray:
+    """RSSI rows at the grid positions ``xy`` (n, 2) under the path-loss model,
+    plus ``noise`` (n, n_beacons) dB if given.
+
+    Distances and logs are taken with ``math``, a block of rows at a time:
+    numpy's SIMD ``hypot`` and ``log10`` round some values differently.
+    """
+    xy = np.asarray(xy, dtype=np.float64)
+    bx, by = np.asarray(layout.xs, dtype=np.float64), np.asarray(layout.ys, dtype=np.float64)
+    rssi = np.empty((len(xy), layout.n_beacons))
+    for start in range(0, len(xy), _SYNTH_BLOCK_ROWS):
+        x, y = xy[start:start + _SYNTH_BLOCK_ROWS, :1], xy[start:start + _SYNTH_BLOCK_ROWS, 1:]
+        rows = rssi[start:start + _SYNTH_BLOCK_ROWS]
+        hypot = map(math.hypot, (bx - x).ravel().tolist(), (by - y).ravel().tolist())
+        dist = map(max, hypot, repeat(1.0))  # grid units: the reference distance is one
+        rows[...] = np.fromiter(map(math.log10, dist), np.float64, rows.size).reshape(rows.shape)
+    rssi *= 10.0 * model.exponent  # in place: reference_power - 10.0 * exponent * log10(dist)
+    np.subtract(model.reference_power, rssi, out=rssi)
+    if noise is not None:
+        rssi += noise
+    rssi[rssi < model.detection_floor] = NO_SIGNAL
+    rssi[0.0 < rssi] = 0.0  # min(rssi, 0.0): not np.minimum, which may pick either signed zero
+    return rssi
 
 
 def synth_generate(layout: BeaconLayout, model: PathLossModel, n_locations: int,
@@ -329,13 +350,18 @@ def synth_generate(layout: BeaconLayout, model: PathLossModel, n_locations: int,
     flat = rng.choice(GRID_SIZE * GRID_SIZE, size=n_locations, replace=False)
     cells = np.repeat(np.stack([flat // GRID_SIZE, flat % GRID_SIZE], axis=1), samples_per_location, axis=0)
     timestamps = [f"synth-{k}-{j}" for k in range(n_locations) for j in range(samples_per_location)]
-    rssi = [synth_rssi(layout, model, float(cx), float(cy), rng) for cx, cy in cells.tolist()]
-    labelled = Fingerprints(_rssi_matrix(rssi, layout), timestamps, cells)
-    unlabelled_rssi = []
-    for _ in range(n_unlabelled):
-        x = rng.uniform(0.0, GRID_SIZE)
-        y = rng.uniform(0.0, GRID_SIZE)
-        unlabelled_rssi.append(synth_rssi(layout, model, x, y, rng))
-    unlabelled = Fingerprints(_rssi_matrix(unlabelled_rssi, layout),
+    noisy = model.noise_std > 0
+    # one block draw is the stream of len(cells) * n_beacons scalar draws, row by row
+    noise = rng.normal(0.0, model.noise_std, size=(len(cells), layout.n_beacons)) if noisy else None
+    labelled = Fingerprints(synth_rssi(layout, model, cells, noise), timestamps, cells)
+    # each position's two uniforms come before its noise in the stream, and a
+    # normal takes a varying number of words, so draw one sample at a time
+    xy = np.empty((n_unlabelled, 2))
+    noise = np.empty((n_unlabelled, layout.n_beacons)) if noisy else None
+    for k in range(n_unlabelled):
+        xy[k] = rng.uniform(0.0, GRID_SIZE, size=2)
+        if noisy:
+            noise[k] = rng.normal(0.0, model.noise_std, size=layout.n_beacons)
+    unlabelled = Fingerprints(synth_rssi(layout, model, xy, noise),
                               [f"synth-u-{k}" for k in range(n_unlabelled)])
     return Dataset(labelled=labelled, unlabelled=unlabelled, layout=layout)

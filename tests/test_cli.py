@@ -555,6 +555,23 @@ def test_malformed_input_file_exits_3_without_traceback(flag, content, corpus, t
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--labelled", "--unlabelled"])
+@pytest.mark.parametrize("beacons, named", [(lambda ids: ids[::-1], "'b3013'"),
+                                            (lambda ids: [f"u{i}" for i in range(13)], "'u0'")],
+                         ids=["reversed", "unknown"])
+def test_beacon_columns_not_in_layout_order_exit_3(flag, beacons, named, corpus, tmp_path, capsys):
+    """A corpus whose beacon columns are renamed would otherwise train on the wrong beacons."""
+    name = flag[2:] + ".csv"
+    header, body = (corpus / name).read_text().split("\n", 1)
+    lead = header.split(",")[:-13]
+    (tmp_path / name).write_text(",".join(lead + beacons(header.split(",")[-13:])) + "\n" + body)
+    argv = ["train", *common_args(corpus), flag, str(tmp_path / name),  # the later flag wins
+            "--out-dir", str(tmp_path / "out"), "--epochs", "1"]
+    assert run(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 # (argv after the labelled and layout inputs, a --spec file's content or None, exit status,
 # a phrase the error names)
 UNFINISHABLE_RUNS = [

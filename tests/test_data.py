@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fingerloc import data
 from conftest import labelled_table
@@ -87,6 +87,23 @@ class TestParsing:
         with pytest.raises(SchemaError):
             data.parse_labelled_csv(header + "\n", layout)
 
+    @pytest.mark.parametrize("parse, lead", [(data.parse_labelled_csv, "location,date"),
+                                             (data.parse_unlabelled_csv, "date")],
+                             ids=["labelled", "unlabelled"])
+    @pytest.mark.parametrize("beacons, first_wrong", [
+        (tuple(reversed(data.default_layout().ids)), "b3013"),
+        (tuple(f"x{i}" for i in range(13)), "x0"),
+        (data.default_layout().ids[:5] + ("b3007", "b3006") + data.default_layout().ids[7:], "b3007"),
+    ], ids=["reversed", "unknown", "two-swapped"])
+    def test_beacon_columns_must_follow_the_layout(self, layout, parse, lead, beacons, first_wrong):
+        with pytest.raises(SchemaError, match=f"is '{first_wrong}'"):
+            parse(lead + "," + ",".join(beacons) + "\n", layout)
+
+    def test_beacon_columns_compared_after_strip(self, layout):
+        header = "location,date," + ",".join(f" {b} " for b in layout.ids)
+        rows = ["A01,ts," + ",".join(["-70"] * 13)]
+        assert len(data.parse_labelled_csv("\n".join([header, *rows]), layout)) == 1
+
     def test_wrong_column_count_in_row(self, layout):
         rows = ["A00,ts,-70"]
         with pytest.raises(RowError):
@@ -163,21 +180,18 @@ class TestSynthGenerate:
     def test_rssi_at_reference_distance(self, layout):
         model = data.PathLossModel(reference_power=-45.0, noise_std=0.0,
                                    detection_floor=data.NO_SIGNAL)
-        rng = np.random.Generator(np.random.PCG64(0))
-        rssi = data.synth_rssi(layout, model, layout.xs[0] + 1.0, layout.ys[0], rng)
+        [rssi] = data.synth_rssi(layout, model, [[layout.xs[0] + 1.0, layout.ys[0]]])
         assert rssi[0] == pytest.approx(-45.0)
 
     def test_clamped_to_no_signal(self, layout):
         model = data.PathLossModel(reference_power=-190.0, exponent=6.0, noise_std=0.0,
                                    detection_floor=data.NO_SIGNAL)
-        rng = np.random.Generator(np.random.PCG64(0))
-        rssi = data.synth_rssi(layout, model, 0.0, 24.0, rng)
+        [rssi] = data.synth_rssi(layout, model, [[0.0, 24.0]])
         assert min(rssi) == data.NO_SIGNAL
 
     def test_receiver_on_beacon_distance_floored(self, layout):
         model = data.PathLossModel(noise_std=0.0, detection_floor=data.NO_SIGNAL)
-        rng = np.random.Generator(np.random.PCG64(0))
-        rssi = data.synth_rssi(layout, model, layout.xs[0], layout.ys[0], rng)
+        [rssi] = data.synth_rssi(layout, model, [[layout.xs[0], layout.ys[0]]])
         assert rssi[0] == pytest.approx(model.reference_power)
 
     def test_deterministic(self, layout):
@@ -202,6 +216,116 @@ class TestSynthGenerate:
         with open(path, newline="") as f:
             labels = [row["location"] for row in csv.DictReader(f)]
         assert [list(data.decode_location_label(label)) for label in labels] == synth_dataset.labelled.cells.tolist()
+
+
+def _reference_rssi(layout, model, x, y, rng):
+    """One RSSI vector, a scalar at a time: the per-sample generator the block code replaced."""
+    values = []
+    for bx, by in zip(layout.xs, layout.ys):
+        dist = max(math.hypot(bx - x, by - y), 1.0)
+        rssi = model.reference_power - 10.0 * model.exponent * math.log10(dist)
+        if model.noise_std > 0:
+            rssi += rng.normal(0.0, model.noise_std)
+        if rssi < model.detection_floor:
+            rssi = data.NO_SIGNAL
+        values.append(min(max(rssi, data.NO_SIGNAL), 0.0))
+    return values
+
+
+def _reference_generate(layout, model, n_locations, samples_per_location, seed, n_unlabelled):
+    """(cells, labelled rssi, unlabelled rssi) as the per-sample generator drew them."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    flat = rng.choice(data.GRID_SIZE ** 2, size=n_locations, replace=False)
+    cells = np.repeat(np.stack([flat // data.GRID_SIZE, flat % data.GRID_SIZE], axis=1),
+                      samples_per_location, axis=0)
+    labelled = [_reference_rssi(layout, model, float(cx), float(cy), rng) for cx, cy in cells.tolist()]
+    unlabelled = []
+    for _ in range(n_unlabelled):
+        x = rng.uniform(0.0, data.GRID_SIZE)
+        y = rng.uniform(0.0, data.GRID_SIZE)
+        unlabelled.append(_reference_rssi(layout, model, x, y, rng))
+    shape = (-1, layout.n_beacons)
+    return cells, np.array(labelled).reshape(shape), np.array(unlabelled).reshape(shape)
+
+
+THREE_BEACONS = data.BeaconLayout(ids=("p", "q", "r"), xs=(0.5, 12.25, 24.75), ys=(3.3, 0.0, 19.9))
+
+# (id, layout or None for the default, model)
+REFERENCE_CASES = [
+    ("default", None, data.PathLossModel()),
+    ("noiseless", None, data.PathLossModel(noise_std=0.0)),
+    ("floor-75", None, data.PathLossModel(detection_floor=-75.0)),  # about 7% no-signal
+    ("noise30", None, data.PathLossModel(noise_std=30.0)),  # reaches both clamps
+    ("weak-steep", None, data.PathLossModel(reference_power=-190.0, exponent=6.0)),
+    ("three-beacons", THREE_BEACONS, data.PathLossModel()),
+]
+
+
+class TestSynthMatchesPerSampleReference:
+    @pytest.mark.parametrize("n_unlabelled", [0, 1, 150])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("case_layout, model", [c[1:] for c in REFERENCE_CASES],
+                             ids=[c[0] for c in REFERENCE_CASES])
+    def test_bit_equal(self, layout, case_layout, model, seed, n_unlabelled):
+        case_layout = case_layout or layout
+        cells, labelled, unlabelled = _reference_generate(case_layout, model, 30, 3, seed, n_unlabelled)
+        ds = data.synth_generate(case_layout, model, 30, 3, seed=seed, n_unlabelled=n_unlabelled)
+        assert np.array_equal(ds.labelled.cells, cells)
+        assert ds.labelled.rssi.shape == labelled.shape and ds.unlabelled.rssi.shape == unlabelled.shape
+        assert np.array_equal(ds.labelled.rssi.view(np.uint64), labelled.view(np.uint64))
+        assert np.array_equal(ds.unlabelled.rssi.view(np.uint64), unlabelled.view(np.uint64))
+
+    def test_cases_reach_the_clamps(self, layout):
+        """The no-signal and 0 dBm clamps act in the cases above, so their bit-equality covers them."""
+        def rssi(model):
+            ds = data.synth_generate(layout, model, 30, 3, seed=0, n_unlabelled=150)
+            return np.concatenate([ds.labelled.rssi, ds.unlabelled.rssi])
+        assert 0.02 < (rssi(data.PathLossModel(detection_floor=-75.0)) == data.NO_SIGNAL).mean() < 0.2
+        noisy = rssi(data.PathLossModel(noise_std=30.0))
+        assert (noisy == data.NO_SIGNAL).any() and (noisy == 0.0).any()
+        assert (rssi(data.PathLossModel(reference_power=-190.0, exponent=6.0)) == data.NO_SIGNAL).all()
+
+
+path_loss_models = st.builds(
+    data.PathLossModel,
+    reference_power=st.floats(-120.0, 20.0),
+    exponent=st.floats(0.5, 6.0),
+    noise_std=st.floats(0.0, 30.0),
+    detection_floor=st.floats(data.NO_SIGNAL, 0.0),
+)
+
+
+class TestSynthInvariants:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 4), st.integers(0, 20),
+           path_loss_models)
+    def test_readings_cells_and_csv_round_trip(self, layout, tmp_path_factory, seed, n_locations,
+                                               per_location, n_unlabelled, model):
+        ds = data.synth_generate(layout, model, n_locations, per_location, seed=seed,
+                                 n_unlabelled=n_unlabelled)
+        for table in (ds.labelled, ds.unlabelled):
+            signal = table.rssi != data.NO_SIGNAL
+            assert ((model.detection_floor <= table.rssi) & (table.rssi <= 0.0))[signal].all()
+        cells, counts = np.unique(ds.labelled.cells, axis=0, return_counts=True)
+        assert len(cells) == n_locations and (counts == per_location).all()
+        assert len(ds.unlabelled) == n_unlabelled
+        out = tmp_path_factory.mktemp("synth")
+        data.write_labelled_csv(ds.labelled, layout, out / "labelled.csv")
+        data.write_unlabelled_csv(ds.unlabelled, layout, out / "unlabelled.csv")
+        assert data.parse_labelled_csv((out / "labelled.csv").read_text(), layout) == ds.labelled
+        assert data.parse_unlabelled_csv((out / "unlabelled.csv").read_text(), layout) == ds.unlabelled
+
+
+class TestPathLossModel:
+    @pytest.mark.parametrize("field", ["reference_power", "exponent", "noise_std", "detection_floor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            data.PathLossModel(**{field: value})
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(ValueError, match="noise"):
+            data.PathLossModel(noise_std=-1.0)
 
 
 class TestLayout:
