@@ -53,6 +53,9 @@ class TestLocationCodec:
         assert data.encode_location_label(data.decode_location_label(label)) == label
 
 
+DEFAULT_IDS = data.default_layout().ids
+
+
 def _labelled_csv(layout, rows):
     header = "location,date," + ",".join(layout.ids)
     return "\n".join([header, *rows]) + "\n"
@@ -91,9 +94,9 @@ class TestParsing:
                                              (data.parse_unlabelled_csv, "date")],
                              ids=["labelled", "unlabelled"])
     @pytest.mark.parametrize("beacons, first_wrong", [
-        (tuple(reversed(data.default_layout().ids)), "b3013"),
+        (DEFAULT_IDS[::-1], "b3013"),
         (tuple(f"x{i}" for i in range(13)), "x0"),
-        (data.default_layout().ids[:5] + ("b3007", "b3006") + data.default_layout().ids[7:], "b3007"),
+        (DEFAULT_IDS[:5] + ("b3007", "b3006") + DEFAULT_IDS[7:], "b3007"),
     ], ids=["reversed", "unknown", "two-swapped"])
     def test_beacon_columns_must_follow_the_layout(self, layout, parse, lead, beacons, first_wrong):
         with pytest.raises(SchemaError, match=f"is '{first_wrong}'"):
@@ -219,7 +222,7 @@ class TestSynthGenerate:
 
 
 def _reference_rssi(layout, model, x, y, rng):
-    """One RSSI vector, a scalar at a time: the per-sample generator the block code replaced."""
+    """One RSSI vector, a scalar at a time: the reference that the block generator must match bit for bit."""
     values = []
     for bx, by in zip(layout.xs, layout.ys):
         dist = max(math.hypot(bx - x, by - y), 1.0)
