@@ -12,11 +12,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import NO_SIGNAL, Fingerprints, find_underrepresented
+from .errors import DataError
 from .models import build_model
 from .nn import Network, TrainConfig, train
 
 # (cell, row indices) per under-represented cell, as find_underrepresented returns them
 Groups = list[tuple[tuple[int, int], np.ndarray]]
+
+STRATEGIES = ("none", "naive", "autoencoder", "hybrid")
 
 # normalized-value cutoff: a decoded rssi/-200 below it counts as "shows signal"
 SIGNAL_TAU = 0.9
@@ -59,7 +62,7 @@ def train_autoencoder(unlabelled: Fingerprints, policy: AugmentationPolicy) -> t
     """Fit the reconstruction autoencoder, one input per beacon column and seeded by ``policy.seed``,
     on normalized unlabelled vectors."""
     if len(unlabelled) == 0:
-        raise ValueError("empty unlabelled set")
+        raise DataError("the autoencoder needs an unlabelled file")
     vectors = unlabelled.rssi / NO_SIGNAL
     network = build_model("autoencoder", seed=policy.seed, n_beacons=vectors.shape[1])
     config = TrainConfig(epochs=policy.autoencoder_epochs, batch_size=100,
@@ -97,9 +100,10 @@ class AugmentationResult:
 
 
 def augment(table: Fingerprints, strategy: str, policy: AugmentationPolicy,
-            autoencoder: Network | None = None) -> AugmentationResult:
-    """Apply a strategy {none, naive, autoencoder, hybrid} and account for it."""
-    if strategy not in ("none", "naive", "autoencoder", "hybrid"):
+            unlabelled: Fingerprints) -> AugmentationResult:
+    """Apply one of ``STRATEGIES`` and account for it. The autoencoder and hybrid strategies
+    first fit the autoencoder on ``unlabelled`` (see :func:`train_autoencoder`)."""
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     groups = find_underrepresented(table, policy.threshold)
     counts = {"original": len(table), "naive": 0, "kept": 0, "discarded": 0}
@@ -109,9 +113,7 @@ def augment(table: Fingerprints, strategy: str, policy: AugmentationPolicy,
         counts["naive"] = len(new)
         parts.append(new)
     if strategy in ("autoencoder", "hybrid"):
-        if autoencoder is None:
-            raise ValueError("autoencoder strategy requires a trained autoencoder")
-        new, discarded = autoencoder_augment(table, groups, autoencoder)
+        new, discarded = autoencoder_augment(table, groups, train_autoencoder(unlabelled, policy)[0])
         counts["kept"] = len(new)
         counts["discarded"] = discarded
         parts.append(new)

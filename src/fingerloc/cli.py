@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from . import augment as aug
 from . import data, hpo, models, nn, rationalize
-from .errors import ConfigError, DataError, FingerlocError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -121,19 +121,25 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _checked(section, types: dict, what: str) -> dict:
-    """The JSON object ``section``, whose keys must be in ``types`` and whose values must have their type.
-    An integer may stand for a float and is converted; a bool is not a number."""
+def _checked(section, types: dict, what: str, required: bool = False) -> dict:
+    """The JSON object ``section``, whose keys must be in ``types`` (all of them if ``required``) and
+    whose values must have their type. An integer may stand for a float and is converted; a bool is
+    not a number, and no integer may lie past the float range."""
     if not isinstance(section, dict):
         raise ConfigError(f"the {what} must be a JSON object")
     unknown = sorted(set(section) - set(types))
     if unknown:
         raise ConfigError(f"unknown {what} keys: {unknown}")
+    missing = sorted(set(types) - set(section)) if required else []
+    if missing:
+        raise ConfigError(f"{what} {json.dumps(section)} lacks keys: {missing}")
     values = {}
     for key, value in section.items():
         allowed = typing.get_args(types[key]) or (types[key],)  # float | None -> (float, NoneType)
-        if float in allowed and type(value) is int and abs(value) <= sys.float_info.max:
-            value = float(value)  # an integer past the float range fails the type test below
+        if type(value) is int and abs(value) > sys.float_info.max:
+            raise ConfigError(f"{what} {key}: an integer past the float range")
+        if float in allowed and type(value) is int:
+            value = float(value)
         if isinstance(value, bool) or not isinstance(value, allowed):
             name = getattr(types[key], "__name__", types[key])
             raise ConfigError(f"{what} {key}: {json.dumps(value)} is not of type {name}")
@@ -146,10 +152,7 @@ def _overlay(cls, section, args: dict, what: str):
     types = typing.get_type_hints(cls)
     values = _checked(section, types, what)
     values.update((k, v) for k, v in args.items() if k in types and v is not None)
-    try:
-        return cls(**values)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"{what}: {e}") from None
+    return cls(**values)
 
 
 def _train_config(args: dict) -> nn.TrainConfig:
@@ -157,15 +160,6 @@ def _train_config(args: dict) -> nn.TrainConfig:
     allowed beside it, so that ``tune``'s ``best_config.json`` passes back as written."""
     doc = _checked(_load_config(args["config"]), {"train": dict, "objective_grid": float}, "config")
     return _overlay(nn.TrainConfig, doc.get("train", {}), args, "train config")
-
-
-def _autoencoder(dataset: data.Dataset, strategy: str, policy: aug.AugmentationPolicy):
-    """The autoencoder a strategy needs, fitted on the unlabelled rows, else None."""
-    if strategy not in ("autoencoder", "hybrid"):
-        return None
-    if not dataset.unlabelled:
-        raise DataError(f"the {strategy} strategy needs an unlabelled file")
-    return aug.train_autoencoder(dataset.unlabelled, policy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +171,16 @@ def cmd_train(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     dataset = data.load_dataset(args["labelled"], args["unlabelled"], layout)
     kind, strategy, ratio = args["model"], args["strategy"], args["ratio"]
     policy = aug.AugmentationPolicy(seed=config.seed, threshold=args["threshold"])
-    autoencoder = _autoencoder(dataset, strategy, policy)
 
     pool = dataset.labelled
     if strategy != "none" and args["paper_protocol"]:
         # augment the full pool, then split (the less careful historical protocol)
-        pool = aug.augment(pool, strategy, policy, autoencoder).samples
+        pool = aug.augment(pool, strategy, policy, dataset.unlabelled).samples
     train_set, test_set = data.split(pool, ratio, config.seed)
     if not (len(train_set) and len(test_set)):
         raise ConfigError(f"--ratio {ratio} leaves an empty partition of {len(pool)} rows")
     if strategy != "none" and not args["paper_protocol"]:
-        train_set = aug.augment(train_set, strategy, policy, autoencoder).samples
+        train_set = aug.augment(train_set, strategy, policy, dataset.unlabelled).samples
 
     network, history, metrics = models.fit(kind, train_set, test_set, layout, config)
 
@@ -214,19 +207,15 @@ def cmd_train(args: dict, out_dir: Path) -> tuple[list[Path], int]:
 
 def cmd_tune(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     spec = _load_config(args["spec"])
-    params = spec.pop("space", None)
+    params = _checked({"space": spec.pop("space", None)}, {"space": list | None}, "experiment spec")["space"]
     exp_config = _overlay(hpo.ExperimentConfig, spec, args, "experiment spec")
     base = _overlay(nn.TrainConfig, {"seed": exp_config.seed}, args, "train config")
-    try:
-        if params is None:
-            space = hpo.default_space(args["optimizer"])
-        else:
-            entries = [_checked(p, {"name": str, "min": float, "max": float}, "search-space entry")
-                       for p in params]
-            space = hpo.SearchSpace(tuple((e["name"], e["min"], e["max"]) for e in entries))
-        hpo.check_bindable(space, base)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad experiment spec: {e}") from None
+    if params is None:
+        space = hpo.default_space(args["optimizer"])
+    else:
+        entries = [_checked(p, {"name": str, "min": float, "max": float}, "search-space entry", required=True)
+                   for p in params]
+        space = hpo.SearchSpace(tuple((e["name"], e["min"], e["max"]) for e in entries))
     layout = _load_layout(args["layout"])
     dataset = data.load_dataset(args["labelled"], None, layout)
     result = hpo.run_experiment(args["model"], dataset, space, exp_config, base_config=base)
@@ -252,8 +241,7 @@ def cmd_augment(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     dataset = data.load_dataset(args["labelled"], args["unlabelled"], layout)
     strategy = args["strategy"]
     policy = aug.AugmentationPolicy(threshold=args["threshold"], seed=args["seed"])
-    result = aug.augment(dataset.labelled, strategy, policy,
-                         _autoencoder(dataset, strategy, policy))
+    result = aug.augment(dataset.labelled, strategy, policy, dataset.unlabelled)
     augmented_path = out_dir / "augmented.csv"
     data.write_labelled_csv(result.samples, layout, augmented_path)
     counts_path = out_dir / "counts.json"
@@ -383,9 +371,6 @@ def _in_range(cast, low, high):
     return parse
 
 
-STRATEGIES = ("none", "naive", "autoencoder", "hybrid")
-OPTIMIZERS = ("adam", "sgd")
-
 # options that several commands register: flag -> add_argument keywords
 SHARED = {
     "--labelled": dict(help="labelled CSV (location,date,<beacons>)"),
@@ -418,10 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
          "--model", "--epochs", "--threshold")
     p.add_argument("--seed", type=_in_range(int, 0, math.inf), default=None,
                    help="default: the config's seed, else 0")
-    p.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
+    p.add_argument("--optimizer", choices=nn.OPTIMIZERS, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None, help="finite and >= 0")
-    p.add_argument("--strategy", choices=STRATEGIES, default="none",
+    p.add_argument("--strategy", choices=aug.STRATEGIES, default="none",
                    help="augmentation applied before training")
     p.add_argument("--ratio", type=_in_range(float, 0.0, 1.0), default=models.HOLDOUT_RATIO,
                    help="train fraction of the split; both partitions must be non-empty")
@@ -433,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_in_range(int, 0, math.inf), default=None,
                    help="default: the spec's seed, else 0")
     p.add_argument("--spec", help="experiment spec JSON (algorithm, max_trials, goal, seed, space)")
-    p.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
+    p.add_argument("--optimizer", choices=nn.OPTIMIZERS, default="adam")
 
     p = sub.add_parser("augment", help="grow the labelled set")
     _add(p, "--labelled", "--unlabelled", "--layout", "--seed", "--out-dir", "--threshold")
-    p.add_argument("--strategy", choices=STRATEGIES, default="naive")
+    p.add_argument("--strategy", choices=aug.STRATEGIES, default="naive")
 
     p = sub.add_parser("rationalize", help="per-beacon dropout study")
     _add(p, "--labelled", "--layout", "--config", "--seed", "--jobs", "--out-dir",
@@ -474,9 +459,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DATA
     except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except FingerlocError as e:
-        print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, UnicodeDecodeError) as e:  # an unreadable or non-UTF-8 input file
         print(f"data error: {e}", file=sys.stderr)

@@ -50,6 +50,8 @@ class BeaconLayout:
         for bid, x, y in zip(self.ids, self.xs, self.ys):
             if not (0 <= x < GRID_SIZE and 0 <= y < GRID_SIZE):
                 raise LayoutError(f"beacon {bid} at ({x}, {y}) outside the {GRID_SIZE}x{GRID_SIZE} grid")
+        if not 0.0 < self.cell_feet < math.inf:
+            raise LayoutError(f"cell_feet must be finite and positive, got {self.cell_feet}")
 
     @property
     def n_beacons(self) -> int:

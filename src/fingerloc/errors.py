@@ -51,13 +51,13 @@ class DivergedError(NumericalError):
         self.loss = loss
 
 
-class LoadError(FingerlocError):
+class LoadError(DataError):
     """Serialized network failed to load (version/checksum/truncation)."""
 
 
-class GridExhausted(FingerlocError):
+class GridExhausted(ConfigError):
     """Grid search lattice has no more points."""
 
 
-class ExperimentFailedError(FingerlocError):
+class ExperimentFailedError(NumericalError):
     """Every trial of a tuning experiment diverged."""

@@ -7,7 +7,6 @@ the minimization convention.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -15,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset, split
-from .errors import ExperimentFailedError, GridExhausted, NumericalError
+from .errors import ConfigError, ExperimentFailedError, GridExhausted, NumericalError
 from .models import HOLDOUT_RATIO, fit
 from .nn import TrainConfig
 
@@ -30,13 +29,13 @@ class SearchSpace:
 
     def __post_init__(self):
         if not self.params:
-            raise ValueError("search space has no parameters")
+            raise ConfigError("search space has no parameters")
         names = [p[0] for p in self.params]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate parameter names")
+            raise ConfigError("duplicate parameter names")
         for name, lo, hi in self.params:
             if not lo < hi:
-                raise ValueError(f"{name}: lower bound {lo} must be < upper {hi}")
+                raise ConfigError(f"{name}: lower bound {lo} must be < upper {hi}")
 
     @property
     def names(self) -> list[str]:
@@ -51,9 +50,6 @@ class SearchSpace:
 
     def denormalize(self, u: np.ndarray) -> dict[str, float]:
         return {n: lo + float(v) * (hi - lo) for (n, lo, hi), v in zip(self.params, u)}
-
-    def contains(self, assignment: dict[str, float]) -> bool:
-        return all(lo <= assignment[n] <= hi for n, lo, hi in self.params)
 
 
 @dataclass
@@ -145,39 +141,44 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.n
 # ---------------------------------------------------------------------------
 # suggestion strategies
 
-def check_algorithm(algorithm: str) -> None:
-    if algorithm not in ("grid", "random", "bayesian"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+def _linspace_at(lo: float, hi: float, num: int, j: int) -> float:
+    """``np.linspace(lo, hi, num)[j]`` bit for bit, for ``num`` >= 2, by linspace's own arithmetic."""
+    lo, hi = float(lo), float(hi)
+    if j == num - 1:
+        return hi
+    step = (hi - lo) / (num - 1)
+    return float(j) * step + lo if step != 0 else float(j) / (num - 1) * (hi - lo) + lo  # an underflowing step
 
 
 class Suggester:
     """Produces the next parameter assignment given the trial history."""
 
-    def __init__(self, algorithm: str, space: SearchSpace, seed: int, max_trials: int = 15):
-        check_algorithm(algorithm)
-        self.algorithm = algorithm
+    def __init__(self, space: SearchSpace, config: ExperimentConfig):
+        self.algorithm = config.algorithm
         self.space = space
-        self.rng = np.random.Generator(np.random.PCG64(seed))
-        if algorithm == "grid":
-            res = max(1, math.ceil(max_trials ** (1.0 / space.dim)))
-            axes = []
-            for _, lo, hi in space.params:
-                if res == 1:
-                    axes.append(np.array([(lo + hi) / 2.0]))
-                else:
-                    axes.append(np.linspace(lo, hi, res))
-            self._grid_iter = itertools.product(*axes)
+        self.rng = np.random.Generator(np.random.PCG64(config.seed))
+        if self.algorithm == "grid":  # res points per axis make at least max_trials lattice points
+            self._res = max(1, math.ceil(config.max_trials ** (1.0 / space.dim)))
+            self._grid_next = 0
+
+    def _grid_point(self, index: int) -> dict[str, float]:
+        """Point ``index`` of itertools.product over the axes, each ``np.linspace(lo, hi, res)``
+        (the midpoint when res is 1), computed without building an axis."""
+        point = {}
+        for name, lo, hi in reversed(self.space.params):  # the last axis varies fastest
+            index, j = divmod(index, self._res)
+            point[name] = (lo + hi) / 2.0 if self._res == 1 else _linspace_at(lo, hi, self._res, j)
+        if index:
+            raise GridExhausted("grid lattice exhausted")
+        return {name: point[name] for name in self.space.names}
 
     def _random_assignment(self) -> dict[str, float]:
         return {n: float(self.rng.uniform(lo, hi)) for n, lo, hi in self.space.params}
 
     def suggest(self, history: Sequence[Trial]) -> dict[str, float]:
         if self.algorithm == "grid":
-            try:
-                point = next(self._grid_iter)
-            except StopIteration:
-                raise GridExhausted("grid lattice exhausted") from None
-            return dict(zip(self.space.names, (float(v) for v in point)))
+            self._grid_next += 1
+            return self._grid_point(self._grid_next - 1)
         if self.algorithm == "random":
             return self._random_assignment()
         # bayesian
@@ -200,13 +201,14 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_algorithm(self.algorithm)
+        if self.algorithm not in ("grid", "random", "bayesian"):
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.max_trials < 1:
-            raise ValueError("max trials must be >= 1")
-        if self.goal <= 0:
-            raise ValueError("goal must be positive")
+            raise ConfigError("max trials must be >= 1")
+        if not self.goal > 0:
+            raise ConfigError(f"goal must be positive, got {self.goal}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -222,7 +224,7 @@ def run_search(objective: Callable[[dict[str, float]], float], space: SearchSpac
     The objective may raise NumericalError (DivergedError included); those
     trials are recorded with status "diverged" and no objective value.
     """
-    suggester = Suggester(config.algorithm, space, config.seed, config.max_trials)
+    suggester = Suggester(space, config)
     trials: list[Trial] = []
     for number in range(1, config.max_trials + 1):
         assignment = suggester.suggest(trials)  # a grid lattice has at least max_trials points
@@ -255,10 +257,10 @@ def default_space(optimizer: str) -> SearchSpace:
 
 
 def check_bindable(space: SearchSpace, base_config: TrainConfig) -> None:
-    """Raise ValueError unless each parameter is tunable and ``base_config`` takes both its bounds."""
+    """Raise ConfigError unless each parameter is tunable and ``base_config`` takes both its bounds."""
     unknown = set(space.names) - set(TUNABLE_FIELDS)
     if unknown:
-        raise ValueError(f"search space names not bindable to a train config: {sorted(unknown)}")
+        raise ConfigError(f"search space names not bindable to a train config: {sorted(unknown)}")
     for name, lo, hi in space.params:
         replace(base_config, **{name: lo})  # each field's valid values form an interval
         replace(base_config, **{name: hi})

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergedError, LoadError, ShapeError
+from .errors import ConfigError, DivergedError, LoadError, ShapeError
 
 DIVERGENCE_BOUND = 1e6
 ADAM_EPSILON = 1e-8  # added to Adam's step denominator
@@ -393,7 +393,7 @@ def backward(network: Network, x: np.ndarray, target: np.ndarray, loss_kind: str
 class AdamState:
     def __init__(self, learning_rate: float = 0.001, beta1: float = 0.9, beta2: float = 0.999):
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("betas must be in [0, 1)")
+            raise ConfigError("betas must be in [0, 1)")
         self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
@@ -420,7 +420,7 @@ class AdamState:
 class SgdMomentumState:
     def __init__(self, learning_rate: float = 0.01, momentum: float = 0.9):
         if not (0.0 <= momentum < 1.0):
-            raise ValueError("momentum must be in [0, 1)")
+            raise ConfigError("momentum must be in [0, 1)")
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.velocity: np.ndarray | None = None
@@ -437,6 +437,9 @@ class SgdMomentumState:
 # ---------------------------------------------------------------------------
 # training / evaluation
 
+OPTIMIZERS = ("adam", "sgd")
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 100
@@ -451,15 +454,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be >= 1")
+            raise ConfigError("epochs and batch size must be >= 1")
         if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ConfigError(f"unknown loss {self.loss!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate is not None and not 0.0 <= self.learning_rate < math.inf:
-            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.make_optimizer()  # which checks its own hyperparameters
 
     def make_optimizer(self):

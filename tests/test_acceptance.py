@@ -202,8 +202,7 @@ def test_criterion_7_augmentation_direction(uci_dataset):
     naive = aug.naive_augment(uci_dataset.labelled, under, policy)
     assert len(naive) == 188
 
-    autoencoder, _ = aug.train_autoencoder(uci_dataset.unlabelled, policy)
-    hybrid = aug.augment(uci_dataset.labelled, "hybrid", policy, autoencoder)
+    hybrid = aug.augment(uci_dataset.labelled, "hybrid", policy, uci_dataset.unlabelled)
     c = hybrid.counts
     assert c["naive"] == 188
     assert c["kept"] + c["discarded"] == 188
@@ -252,8 +251,7 @@ def test_criterion_8_synthetic_fallback(layout):
 
     # augmentation accounting identities
     policy = aug.AugmentationPolicy(autoencoder_epochs=5, seed=0)
-    autoencoder, _ = aug.train_autoencoder(ds.unlabelled, policy)
-    result = aug.augment(ds.labelled, "hybrid", policy, autoencoder)
+    result = aug.augment(ds.labelled, "hybrid", policy, ds.unlabelled)
     c = result.counts
     assert c["total"] == c["original"] + c["naive"] + c["kept"]
     assert_same_rows(result.samples.take(np.arange(len(ds.labelled))), ds.labelled)

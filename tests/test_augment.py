@@ -4,6 +4,7 @@ import pytest
 from fingerloc import augment as aug
 from fingerloc import data, models
 from fingerloc.data import NO_SIGNAL
+from fingerloc.errors import DataError
 from conftest import labelled_table
 
 
@@ -92,7 +93,7 @@ class TestAutoencoderTraining:
         assert last <= first * 1.05
 
     def test_empty_unlabelled_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="needs an unlabelled file"):
             aug.train_autoencoder([], aug.AugmentationPolicy())
 
 
@@ -158,8 +159,7 @@ def kinds(result):
 class TestHybrid:
     def test_accounting_identity(self, synth_dataset):
         policy = aug.AugmentationPolicy(autoencoder_epochs=2, seed=0)
-        net, _ = aug.train_autoencoder(synth_dataset.unlabelled, policy)
-        result = aug.augment(synth_dataset.labelled, "hybrid", policy, net)
+        result = aug.augment(synth_dataset.labelled, "hybrid", policy, synth_dataset.unlabelled)
         c = result.counts
         assert c["total"] == c["original"] + c["naive"] + c["kept"]
         assert len(result.samples) == c["total"]
@@ -171,23 +171,23 @@ class TestHybrid:
 
     def test_no_underrepresented_is_identity(self):
         samples = labelled_table([(0, 0)] * 12, [vec(b0=-50.0)] * 12, [f"s{i}" for i in range(12)])
-        result = aug.augment(samples, "hybrid", aug.AugmentationPolicy(threshold=10),
-                             _ConstantNet(np.ones(13)))
+        result = aug.augment(samples, "hybrid", aug.AugmentationPolicy(threshold=10), samples)
         assert result.samples == samples
 
     def test_strategy_none_is_identity(self, synth_dataset):
-        result = aug.augment(synth_dataset.labelled, "none", aug.AugmentationPolicy())
+        result = aug.augment(synth_dataset.labelled, "none", aug.AugmentationPolicy(),
+                             synth_dataset.unlabelled)
         assert result.samples == synth_dataset.labelled
         assert result.counts["total"] == result.counts["original"] == len(synth_dataset.labelled)
 
     def test_autoencoder_strategy_requires_network(self, synth_dataset):
-        with pytest.raises(ValueError):
-            aug.augment(synth_dataset.labelled, "autoencoder", aug.AugmentationPolicy())
+        empty = synth_dataset.unlabelled.take(np.arange(0))
+        with pytest.raises(DataError, match="needs an unlabelled file"):
+            aug.augment(synth_dataset.labelled, "autoencoder", aug.AugmentationPolicy(), empty)
 
     def test_labels_are_existing_underrepresented_cells(self, synth_dataset):
         policy = aug.AugmentationPolicy(autoencoder_epochs=2, seed=1)
-        net, _ = aug.train_autoencoder(synth_dataset.unlabelled, policy)
-        result = aug.augment(synth_dataset.labelled, "hybrid", policy, net)
+        result = aug.augment(synth_dataset.labelled, "hybrid", policy, synth_dataset.unlabelled)
         under = {cell for cell, _ in data.find_underrepresented(synth_dataset.labelled,
                                                                 policy.threshold)}
         for cell in result.samples.cells[result.counts["original"]:].tolist():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fingerloc import cli, data
+from fingerloc import cli, data, hpo
 
 
 def run(argv):
@@ -495,6 +495,11 @@ UNRUNNABLE_FILE_VALUES = [
     ("tune", "--spec", {"algorithm": "random", "max_trials": 2, "space": [1]}, "JSON object"),
     ("train", "--config", [{"train": {"epochs": 2}}], "JSON object"),
     ("train", "--config", {"train": [{"epochs": 2}]}, "train"),
+    ("tune", "--spec", {"space": 5}, "space"),
+    ("tune", "--spec", {"algorithm": "random", "max_trials": 2,
+                        "space": [{"name": "learning_rate", "min": 0.001}]}, "'max'"),
+    ("tune", "--spec", {"goal": float("nan")}, "goal"),
+    ("tune", "--spec", {"algorithm": "grid", "max_trials": 10 ** 400}, "max_trials"),
 ]
 
 
@@ -504,7 +509,8 @@ UNRUNNABLE_FILE_VALUES = [
     "tune-fractional-trials", "tune-bool-seed", "tune-beta1-bound", "tune-negative-rate-bound",
     "train-unknown-section", "rationalize-unknown-section", "tune-string-and-bool-bounds",
     "tune-unknown-entry-key", "tune-empty-grid-space", "tune-empty-random-space",
-    "tune-entry-not-an-object", "train-config-root-not-an-object", "train-section-not-an-object"])
+    "tune-entry-not-an-object", "train-config-root-not-an-object", "train-section-not-an-object",
+    "tune-space-not-a-list", "tune-entry-without-max", "tune-nan-goal", "tune-grid-trials-past-float-range"])
 def test_file_value_that_cannot_run_exits_2_without_traceback(command, flag, content, named, corpus,
                                                               tmp_path, capsys):
     path = tmp_path / "values.json"
@@ -578,7 +584,7 @@ UNFINISHABLE_RUNS = [
     (["train", "--learning-rate", "1e9", "--epochs", "3"], None, cli.EXIT_NUMERICAL, "diverged"),
     (["tune", "--epochs", "3"], {"algorithm": "random", "max_trials": 2,
                                  "space": [{"name": "learning_rate", "min": 1e9, "max": 2e9}]},
-     cli.EXIT_NUMERICAL, "all trials diverged"),
+     cli.EXIT_NUMERICAL, "numerical error: all trials diverged"),
     (["train", "--strategy", "hybrid", "--epochs", "1"], None, cli.EXIT_DATA, "needs an unlabelled file"),
 ]
 
@@ -594,6 +600,28 @@ def test_run_that_cannot_finish_exits_without_traceback(argv, spec, status, name
                 str(corpus / "layout.json"), "--out-dir", str(tmp_path / "out")]) == status
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+def test_tune_checks_its_space_once(corpus, tmp_path, monkeypatch):
+    calls = []
+    check = hpo.check_bindable
+    monkeypatch.setattr(hpo, "check_bindable", lambda *a: calls.append(a) or check(*a))
+    (tmp_path / "spec.json").write_text(json.dumps({"algorithm": "random", "max_trials": 1}))
+    assert run(["tune", "--labelled", str(corpus / "labelled.csv"), "--layout", str(corpus / "layout.json"),
+                "--spec", str(tmp_path / "spec.json"), "--out-dir", str(tmp_path / "out"),
+                "--epochs", "1"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cell_feet", [-10, 0, float("nan")], ids=["negative", "zero", "nan"])
+def test_layout_cell_feet_not_finite_and_positive_exits_3(cell_feet, corpus, tmp_path, capsys):
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps({**json.loads((corpus / "layout.json").read_text()), "cell_feet": cell_feet}))
+    argv = ["train", "--labelled", str(corpus / "labelled.csv"), "--layout", str(layout),
+            "--out-dir", str(tmp_path / "out"), "--epochs", "1"]
+    assert run(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "cell_feet" in err and "Traceback" not in err
 
 
 def test_layout_without_beacons_exits_3(tmp_path, capsys):

@@ -340,6 +340,11 @@ class TestLayout:
         with pytest.raises(LayoutError):
             data.BeaconLayout(ids=("a",), xs=(25.0,), ys=(1.0,))
 
+    @pytest.mark.parametrize("cell_feet", [-10.0, 0.0, math.nan, math.inf])
+    def test_cell_feet_must_be_finite_and_positive(self, cell_feet):
+        with pytest.raises(LayoutError, match="cell_feet"):
+            data.BeaconLayout(ids=("a",), xs=(1.0,), ys=(1.0,), cell_feet=cell_feet)
+
     def test_default_layout_has_13_beacons(self, layout):
         assert layout.n_beacons == 13
         assert layout.cell_feet == 10.0

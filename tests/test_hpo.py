@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from fingerloc import hpo
-from fingerloc.errors import DivergedError, ExperimentFailedError, GridExhausted
+from fingerloc.errors import ConfigError, DivergedError, ExperimentFailedError, GridExhausted
 from fingerloc.nn import TrainConfig
 
 PHI_AT_ZERO = 1.0 / math.sqrt(2.0 * math.pi)  # standard normal density at 0
@@ -139,33 +140,59 @@ class TestSuggest:
     SPACE = hpo.SearchSpace((("learning_rate", 0.001, 0.002), ("beta1", 0.88, 0.93)))
 
     def test_random_within_bounds(self):
-        s = hpo.Suggester("random", self.SPACE, seed=0)
+        s = hpo.Suggester(self.SPACE, hpo.ExperimentConfig(algorithm="random", seed=0))
         for _ in range(1000):
             a = s.suggest([])
-            assert self.SPACE.contains(a)
+            assert all(lo <= a[n] <= hi for n, lo, hi in self.SPACE.params)
 
     def test_grid_lattice_and_exhaustion(self):
         space = hpo.SearchSpace((("x", 0.0, 1.0),))
-        s = hpo.Suggester("grid", space, seed=0, max_trials=3)
+        s = hpo.Suggester(space, hpo.ExperimentConfig(algorithm="grid", max_trials=3, seed=0))
         points = [s.suggest([])["x"] for _ in range(3)]
         assert points == [0.0, 0.5, 1.0]
         with pytest.raises(GridExhausted):
             s.suggest([])
 
+    @pytest.mark.parametrize("params, max_trials", [
+        ((("learning_rate", 0.001, 0.002), ("beta1", 0.88, 0.93)), 15),
+        ((("a", -3.7, 1e-3), ("b", 0.1, 0.3), ("c", 5.0, 5.0 + 2.0 ** -40)), 40),
+        ((("x", 0.0, 4e-323),), 1000),  # the step underflows to 0
+        ((("x", 0.25, 0.75), ("y", 1.0, 2.0)), 1),  # one point: each axis's midpoint
+    ], ids=["adam", "cube", "subnormal", "midpoint"])
+    def test_grid_points_are_the_linspace_lattice(self, params, max_trials):
+        space = hpo.SearchSpace(params)
+        res = max(1, math.ceil(max_trials ** (1.0 / space.dim)))
+        axes = [np.array([(lo + hi) / 2.0]) if res == 1 else np.linspace(lo, hi, res) for _, lo, hi in params]
+        lattice = [dict(zip(space.names, (float(v) for v in p))) for p in itertools.product(*axes)]
+        s = hpo.Suggester(space, hpo.ExperimentConfig(algorithm="grid", max_trials=max_trials))
+        points = [s.suggest([]) for _ in lattice]
+        assert [list(p) for p in points] == [space.names] * len(lattice)
+        assert np.array_equal(np.array([list(p.values()) for p in points]).view(np.uint64),
+                              np.array([list(p.values()) for p in lattice]).view(np.uint64))
+        with pytest.raises(GridExhausted):
+            s.suggest([])
+
+    def test_grid_of_more_points_than_an_array_holds(self):
+        space = hpo.SearchSpace((("x", 0.0, 1.0), ("y", 0.0, 1.0)))
+        s = hpo.Suggester(space, hpo.ExperimentConfig(algorithm="grid", max_trials=10 ** 300))
+        assert s.suggest([]) == {"x": 0.0, "y": 0.0}
+        second = s.suggest([])
+        assert second["x"] == 0.0 and 0.0 < second["y"] < 1e-149  # 1e150 points per axis
+
     def test_bayesian_avoids_observed_point(self):
         space = hpo.SearchSpace((("x", 0.0, 1.0),))
-        s = hpo.Suggester("bayesian", space, seed=0)
+        s = hpo.Suggester(space, hpo.ExperimentConfig(algorithm="bayesian", seed=0))
         history = [hpo.Trial(i, {"x": v}, o, "ok")
                    for i, (v, o) in enumerate([(0.2, 5.0), (0.5, 1.0), (0.8, 4.0)], 1)]
         a = s.suggest(history)
         assert all(abs(a["x"] - t.assignment["x"]) > 1e-6 for t in history)
 
     def test_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            hpo.Suggester("hyperband", self.SPACE, seed=0)
+        with pytest.raises(ConfigError):
+            hpo.ExperimentConfig(algorithm="hyperband")
 
     def test_empty_space_rejected(self):
-        with pytest.raises(ValueError, match="no parameters"):
+        with pytest.raises(ConfigError, match="no parameters"):
             hpo.SearchSpace(())
 
 
@@ -228,7 +255,7 @@ class TestRunSearch:
         result = hpo.run_search(self.quadratic, self.SPACE, cfg)
         assert len(result.trials) <= 10
         for t in result.trials:
-            assert self.SPACE.contains(t.assignment)
+            assert all(lo <= t.assignment[n] <= hi for n, lo, hi in self.SPACE.params)
 
 
 class TestRunExperiment:
@@ -247,15 +274,15 @@ class TestRunExperiment:
 
         monkeypatch.setattr(hpo, "fit", fit)
         space = hpo.SearchSpace((param,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             hpo.check_bindable(space, TrainConfig(epochs=1, seed=0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             hpo.run_experiment("dnn", synth_dataset, space, hpo.ExperimentConfig(max_trials=2, seed=0),
                                base_config=TrainConfig(epochs=1, seed=0))
 
     def test_unbindable_space_rejected(self, synth_dataset):
         space = hpo.SearchSpace((("dropout", 0.0, 1.0),))
         cfg = hpo.ExperimentConfig(max_trials=1, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             hpo.run_experiment("dnn", synth_dataset, space, cfg,
                                base_config=TrainConfig(epochs=1, seed=0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fingerloc import data, models, nn
-from fingerloc.errors import DivergedError, LoadError, ShapeError
+from fingerloc.errors import ConfigError, DivergedError, LoadError, ShapeError
 
 FD_STEP = 1e-5
 GRAD_TOL = 1e-4
@@ -463,7 +463,7 @@ class TestOptimizers:
         assert p[0] == pytest.approx(-0.25)
 
     def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             nn.SgdMomentumState(momentum=1.0)
 
 
@@ -528,7 +528,7 @@ class TestTraining:
         {"learning_rate": -1.0}, {"learning_rate": math.inf}, {"learning_rate": math.nan},
     ], ids=["beta1", "beta2", "momentum", "negative-rate", "infinite-rate", "nan-rate"])
     def test_config_rejects_what_its_optimizer_cannot_run(self, fields):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             nn.TrainConfig(**fields)
 
     def test_empty_training_set(self):
