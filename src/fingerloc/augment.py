@@ -32,13 +32,6 @@ class AugmentationPolicy:
     seed: int = 0
 
 
-def _grown(table: Fingerprints, cells: list[tuple[int, int]], rssi: list[np.ndarray],
-           timestamps: list[str]) -> Fingerprints:
-    """Generated rows, each located at the cell it was grown from."""
-    rssi = np.array(rssi, dtype=np.float64).reshape(len(rssi), table.rssi.shape[1])
-    return Fingerprints(rssi, timestamps, cells)
-
-
 def naive_augment(table: Fingerprints, groups: Groups, policy: AugmentationPolicy) -> Fingerprints:
     """One uniform-range sample per grouped cell.
 
@@ -46,16 +39,14 @@ def naive_augment(table: Fingerprints, groups: Groups, policy: AugmentationPolic
     the location; otherwise the generated value is no-signal.
     """
     rng = np.random.Generator(np.random.PCG64(policy.seed))
-    cells, rssi, timestamps = [], [], []
-    for cell, rows in groups:
+    rssi = np.full((len(groups), table.rssi.shape[1]), NO_SIGNAL)
+    for values, (_, rows) in zip(rssi, groups):
         block = table.rssi[rows]
         shared = (block > NO_SIGNAL).all(axis=0)
-        values = np.full(block.shape[1], NO_SIGNAL)
         values[shared] = rng.uniform(block.min(axis=0)[shared], block.max(axis=0)[shared])
-        cells.append(cell)
-        rssi.append(values)
-        timestamps.append(f"naive-{cell[0]}-{cell[1]}-0")  # the sample's index within its cell
-    return _grown(table, cells, rssi, timestamps)
+    cells = [cell for cell, _ in groups]
+    # the trailing 0 is the sample's index within its cell
+    return Fingerprints(rssi, [f"naive-{col}-{row}-0" for col, row in cells], cells)
 
 
 def train_autoencoder(unlabelled: Fingerprints, policy: AugmentationPolicy) -> tuple[Network, list[float]]:
@@ -78,19 +69,18 @@ def autoencoder_augment(table: Fingerprints, groups: Groups,
     A candidate is discarded when it shows signal on a beacon never seen
     with signal at that location. Returns (kept rows, discarded count).
     """
-    cells, rssi, timestamps = [], [], []
-    discarded = 0
-    for cell, rows in groups:
+    out = np.empty((len(groups), table.rssi.shape[1]))
+    seen = np.empty(out.shape, dtype=bool)
+    for k, (_, rows) in enumerate(groups):
         # one batch-1 forward per cell: batching them changes the last bits
-        out = np.clip(autoencoder.forward(table.rssi[rows[:1]] / NO_SIGNAL)[0], 0.0, 1.0)
-        seen = (table.rssi[rows] > NO_SIGNAL).any(axis=0)
-        if np.any((out < SIGNAL_TAU) & ~seen):
-            discarded += 1
-            continue
-        cells.append(cell)
-        rssi.append(np.clip(out * NO_SIGNAL, NO_SIGNAL, 0.0))
-        timestamps.append(f"autoenc-{cell[0]}-{cell[1]}")
-    return _grown(table, cells, rssi, timestamps), discarded
+        out[k] = autoencoder.forward(table.rssi[rows[:1]] / NO_SIGNAL)[0]
+        seen[k] = (table.rssi[rows] > NO_SIGNAL).any(axis=0)
+    np.clip(out, 0.0, 1.0, out=out)
+    keep = ~((out < SIGNAL_TAU) & ~seen).any(axis=1)
+    cells = [cell for cell, _ in groups]
+    grown = Fingerprints(np.clip(out * NO_SIGNAL, NO_SIGNAL, 0.0),
+                         [f"autoenc-{col}-{row}" for col, row in cells], cells)
+    return grown.take(keep), len(groups) - int(keep.sum())
 
 
 @dataclass

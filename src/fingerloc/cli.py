@@ -13,7 +13,6 @@ Exit codes: 0 ok, 2 configuration error or invalid flag, 3 data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -99,11 +98,8 @@ def write_cdf(errors_feet: np.ndarray, path: Path) -> None:
     """Empirical CDF of per-sample errors: nondecreasing, final fraction 1.0."""
     ordered = np.sort(np.asarray(errors_feet, dtype=np.float64))
     n = len(ordered)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["error_ft", "fraction"])
-        for i, e in enumerate(ordered):
-            writer.writerow([repr(float(e)), repr((i + 1) / n)])
+    data.write_table(path, ["error_ft", "fraction"],
+                     ([repr(e), repr((i + 1) / n)] for i, e in enumerate(ordered.tolist())))
 
 
 def _load_config(path: str | None) -> dict:
@@ -221,12 +217,9 @@ def cmd_tune(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     result = hpo.run_experiment(args["model"], dataset, space, exp_config, base_config=base)
 
     trials_path = out_dir / "trials.csv"
-    with open(trials_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["trial", *space.names, "objective", "status"])
-        for t in result.trials:
-            writer.writerow([t.number, *(repr(t.assignment[n]) for n in space.names),
-                             "" if t.objective is None else repr(t.objective), t.status])
+    data.write_table(trials_path, ["trial", *space.names, "objective", "status"],
+                     ([t.number, *(repr(t.assignment[n]) for n in space.names),
+                       "" if t.objective is None else repr(t.objective), t.status] for t in result.trials))
     best_config = replace(base, **result.best.assignment)
     best_path = out_dir / "best_config.json"
     _write_json(best_path, {"train": asdict(best_config),
@@ -259,16 +252,11 @@ def cmd_rationalize(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     ranked = rationalize.rank_beacons(result)
 
     study_path = out_dir / "study.csv"
-    with open(study_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["beacon", "residual_samples", "mean_error_ft", "delta_ft", "flag"])
-        for impact, improves in ranked:
-            writer.writerow([
-                impact.beacon_id, impact.residual_samples,
-                "" if impact.mean_error_feet is None else repr(impact.mean_error_feet),
-                "" if impact.delta_feet is None else repr(impact.delta_feet),
-                "removal_improves_accuracy" if improves else (impact.error or ""),
-            ])
+    rows = ([impact.beacon_id, impact.residual_samples,
+             "" if impact.mean_error_feet is None else repr(impact.mean_error_feet),
+             "" if impact.delta_feet is None else repr(impact.delta_feet),
+             "removal_improves_accuracy" if improves else (impact.error or "")] for impact, improves in ranked)
+    data.write_table(study_path, ["beacon", "residual_samples", "mean_error_ft", "delta_ft", "flag"], rows)
     summary_path = out_dir / "summary.json"
     _write_json(summary_path, {
         "baseline_mean_error_ft": result.baseline_feet,
@@ -288,10 +276,13 @@ def cmd_rationalize(args: dict, out_dir: Path) -> tuple[list[Path], int]:
 
 def cmd_synth(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     layout = _load_layout(args["layout"])
-    dataset = data.synth_generate(
-        layout, data.PathLossModel(noise_std=args["noise_std"]), n_locations=args["locations"],
-        samples_per_location=args["samples_per_location"], seed=args["seed"],
-        n_unlabelled=args["unlabelled_count"])
+    try:
+        dataset = data.synth_generate(
+            layout, data.PathLossModel(noise_std=args["noise_std"]), n_locations=args["locations"],
+            samples_per_location=args["samples_per_location"], seed=args["seed"],
+            n_unlabelled=args["unlabelled_count"])
+    except MemoryError as e:  # numpy refuses an array past the machine's memory at once
+        raise ConfigError(f"the requested corpus does not fit in memory: {e}") from None
     labelled_path = out_dir / "labelled.csv"
     unlabelled_path = out_dir / "unlabelled.csv"
     layout_path = out_dir / "layout.json"
@@ -382,7 +373,7 @@ SHARED = {
     "--out-dir": dict(default="out"),
     "--model": dict(choices=("dnn", "cnn"), default="dnn"),
     "--epochs": dict(type=int, default=None),
-    "--threshold": dict(type=_in_range(int, 1, math.inf), default=10,
+    "--threshold": dict(type=_in_range(int, 1, math.inf), default=aug.AugmentationPolicy.threshold,
                         help="a cell with fewer labelled rows is under-represented"),
 }
 
@@ -434,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locations", type=_in_range(int, 1, data.GRID_SIZE ** 2), default=200)
     p.add_argument("--samples-per-location", type=_in_range(int, 1, math.inf), default=5)
     p.add_argument("--unlabelled-count", type=_in_range(int, 0, math.inf), default=0)
-    p.add_argument("--noise-std", type=_in_range(float, 0.0, math.inf), default=2.0)
+    p.add_argument("--noise-std", type=_in_range(float, 0.0, math.inf), default=data.PathLossModel.noise_std)
 
     p = sub.add_parser("rerun", help="re-execute a command from its manifest")
     p.add_argument("manifest")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class BeaconLayout:
             raise LayoutError("layout has no beacons")
         if len(self.ids) != len(self.xs) or len(self.ids) != len(self.ys):
             raise LayoutError("beacon id and coordinate counts differ")
+        for bid in self.ids:  # a CSV reader strips each header field before matching it to an id
+            if not isinstance(bid, str) or bid != bid.strip():
+                raise LayoutError(f"beacon id {bid!r} is not a string free of surrounding spaces")
         if len(set(self.ids)) != len(self.ids):
             raise LayoutError("duplicate beacon identifiers")
         for bid, x, y in zip(self.ids, self.xs, self.ys):
@@ -267,22 +270,25 @@ def load_dataset(labelled_path: str | Path, unlabelled_path: str | Path | None, 
     return Dataset(labelled=labelled, unlabelled=unlabelled, layout=layout)
 
 
-def write_labelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path) -> None:
-    """Write labelled rows, each location as its cell's canonical label."""
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV file: the ``header`` row, then each of ``rows``. The toolkit's only CSV writer."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["location", "date", *layout.ids])
-        # .tolist() gives Python floats, whose repr is the plain number
-        for cell, timestamp, rssi in zip(table.cells.tolist(), table.timestamps.tolist(), table.rssi.tolist()):
-            writer.writerow([encode_location_label(cell), timestamp, *(_fmt(v) for v in rssi)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_labelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path) -> None:
+    """Write labelled rows, each location as its cell's canonical label."""
+    # .tolist() gives Python floats, whose repr is the plain number
+    columns = zip(table.cells.tolist(), table.timestamps.tolist(), table.rssi.tolist())
+    write_table(path, ["location", "date", *layout.ids],
+                ([encode_location_label(cell), timestamp, *map(_fmt, rssi)] for cell, timestamp, rssi in columns))
 
 
 def write_unlabelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["date", *layout.ids])
-        for timestamp, rssi in zip(table.timestamps.tolist(), table.rssi.tolist()):
-            writer.writerow([timestamp, *(_fmt(v) for v in rssi)])
+    columns = zip(table.timestamps.tolist(), table.rssi.tolist())
+    write_table(path, ["date", *layout.ids], ([timestamp, *map(_fmt, rssi)] for timestamp, rssi in columns))
 
 
 def _fmt(v: float) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 from .data import Dataset, split
 from .errors import ConfigError, ExperimentFailedError, GridExhausted, NumericalError
 from .models import HOLDOUT_RATIO, fit
-from .nn import TrainConfig
+from .nn import OPTIMIZERS, TrainConfig
 
 WARMUP_TRIALS = 3
 EI_CANDIDATES = 1024
@@ -244,9 +244,6 @@ def run_search(objective: Callable[[dict[str, float]], float], space: SearchSpac
     return ExperimentResult(best=best, trials=trials)
 
 
-# parameter names a search space may bind to TrainConfig fields
-TUNABLE_FIELDS = ("learning_rate", "beta1", "beta2", "momentum")
-
 ADAM_SPACE = SearchSpace((("learning_rate", 0.001, 0.002), ("beta1", 0.88, 0.93)))
 # SGD ranges bracket typical tuned values; not prescribed anywhere upstream
 SGD_SPACE = SearchSpace((("learning_rate", 0.005, 0.02), ("momentum", 0.85, 0.95)))
@@ -257,10 +254,12 @@ def default_space(optimizer: str) -> SearchSpace:
 
 
 def check_bindable(space: SearchSpace, base_config: TrainConfig) -> None:
-    """Raise ConfigError unless each parameter is tunable and ``base_config`` takes both its bounds."""
-    unknown = set(space.names) - set(TUNABLE_FIELDS)
-    if unknown:
-        raise ConfigError(f"search space names not bindable to a train config: {sorted(unknown)}")
+    """Raise ConfigError unless ``base_config``'s optimizer reads each parameter and ``base_config`` takes
+    both its bounds."""
+    unread = set(space.names) - set(OPTIMIZERS[base_config.optimizer])
+    if unread:
+        raise ConfigError(f"search space names that the {base_config.optimizer} optimizer does not read: "
+                          f"{sorted(unread)}")
     for name, lo, hi in space.params:
         replace(base_config, **{name: lo})  # each field's valid values form an interval
         replace(base_config, **{name: hi})

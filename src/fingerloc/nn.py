@@ -437,7 +437,8 @@ class SgdMomentumState:
 # ---------------------------------------------------------------------------
 # training / evaluation
 
-OPTIMIZERS = ("adam", "sgd")
+# each optimizer -> the TrainConfig fields it reads
+OPTIMIZERS = {"adam": ("learning_rate", "beta1", "beta2"), "sgd": ("learning_rate", "momentum")}
 
 
 @dataclass
@@ -466,11 +467,11 @@ class TrainConfig:
         self.make_optimizer()  # which checks its own hyperparameters
 
     def make_optimizer(self):
-        if self.optimizer == "adam":
-            lr = 0.001 if self.learning_rate is None else self.learning_rate
-            return AdamState(learning_rate=lr, beta1=self.beta1, beta2=self.beta2)
-        lr = 0.01 if self.learning_rate is None else self.learning_rate
-        return SgdMomentumState(learning_rate=lr, momentum=self.momentum)
+        """The optimizer's state from the fields ``OPTIMIZERS`` lists for it; a None learning rate takes
+        the optimizer's own default."""
+        state = AdamState if self.optimizer == "adam" else SgdMomentumState
+        values = {name: getattr(self, name) for name in OPTIMIZERS[self.optimizer]}
+        return state(**{name: v for name, v in values.items() if v is not None})
 
 
 def train(network: Network, inputs: np.ndarray, targets: np.ndarray,

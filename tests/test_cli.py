@@ -437,6 +437,9 @@ INVALID_FLAGS = [
     ["augment", "--threshold", "0"],
     ["rationalize", "--n-seeds", "0"],
     ["synth", "--locations", "1" + "0" * 400],  # past the float range: compared, not converted
+    # numpy refuses these arrays (about 14 PiB and more) at once, so nothing is allocated
+    ["synth", "--unlabelled-count", "1000000000000000"],
+    ["synth", "--samples-per-location", "1000000000000000"],
     *([command, "--seed", "-1"] for command in ("synth", "train", "tune", "augment", "rationalize")),
 ]
 
@@ -500,6 +503,10 @@ UNRUNNABLE_FILE_VALUES = [
                         "space": [{"name": "learning_rate", "min": 0.001}]}, "'max'"),
     ("tune", "--spec", {"goal": float("nan")}, "goal"),
     ("tune", "--spec", {"algorithm": "grid", "max_trials": 10 ** 400}, "max_trials"),
+    ("tune", "--spec", {"algorithm": "random", "max_trials": 4,
+                        "space": [{"name": "momentum", "min": 0.5, "max": 0.95}]}, "momentum"),
+    ("tune --optimizer sgd", "--spec", {"algorithm": "random", "max_trials": 4,
+                                        "space": [{"name": "beta1", "min": 0.5, "max": 0.95}]}, "beta1"),
 ]
 
 
@@ -510,12 +517,13 @@ UNRUNNABLE_FILE_VALUES = [
     "train-unknown-section", "rationalize-unknown-section", "tune-string-and-bool-bounds",
     "tune-unknown-entry-key", "tune-empty-grid-space", "tune-empty-random-space",
     "tune-entry-not-an-object", "train-config-root-not-an-object", "train-section-not-an-object",
-    "tune-space-not-a-list", "tune-entry-without-max", "tune-nan-goal", "tune-grid-trials-past-float-range"])
+    "tune-space-not-a-list", "tune-entry-without-max", "tune-nan-goal", "tune-grid-trials-past-float-range",
+    "tune-adam-momentum", "tune-sgd-beta1"])
 def test_file_value_that_cannot_run_exits_2_without_traceback(command, flag, content, named, corpus,
                                                               tmp_path, capsys):
     path = tmp_path / "values.json"
     path.write_text(json.dumps(content))
-    status = run([command, "--labelled", str(corpus / "labelled.csv"), "--layout",
+    status = run([*command.split(), "--labelled", str(corpus / "labelled.csv"), "--layout",
                   str(corpus / "layout.json"), flag, str(path), "--out-dir", str(tmp_path / "out"),
                   "--epochs", "1"])
     assert status == cli.EXIT_CONFIG
@@ -622,6 +630,17 @@ def test_layout_cell_feet_not_finite_and_positive_exits_3(cell_feet, corpus, tmp
     assert run(argv) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert "cell_feet" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("beacon_id", [5, " b1", ["b1"]], ids=["number", "padded", "list"])
+def test_beacon_id_that_no_header_can_match_exits_3(beacon_id, tmp_path, capsys):
+    """A reader strips each header field and compares it, as text, to the layout's ids."""
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps({"beacons": [{"id": beacon_id, "x": 1, "y": 2}, {"id": "b2", "x": 3, "y": 4}]}))
+    assert run(["synth", "--layout", str(layout), "--out-dir", str(tmp_path / "out")]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "beacon id" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "labelled.csv").exists()
 
 
 def test_layout_without_beacons_exits_3(tmp_path, capsys):
