@@ -214,7 +214,7 @@ def cmd_tune(args: dict, out_dir: Path) -> tuple[list[Path], int]:
         space = hpo.SearchSpace(tuple((e["name"], e["min"], e["max"]) for e in entries))
     layout = _load_layout(args["layout"])
     dataset = data.load_dataset(args["labelled"], None, layout)
-    result = hpo.run_experiment(args["model"], dataset, space, exp_config, base_config=base)
+    result = hpo.run_search(hpo.training_objective(args["model"], dataset, space, base), space, exp_config)
 
     trials_path = out_dir / "trials.csv"
     data.write_table(trials_path, ["trial", *space.names, "objective", "status"],

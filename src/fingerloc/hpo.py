@@ -13,9 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, split
+from .data import Dataset
 from .errors import ConfigError, ExperimentFailedError, GridExhausted, NumericalError
-from .models import HOLDOUT_RATIO, fit
+from .models import score
 from .nn import OPTIMIZERS, TrainConfig
 
 WARMUP_TRIALS = 3
@@ -265,21 +265,10 @@ def check_bindable(space: SearchSpace, base_config: TrainConfig) -> None:
         replace(base_config, **{name: hi})
 
 
-def training_objective(model_kind: str, dataset: Dataset, space: SearchSpace, base_config: TrainConfig,
-                       split_seed: int = 0) -> Callable[[dict[str, float]], float]:
-    """Objective: mean test error in grid units of ``models.fit`` on one ``HOLDOUT_RATIO`` split."""
+def training_objective(model_kind: str, dataset: Dataset, space: SearchSpace,
+                       base_config: TrainConfig) -> Callable[[dict[str, float]], float]:
+    """Objective: ``models.score``'s mean test error in grid units at ``base_config`` with the trial's
+    assignment, so ``base_config.seed`` decides every trial's split and initialisation."""
     check_bindable(space, base_config)
-    train_set, test_set = split(dataset.labelled, HOLDOUT_RATIO, split_seed)
-
-    def objective(assignment: dict[str, float]) -> float:
-        config = replace(base_config, **assignment)
-        return fit(model_kind, train_set, test_set, dataset.layout, config)[2].mean_error_grid
-
-    return objective
-
-
-def run_experiment(model_kind: str, dataset: Dataset, space: SearchSpace, config: ExperimentConfig,
-                   base_config: TrainConfig) -> ExperimentResult:
-    """Tune a model's optimizer hyperparameters, starting from ``base_config``, on a dataset."""
-    objective = training_objective(model_kind, dataset, space, base_config, split_seed=config.seed)
-    return run_search(objective, space, config)
+    return lambda assignment: score(model_kind, dataset.labelled, dataset.layout,
+                                    replace(base_config, **assignment)).mean_error_grid

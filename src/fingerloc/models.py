@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import GRID_SIZE, NO_SIGNAL, BeaconLayout, Fingerprints
+from .data import GRID_SIZE, NO_SIGNAL, BeaconLayout, Fingerprints, split
 from .errors import DataError, LayoutError
 from .nn import (Conv2d, Dense, Flatten, MaxPool2d, Metrics, Network, ReLU, Sigmoid, TrainConfig,
                  evaluate, train)
@@ -104,3 +104,9 @@ def fit(kind: str, train_set: Fingerprints, test_set: Fingerprints, layout: Beac
     network = build_model(kind, seed=config.seed, n_beacons=layout.n_beacons)
     history = train(network, *xy(kind, train_set, layout), config)
     return network, history, evaluate(network, *xy(kind, test_set, layout), layout.cell_feet)
+
+
+def score(kind: str, labelled: Fingerprints, layout: BeaconLayout, config: TrainConfig) -> Metrics:
+    """Test metrics of ``fit`` on ``labelled`` split at ``HOLDOUT_RATIO`` by ``config.seed``, the seed
+    that also initialises and shuffles the model."""
+    return fit(kind, *split(labelled, HOLDOUT_RATIO, config.seed), layout, config)[2]

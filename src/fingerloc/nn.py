@@ -15,7 +15,7 @@ import base64
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -460,6 +460,11 @@ class TrainConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        foreign = set().union(*OPTIMIZERS.values()) - set(OPTIMIZERS[self.optimizer])
+        unread = [f.name for f in fields(self) if f.name in foreign and getattr(self, f.name) != f.default]
+        if unread:
+            raise ConfigError(f"the {self.optimizer} optimizer does not read {', '.join(unread)}; "
+                              f"leave it at its default")
         if self.learning_rate is not None and not 0.0 <= self.learning_rate < math.inf:
             raise ConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.seed < 0:

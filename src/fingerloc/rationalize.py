@@ -2,7 +2,7 @@
 
 Silencing a beacon sets its RSSI to no-signal in every labelled sample and
 removes the samples for which it was the only beacon with signal. One
-``models.fit`` per seed on each residual dataset, split at ``HOLDOUT_RATIO``,
+``models.score`` per seed on each residual dataset, averaged over the seeds,
 quantifies the beacon's contribution to accuracy.
 """
 from __future__ import annotations
@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import NO_SIGNAL, Dataset, split
+from .data import NO_SIGNAL, Dataset
 from .errors import FingerlocError
-from .models import HOLDOUT_RATIO, fit
+from .models import score
 from .nn import TrainConfig
 
 
@@ -45,8 +45,7 @@ class DropoutStudyResult:
 
 def _mean_error_feet(model_kind: str, config: TrainConfig, dataset: Dataset, seeds: list[int]) -> float:
     return float(np.mean([
-        fit(model_kind, *split(dataset.labelled, HOLDOUT_RATIO, seed), dataset.layout,
-            replace(config, seed=seed))[2].mean_error_feet
+        score(model_kind, dataset.labelled, dataset.layout, replace(config, seed=seed)).mean_error_feet
         for seed in seeds]))
 
 

@@ -177,15 +177,14 @@ def test_criterion_6_tuning_direction(uci_dataset, kind, optimizer):
     space = hpo.default_space(optimizer)
     exp = hpo.ExperimentConfig(algorithm="bayesian", max_trials=15, goal=1.2, seed=0)
     base = nn.TrainConfig(optimizer=optimizer, seed=0)
-    result = hpo.run_experiment(kind, uci_dataset, space, exp, base_config=base)
+    result = hpo.run_search(hpo.training_objective(kind, uci_dataset, space, base), space, exp)
     tuned = result.best.assignment
     defaults = ({"learning_rate": 0.001, "beta1": 0.9} if optimizer == "adam"
                 else {"learning_rate": 0.01, "momentum": 0.9})
     wins = 0
     for seed in range(5):
         objective = hpo.training_objective(kind, uci_dataset, space,
-                                           nn.TrainConfig(optimizer=optimizer, seed=seed),
-                                           split_seed=seed)
+                                           nn.TrainConfig(optimizer=optimizer, seed=seed))
         if objective(tuned) <= objective(defaults):
             wins += 1
     assert wins >= 4, f"{kind}+{optimizer}: tuned beat default in only {wins}/5 seeds"

@@ -164,6 +164,16 @@ class TestTune:
         assert ((tmp_path / "as_written" / "model.bin").read_bytes()
                 == (tmp_path / "train_only" / "model.bin").read_bytes())
 
+    def test_sgd_best_config_passes_back(self, corpus, tmp_path):
+        # best_config.json records adam's beta1 and beta2 at their defaults, which an sgd config accepts
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"algorithm": "random", "max_trials": 1}))
+        assert run(["tune", "--labelled", str(corpus / "labelled.csv"), "--layout", str(corpus / "layout.json"),
+                    "--spec", str(spec), "--optimizer", "sgd", "--out-dir", str(tmp_path / "tune"),
+                    "--epochs", "1"]) == 0
+        assert run(["train", *common_args(corpus), "--config", str(tmp_path / "tune" / "best_config.json"),
+                    "--out-dir", str(tmp_path / "train"), "--epochs", "1"]) == 0
+
     def test_goal_met_first_trial(self, corpus, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -507,6 +517,8 @@ UNRUNNABLE_FILE_VALUES = [
                         "space": [{"name": "momentum", "min": 0.5, "max": 0.95}]}, "momentum"),
     ("tune --optimizer sgd", "--spec", {"algorithm": "random", "max_trials": 4,
                                         "space": [{"name": "beta1", "min": 0.5, "max": 0.95}]}, "beta1"),
+    ("train", "--config", {"train": {"optimizer": "adam", "momentum": 0.99}}, "momentum"),
+    ("train", "--config", {"train": {"optimizer": "sgd", "beta1": 0.5}}, "beta1"),
 ]
 
 
@@ -518,7 +530,7 @@ UNRUNNABLE_FILE_VALUES = [
     "tune-unknown-entry-key", "tune-empty-grid-space", "tune-empty-random-space",
     "tune-entry-not-an-object", "train-config-root-not-an-object", "train-section-not-an-object",
     "tune-space-not-a-list", "tune-entry-without-max", "tune-nan-goal", "tune-grid-trials-past-float-range",
-    "tune-adam-momentum", "tune-sgd-beta1"])
+    "tune-adam-momentum", "tune-sgd-beta1", "train-adam-momentum", "train-sgd-beta1"])
 def test_file_value_that_cannot_run_exits_2_without_traceback(command, flag, content, named, corpus,
                                                               tmp_path, capsys):
     path = tmp_path / "values.json"

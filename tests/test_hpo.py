@@ -1,10 +1,11 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fingerloc import hpo
+from fingerloc import hpo, models
 from fingerloc.errors import ConfigError, DivergedError, ExperimentFailedError, GridExhausted
 from fingerloc.nn import TrainConfig
 
@@ -262,27 +263,36 @@ class TestRunExperiment:
     def test_tunes_model_on_synthetic_data(self, synth_dataset):
         cfg = hpo.ExperimentConfig(algorithm="random", max_trials=2, goal=0.001, seed=0)
         base = TrainConfig(epochs=5, seed=0)
-        result = hpo.run_experiment("dnn", synth_dataset, hpo.ADAM_SPACE, cfg, base_config=base)
+        result = hpo.run_search(hpo.training_objective("dnn", synth_dataset, hpo.ADAM_SPACE, base),
+                                hpo.ADAM_SPACE, cfg)
         assert result.best.objective is not None
         assert len(result.trials) <= 2
+
+    def test_objective_is_score_at_the_assignment(self, synth_dataset):
+        base = TrainConfig(epochs=2, seed=3)
+        assignment = {"learning_rate": 0.0015, "beta1": 0.9}
+        objective = hpo.training_objective("dnn", synth_dataset, hpo.ADAM_SPACE, base)
+        metrics = models.score("dnn", synth_dataset.labelled, synth_dataset.layout,
+                               replace(base, **assignment))
+        assert objective(assignment) == metrics.mean_error_grid
 
     @pytest.mark.parametrize("param", [("beta1", 0.5, 1.5), ("learning_rate", -1.0, 0.01)],
                              ids=["beta1-above-1", "negative-rate"])
     def test_space_bound_the_train_config_rejects(self, synth_dataset, monkeypatch, param):
-        def fit(*args):
+        def score(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(hpo, "fit", fit)
+        monkeypatch.setattr(hpo, "score", score)
         space = hpo.SearchSpace((param,))
         with pytest.raises(ConfigError):
             hpo.check_bindable(space, TrainConfig(epochs=1, seed=0))
         with pytest.raises(ConfigError):
-            hpo.run_experiment("dnn", synth_dataset, space, hpo.ExperimentConfig(max_trials=2, seed=0),
-                               base_config=TrainConfig(epochs=1, seed=0))
+            hpo.run_search(hpo.training_objective("dnn", synth_dataset, space, TrainConfig(epochs=1, seed=0)),
+                           space, hpo.ExperimentConfig(max_trials=2, seed=0))
 
     def test_unbindable_space_rejected(self, synth_dataset):
         space = hpo.SearchSpace((("dropout", 0.0, 1.0),))
         cfg = hpo.ExperimentConfig(max_trials=1, seed=0)
         with pytest.raises(ConfigError):
-            hpo.run_experiment("dnn", synth_dataset, space, cfg,
-                               base_config=TrainConfig(epochs=1, seed=0))
+            hpo.run_search(hpo.training_objective("dnn", synth_dataset, space, TrainConfig(epochs=1, seed=0)),
+                           space, cfg)

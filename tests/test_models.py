@@ -103,6 +103,8 @@ class TestFit:
         train_set, test_set = data.split(synth_dataset.labelled, 1.0, 0)
         with pytest.raises(DataError, match="too few to split"):
             models.fit("dnn", train_set, test_set, layout, self.CONFIG)
+        with pytest.raises(DataError, match="too few to split"):  # one row splits into 0 + 1
+            models.score("dnn", synth_dataset.labelled.take(np.arange(1)), layout, self.CONFIG)
 
     def test_metrics_are_evaluate_on_the_returned_network(self, synth_dataset, layout):
         train_set, test_set = data.split(synth_dataset.labelled, models.HOLDOUT_RATIO, 0)
@@ -116,3 +118,15 @@ class TestFit:
         fresh = models.build_model("dnn", seed=self.CONFIG.seed)
         assert nn.train(fresh, *models.xy("dnn", train_set, layout), self.CONFIG) == history
         assert np.array_equal(fresh.theta, network.theta)
+
+
+class TestScore:
+    CONFIG = nn.TrainConfig(epochs=3, seed=4)
+
+    def test_is_fit_on_the_holdout_split_at_the_config_seed(self, synth_dataset, layout):
+        metrics = models.score("dnn", synth_dataset.labelled, layout, self.CONFIG)
+        split = data.split(synth_dataset.labelled, models.HOLDOUT_RATIO, self.CONFIG.seed)
+        expected = models.fit("dnn", *split, layout, self.CONFIG)[2]
+        assert metrics.mean_error_grid == expected.mean_error_grid
+        assert metrics.mean_error_feet == expected.mean_error_feet
+        assert np.array_equal(metrics.per_sample_errors_feet, expected.per_sample_errors_feet)

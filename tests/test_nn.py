@@ -526,7 +526,9 @@ class TestTraining:
     @pytest.mark.parametrize("fields", [
         {"beta1": 1.5}, {"beta2": 1.0}, {"optimizer": "sgd", "momentum": 1.0},
         {"learning_rate": -1.0}, {"learning_rate": math.inf}, {"learning_rate": math.nan},
-    ], ids=["beta1", "beta2", "momentum", "negative-rate", "infinite-rate", "nan-rate"])
+        {"optimizer": "adam", "momentum": 0.99}, {"optimizer": "sgd", "beta2": 0.5},
+    ], ids=["beta1", "beta2", "momentum", "negative-rate", "infinite-rate", "nan-rate", "adam-momentum",
+            "sgd-beta2"])
     def test_config_rejects_what_its_optimizer_cannot_run(self, fields):
         with pytest.raises(ConfigError):
             nn.TrainConfig(**fields)

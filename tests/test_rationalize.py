@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hypothesis import given, strategies as st
 
-from fingerloc import data, rationalize
+from fingerloc import data, models, rationalize
 from fingerloc.data import Dataset, NO_SIGNAL
 from fingerloc.errors import LayoutError
 from fingerloc.nn import TrainConfig
@@ -117,6 +119,11 @@ class TestDropoutStudy:
             if i.delta_feet is not None:
                 assert i.delta_feet == pytest.approx(i.mean_error_feet - study.baseline_feet)
 
+    def test_baseline_is_the_mean_score_over_seeds(self, study, synth_dataset):
+        errors = [models.score("dnn", synth_dataset.labelled, synth_dataset.layout,
+                               replace(FAST_CONFIG, seed=seed)).mean_error_feet for seed in study.seeds]
+        assert study.baseline_feet == float(np.mean(errors))
+
     def test_requires_seed(self, synth_dataset):
         with pytest.raises(ValueError):
             rationalize.dropout_study("dnn", FAST_CONFIG, synth_dataset, seeds=[])
@@ -134,15 +141,15 @@ class TestDropoutStudy:
     def test_programming_error_propagates(self, synth_dataset, monkeypatch):
         # the baseline trains once per seed; the first per-beacon retrain then fails
         calls = []
-        real_fit = rationalize.fit
+        real_score = rationalize.score
 
-        def fit(*args, **kwargs):
+        def score(*args, **kwargs):
             calls.append(1)
             if len(calls) > 1:
                 raise TypeError("bug in training code")
-            return real_fit(*args, **kwargs)
+            return real_score(*args, **kwargs)
 
-        monkeypatch.setattr(rationalize, "fit", fit)
+        monkeypatch.setattr(rationalize, "score", score)
         with pytest.raises(TypeError, match="bug in training code"):
             rationalize.dropout_study("dnn", FAST_CONFIG, synth_dataset, seeds=[0])
 
