@@ -491,17 +491,19 @@ def train(network: Network, inputs: np.ndarray, targets: np.ndarray,
     rng = np.random.Generator(np.random.PCG64(config.seed))
     loss_fn = config.loss
     history = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(inputs))
-        epoch_losses = []
-        for b, start in enumerate(range(0, len(inputs), config.batch_size)):
-            idx = order[start:start + config.batch_size]
-            loss, _ = backward(network, inputs[idx], targets[idx], loss_fn)
-            if not math.isfinite(loss) or loss > DIVERGENCE_BOUND:
-                raise DivergedError(epoch, b, loss)
-            optimizer.step(network.theta, network.grad)
-            epoch_losses.append(loss)
-        history.append(float(np.mean(epoch_losses)))
+    # a diverging run overflows on its way to a non-finite loss; DivergedError alone reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(inputs))
+            epoch_losses = []
+            for b, start in enumerate(range(0, len(inputs), config.batch_size)):
+                idx = order[start:start + config.batch_size]
+                loss, _ = backward(network, inputs[idx], targets[idx], loss_fn)
+                if not math.isfinite(loss) or loss > DIVERGENCE_BOUND:
+                    raise DivergedError(epoch, b, loss)
+                optimizer.step(network.theta, network.grad)
+                epoch_losses.append(loss)
+            history.append(float(np.mean(epoch_losses)))
     return history
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -620,6 +621,19 @@ def test_run_that_cannot_finish_exits_without_traceback(argv, spec, status, name
                 str(corpus / "layout.json"), "--out-dir", str(tmp_path / "out")]) == status
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+def test_divergence_is_reported_once_when_warnings_are_errors(corpus, tmp_path, capsys):
+    # a learning rate near the float64 maximum overflows inside the optimizer before the loss
+    # turns non-finite; only the divergence may surface
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = run(["train", "--model", "dnn", "--epochs", "1", "--learning-rate", "1e308",
+                      "--labelled", str(corpus / "labelled.csv"), "--layout", str(corpus / "layout.json"),
+                      "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert status == cli.EXIT_NUMERICAL
+    assert "diverged" in err and "RuntimeWarning" not in err and "Traceback" not in err
 
 
 def test_tune_checks_its_space_once(corpus, tmp_path, monkeypatch):

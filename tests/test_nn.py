@@ -312,6 +312,43 @@ def textbook_conv_backward(x, w, dy):
     return dx, dw, flat_dy.sum(axis=0)
 
 
+def edge_pixels(n):
+    """``n`` images whose active pixels sit on the corners and edges, one in some rows only."""
+    x = np.zeros((n, 25, 25, 1))
+    for k, (r, c) in enumerate([(0, 0), (0, 24), (24, 0), (24, 24), (3, 12), (12, 0), (21, 5)]):
+        x[:, r, c, 0] = np.linspace(0.1, 0.9, n) + 0.01 * k
+    x[1::2, 3, 12, 0] = 0.0
+    return x
+
+
+class TestSparseConvInputGradient:
+    @pytest.mark.parametrize("batch", [1, 100])
+    @pytest.mark.parametrize("make", [
+        lambda layout, n: TestSparseConv._encoded(None, layout, n),
+        lambda layout, n: edge_pixels(n),
+    ], ids=["encoded-fingerprints", "edge-and-corner-pixels"])
+    def test_matches_dense_backward(self, layout, make, batch):
+        # a layer outside a network keeps its input gradient, so the pixel-sparse backward returns dx
+        rng = np.random.Generator(np.random.PCG64(16))
+        conv = nn.Conv2d(1, 12, (7, 7))
+        conv.init_params(rng)
+        x = make(layout, batch)
+        out = conv.forward(x)
+        assert conv._pixels is not None
+        dy = rng.normal(size=out.shape)
+        dx = conv.backward(dy).copy()
+        grads = [g.copy() for g in conv.grads]
+        # dx reads only dy and the weights, so a dense input gives the dense path's dx for this dy
+        conv.forward(rng.normal(size=x.shape))
+        assert conv._pixels is None
+        assert np.array_equal(dx.view(np.uint64), conv.backward(dy).view(np.uint64))
+        # with one input channel each offset's dx term is a matrix-vector product, which BLAS may
+        # round differently from the textbook's row-by-row products, so the textbook is checked to
+        # rounding, like dw and db
+        for got, want in zip((dx, *grads), textbook_conv_backward(x, conv.params[0], dy)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestDenseConv:
     @pytest.mark.parametrize("batch, size, channels, kernel", [
         (100, (7, 7), (12, 12), (5, 5)),  # the CNN's second convolution at its training batch
