@@ -96,16 +96,23 @@ class Conv2d(Layer):
     those pixels. ``forward`` adds each pixel's products with the flipped kernel into the output
     pixels it reaches, one pixel at a time in raster order, which for every output pixel is the
     dense loop's order over the kernel offsets. Each term is one exact product and the skipped ones
-    are exact zeros, so every output bit is the dense loop's. ``backward`` sums each pixel's weight
-    gradient over the batch alone: the dense loop's terms in another order, so it may differ from
-    the dense sum by rounding (on the paper-scale corpus at most 8e-16, 5e-15 of the largest entry).
-    The bias gradient, the input gradient and the dense path give the same bits as before.
+    are exact zeros, so every output bit is the dense loop's. ``backward`` takes both parameter
+    gradients from one matrix product: the pixels' values ``(P, B)`` over a row of ones, times
+    ``dy`` as ``(B, oh*ow*C_out)``. Row p is pixel p's values times ``dy``, summed over the batch,
+    at every output position; each pixel adds the part it reaches into its slice of the flipped
+    kernel, in raster order, for the weight gradient. The ones row is ``dy`` summed over the batch;
+    summed over the positions it is the bias gradient. Both are the dense loop's terms in another
+    order, so they may differ from the dense sums by rounding (over 1200 paper-scale CNN steps,
+    the weight gradient by at most 1.0e-15, 4.7e-15 of its largest entry, and the bias gradient by
+    at most 2.1e-14, 6.7e-13 of its largest entry). The input gradient is the dense path's.
 
     Dense path: each kernel offset's term of ``forward`` and of the input gradient is one 2-d
     matrix product over every output pixel of the batch, ``(B*oh*ow, C_in) @ (C_in, C_out)`` and
     its transpose; numpy runs a 4-d operand as one small product per output row. Each output entry
     is the same dot product added in the same offset order, so the bits are those of the per-offset
-    loop.
+    loop. The exception is the input gradient of a one-channel input: its product is a
+    matrix-vector product, which BLAS may round differently from one product per output row (by
+    up to 2.4e-16 of the largest entry for a 7x7 kernel over 12 channels).
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, int]):
@@ -167,11 +174,12 @@ class Conv2d(Layer):
         dx = np.zeros_like(x) if self.input_grad else None
         flat_dy = dy.reshape(-1, self.out_channels)
         if self._pixels is not None:
+            rows, cols, vals = self._pixels
+            terms = (np.vstack((vals, np.ones(len(x)))) @ dy.reshape(len(x), -1)).reshape(-1, *dy.shape[1:])
             dw[...] = 0.0
-            flipped = dw[::-1, ::-1, 0]
-            for r, c, v in zip(*self._pixels):
+            for r, c, term in zip(rows, cols, terms):
                 (orow, ocol), (ki, kj) = self._reach(r, c, oh, ow)
-                flipped[ki, kj] += np.tensordot(v, dy[:, orow, ocol], axes=(0, 0))
+                dw[::-1, ::-1, 0][ki, kj] += term[orow, ocol]
         for i in range(self.kh):
             for j in range(self.kw):
                 if self._pixels is None:
@@ -179,7 +187,7 @@ class Conv2d(Layer):
                     dw[i, j] = patch.T @ flat_dy
                 if dx is not None:
                     dx[:, i:i + oh, j:j + ow, :] += (flat_dy @ w[i, j].T).reshape(*dy.shape[:3], -1)
-        db[...] = flat_dy.sum(axis=0)
+        db[...] = flat_dy.sum(axis=0) if self._pixels is None else terms[-1].sum(axis=(0, 1))
         return dx
 
     def spec(self):
