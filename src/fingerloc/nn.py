@@ -12,6 +12,7 @@ one parameter vector ``theta`` and one gradient vector ``grad``.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
@@ -88,15 +89,60 @@ class Dense(Layer):
         return {"kind": "dense", "in": self.n_in, "out": self.n_out}
 
 
+def _reach(r, c, kh, kw, oh, ow):
+    """Output slices that input pixel (r, c) reaches under a (kh, kw) kernel with an (oh, ow) output,
+    and the slices of the kernel flipped in both axes that it meets there, in the same order as the
+    output pixels."""
+    i0, i1 = max(0, r - oh + 1), min(kh, r + 1)
+    j0, j1 = max(0, c - ow + 1), min(kw, c + 1)
+    return ((slice(r - i1 + 1, r - i0 + 1), slice(c - j1 + 1, c - j0 + 1)),
+            (slice(kh - i1, kh - i0), slice(kw - j1, kw - j0)))
+
+
+@functools.lru_cache(maxsize=128)
+def _lowering(rows, cols, kh, kw, oh, ow):
+    """Where the pixel-sparse forward puts each term, for active pixels (rows, cols) in raster order.
+
+    Every term is indexed by its pixel's place in (rows, cols), its flat output position
+    ``p*ow + q`` and its flat kernel offset ``i*kw + j``. Returns the ``pixel, position, offset``
+    arrays of the first term at every output position that a pixel reaches, and ``(pixel, positions,
+    offsets)`` of the later terms of each pixel that has any, in raster order: its terms at the
+    positions that an earlier pixel reaches too.
+    """
+    offsets = np.arange(kh * kw).reshape(kh, kw)[::-1, ::-1]  # the flipped kernel's offsets
+    positions = np.arange(oh * ow).reshape(oh, ow)
+    seen = np.zeros(oh * ow, dtype=bool)
+    first, later = [np.zeros((3, 0), dtype=np.intp)], []
+    for k, (r, c) in enumerate(zip(rows, cols)):
+        (orow, ocol), (ki, kj) = _reach(r, c, kh, kw, oh, ow)
+        pos, off = positions[orow, ocol].ravel(), offsets[ki, kj].ravel()
+        new = ~seen[pos]
+        seen[pos] = True
+        first.append(np.stack((np.full(new.sum(), k), pos[new], off[new])))
+        if not new.all():
+            later.append((k, pos[~new], off[~new]))
+    pixel, pos, off = np.concatenate(first, axis=1)
+    for a in (pixel, pos, off, *(a for _, p, o in later for a in (p, o))):
+        a.flags.writeable = False  # the cache hands the same arrays to every call
+    return pixel, pos, off, tuple(later)
+
+
 class Conv2d(Layer):
     """Valid-padding 2-d convolution, channels-last (B, H, W, C).
 
     Pixel-sparse path: with one input channel and at most half the input pixels non-zero in any
     row (an encoded fingerprint has one per beacon), ``forward`` and the weight gradient visit only
-    those pixels. ``forward`` adds each pixel's products with the flipped kernel into the output
-    pixels it reaches, one pixel at a time in raster order, which for every output pixel is the
-    dense loop's order over the kernel offsets. Each term is one exact product and the skipped ones
-    are exact zeros, so every output bit is the dense loop's. ``backward`` takes both parameter
+    those pixels. At every output position, raster order over the pixels that reach it is the dense
+    loop's order over the kernel offsets. ``forward`` is one matrix product, the pixels' values
+    ``(B, P)`` times a lowered kernel ``(P, oh*ow*C_out)`` that holds, at each output position, only
+    the flipped-kernel entry of the first pixel in raster order that reaches it. Then each pixel, in
+    raster order, adds its products at the positions where an earlier pixel came first, and the
+    bias is added last. The product adds exact zeros to one rounded product per entry, so a fused
+    multiply-add has no second term to fuse, and each later term is one rounded product added in
+    the dense loop's order: every output bit is the dense loop's. The lowering's index arrays depend
+    only on the pixel set and the shapes, so ``_lowering`` builds them once per pixel set. A
+    non-finite pixel makes its whole sample's output non-finite, not only the positions it reaches,
+    since the product multiplies it by the zeros too. ``backward`` takes both parameter
     gradients from one matrix product: the pixels' values ``(P, B)`` over a row of ones, times
     ``dy`` as ``(B, oh*ow*C_out)``. Row p is pixel p's values times ``dy``, summed over the batch,
     at every output position; each pixel adds the part it reaches into its slice of the flipped
@@ -133,31 +179,28 @@ class Conv2d(Layer):
         if x.shape[1] < self.kh or x.shape[2] < self.kw:
             raise ShapeError(f"Conv2d: input {x.shape[1]}x{x.shape[2]} smaller than kernel {self.kh}x{self.kw}")
 
-    def _reach(self, r, c, oh, ow):
-        """Output slices that input pixel (r, c) reaches, and the slices of the kernel flipped in
-        both axes that it meets there, in the same order as the output pixels."""
-        i0, i1 = max(0, r - oh + 1), min(self.kh, r + 1)
-        j0, j1 = max(0, c - ow + 1), min(self.kw, c + 1)
-        return ((slice(r - i1 + 1, r - i0 + 1), slice(c - j1 + 1, c - j0 + 1)),
-                (slice(self.kh - i1, self.kh - i0), slice(self.kw - j1, self.kw - j0)))
-
     def forward(self, x):
         self._check(x)
         self._x = x
         oh = x.shape[1] - self.kh + 1
         ow = x.shape[2] - self.kw + 1
         w, b = self.params
-        out = np.zeros((x.shape[0], oh, ow, self.out_channels))
         ai, aj = np.nonzero(x.any(axis=(0, 3)))
         self._pixels = None
         if self.in_channels == 1 and 2 * ai.size <= x.shape[1] * x.shape[2]:
             vals = x[:, ai, aj, 0].T.copy()  # (pixel, batch)
-            self._pixels = (ai.tolist(), aj.tolist(), vals)
-            flipped = w[::-1, ::-1, 0].copy()
-            for r, c, v in zip(*self._pixels):
-                (orow, ocol), (ki, kj) = self._reach(r, c, oh, ow)
-                out[:, orow, ocol] += v[:, None, None, None] * flipped[ki, kj]
+            self._pixels = (tuple(ai.tolist()), tuple(aj.tolist()), vals)
+            pixel, pos, off, later = _lowering(*self._pixels[:2], self.kh, self.kw, oh, ow)
+            taps = w.reshape(-1, self.out_channels)  # one row per kernel offset, in raster order
+            low = np.zeros((ai.size, oh * ow * self.out_channels))
+            low.reshape(ai.size, oh * ow, self.out_channels)[pixel, pos] = taps[off]
+            with np.errstate(invalid="ignore"):  # a non-finite pixel times the zeros
+                out = (vals.T @ low).reshape(x.shape[0], oh, ow, self.out_channels)
+            flat_out = out.reshape(x.shape[0], oh * ow, self.out_channels)
+            for k, pos, off in later:
+                flat_out[:, pos] += vals[k][:, None, None] * taps[off]
         else:
+            out = np.zeros((x.shape[0], oh, ow, self.out_channels))
             flat_out = out.reshape(-1, self.out_channels)
             for i in range(self.kh):
                 for j in range(self.kw):
@@ -178,7 +221,7 @@ class Conv2d(Layer):
             terms = (np.vstack((vals, np.ones(len(x)))) @ dy.reshape(len(x), -1)).reshape(-1, *dy.shape[1:])
             dw[...] = 0.0
             for r, c, term in zip(rows, cols, terms):
-                (orow, ocol), (ki, kj) = self._reach(r, c, oh, ow)
+                (orow, ocol), (ki, kj) = _reach(r, c, self.kh, self.kw, oh, ow)
                 dw[::-1, ::-1, 0][ki, kj] += term[orow, ocol]
         for i in range(self.kh):
             for j in range(self.kw):

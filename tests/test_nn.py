@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fingerloc import data, models, nn
 from fingerloc.errors import ConfigError, DivergedError, LoadError, ShapeError
@@ -261,6 +262,53 @@ class TestSparseConv:
         x = make(self, layout)
         expected = textbook_conv(x, *conv.params)
         assert np.array_equal(conv.forward(x).view(np.uint64), expected.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_pixel_set_bitwise_equal_to_textbook_loop(self, case):
+        # clustered pixels, so that up to 25 terms meet at one output and their order matters
+        kh, kw = case.draw(st.integers(1, 7)), case.draw(st.integers(1, 7))
+        h, w = kh + case.draw(st.integers(0, 8)), kw + case.draw(st.integers(0, 8))
+        centre = st.one_of(st.tuples(st.sampled_from([0, h - 1]), st.sampled_from([0, w - 1])),
+                           st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)))
+        step = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        pixels = set()
+        for r, c in case.draw(st.lists(centre, min_size=1, max_size=3)):
+            for dr, dc in case.draw(st.lists(step, min_size=1, max_size=10)):
+                pixels.add((min(max(r + dr, 0), h - 1), min(max(c + dc, 0), w - 1)))
+        rows, cols = np.array(sorted(pixels)[:h * w // 2], dtype=int).reshape(-1, 2).T  # the sparse path
+        batch, channels = case.draw(st.integers(1, 8)), case.draw(st.integers(1, 4))
+        rng = np.random.Generator(np.random.PCG64(case.draw(st.integers(0, 2**32 - 1))))
+        x = np.zeros((batch, h, w, 1))
+        x[:, rows, cols, 0] = rng.normal(size=(batch, rows.size))
+        x[rng.random(x.shape) < 0.2] = 0.0  # a pixel is zero in some rows
+        conv = nn.Conv2d(1, channels, (kh, kw))
+        for p in conv.params:
+            p[...] = rng.normal(size=p.shape) * (rng.random(p.shape) >= 0.2)
+        out = conv.forward(x)
+        assert conv._pixels is not None
+        assert np.array_equal(out.view(np.uint64), textbook_conv(x, *conv.params).view(np.uint64))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_pixel_spoils_only_its_own_sample(self, layout):
+        conv = models.build_model("cnn", seed=12).layers[0]
+        x = self._encoded(layout, n=6)
+        row, col = models.beacon_pixels(layout)[0]
+        x[1, row, col, 0], x[4, row, col, 0] = np.nan, np.inf
+        out = conv.forward(x)
+        assert not np.isfinite(out[[1, 4]]).any()
+        others = [0, 2, 3, 5]
+        expected = textbook_conv(x[others], *conv.params)
+        assert np.array_equal(out[others].view(np.uint64), expected.view(np.uint64))
+
+    def test_lowering_is_built_once_per_pixel_set(self, layout, synth_dataset):
+        # every beacon is heard in every batch of the synthetic corpus, so every batch has one pixel set
+        train_set, test_set = data.split(synth_dataset.labelled, models.HOLDOUT_RATIO, 0)
+        assert len(train_set) > 100 and (train_set.rssi != data.NO_SIGNAL).all()
+        nn._lowering.cache_clear()
+        models.fit("cnn", train_set, test_set, layout, nn.TrainConfig(epochs=2, batch_size=100, seed=0))
+        info = nn._lowering.cache_info()
+        assert (info.misses, info.hits) == (1, 4)  # 5 forward passes: 2 epochs of 2 batches, then the test set
 
 
 def textbook_conv_dw(x, dy, kh, kw):
