@@ -263,10 +263,12 @@ class TestSparseConv:
         expected = textbook_conv(x, *conv.params)
         assert np.array_equal(conv.forward(x).view(np.uint64), expected.view(np.uint64))
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_any_pixel_set_bitwise_equal_to_textbook_loop(self, case):
-        # clustered pixels, so that up to 25 terms meet at one output and their order matters
+    @staticmethod
+    def _clustered(case):
+        """A one-channel ``Conv2d`` and an input that takes its pixel-sparse path, drawn from ``case``.
+
+        The pixels are clustered, so that up to 25 terms meet at one output and their order matters.
+        """
         kh, kw = case.draw(st.integers(1, 7)), case.draw(st.integers(1, 7))
         h, w = kh + case.draw(st.integers(0, 8)), kw + case.draw(st.integers(0, 8))
         centre = st.one_of(st.tuples(st.sampled_from([0, h - 1]), st.sampled_from([0, w - 1])),
@@ -285,9 +287,30 @@ class TestSparseConv:
         conv = nn.Conv2d(1, channels, (kh, kw))
         for p in conv.params:
             p[...] = rng.normal(size=p.shape) * (rng.random(p.shape) >= 0.2)
+        return conv, x, rng
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_pixel_set_bitwise_equal_to_textbook_loop(self, case):
+        conv, x, _ = self._clustered(case)
         out = conv.forward(x)
         assert conv._pixels is not None
         assert np.array_equal(out.view(np.uint64), textbook_conv(x, *conv.params).view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_pixel_set_weight_and_bias_gradient_bits(self, case):
+        # the sparse dw and db keep the rounding of one product followed by per-pixel adds in raster
+        # order, the order every golden CNN artifact was recorded with
+        conv, x, rng = self._clustered(case)
+        out = conv.forward(x)
+        assert conv._pixels is not None
+        dy = rng.normal(size=out.shape)
+        conv.grads[0][...] = np.nan  # backward must overwrite every entry
+        conv.backward(dy)
+        dw, db = sparse_conv_dw_db(x, dy, conv.kh, conv.kw)
+        assert np.array_equal(conv.grads[0].view(np.uint64), dw.view(np.uint64))
+        assert np.array_equal(conv.grads[1].view(np.uint64), db.view(np.uint64))
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_pixel_spoils_only_its_own_sample(self, layout):
@@ -319,6 +342,25 @@ def textbook_conv_dw(x, dy, kh, kw):
         for j in range(kw):
             dw[i, j] = np.einsum("bpqc,bpqo->co", x[:, i:i + oh, j:j + ow, :], dy)
     return dw
+
+
+def sparse_conv_dw_db(x, dy, kh, kw):
+    """The pixel-sparse weight and bias gradients of a one-channel input, one pixel at a time.
+
+    The active pixels' values, in raster order over a row of ones, times ``dy`` give one row per
+    pixel. Each pixel, in raster order, adds the part of its row that it reaches into its slice of
+    the kernel flipped in both axes. The ones row summed over the output positions is the bias
+    gradient.
+    """
+    b, oh, ow, channels = dy.shape
+    rows, cols = np.nonzero(x.any(axis=(0, 3)))
+    terms = (np.vstack((x[:, rows, cols, 0].T, np.ones(b))) @ dy.reshape(b, -1)).reshape(-1, oh, ow, channels)
+    dw = np.zeros((kh, kw, 1, channels))
+    for r, c, term in zip(rows, cols, terms):
+        i0, i1 = max(0, r - oh + 1), min(kh, r + 1)  # the kernel rows i that keep output row r - i inside
+        j0, j1 = max(0, c - ow + 1), min(kw, c + 1)
+        dw[::-1, ::-1, 0][kh - i1:kh - i0, kw - j1:kw - j0] += term[r - i1 + 1:r - i0 + 1, c - j1 + 1:c - j0 + 1]
+    return dw, terms[-1].sum(axis=(0, 1))
 
 
 class TestSparseConvWeightGradient:
