@@ -89,76 +89,69 @@ class Dense(Layer):
         return {"kind": "dense", "in": self.n_in, "out": self.n_out}
 
 
-def _reach(r, c, kh, kw, oh, ow):
-    """Output slices that input pixel (r, c) reaches under a (kh, kw) kernel with an (oh, ow) output,
-    and the slices of the kernel flipped in both axes that it meets there, in the same order as the
-    output pixels."""
-    i0, i1 = max(0, r - oh + 1), min(kh, r + 1)
-    j0, j1 = max(0, c - ow + 1), min(kw, c + 1)
-    return ((slice(r - i1 + 1, r - i0 + 1), slice(c - j1 + 1, c - j0 + 1)),
-            (slice(kh - i1, kh - i0), slice(kw - j1, kw - j0)))
-
-
 @functools.lru_cache(maxsize=128)
 def _lowering(rows, cols, kh, kw, oh, ow):
-    """Where the pixel-sparse forward puts each term, for active pixels (rows, cols) in raster order.
+    """Every term of the pixel-sparse convolution, for active pixels (rows, cols) in raster order.
 
-    Every term is indexed by its pixel's place in (rows, cols), its flat output position
-    ``p*ow + q`` and its flat kernel offset ``i*kw + j``. Returns the ``pixel, position, offset``
-    arrays of the first term at every output position that a pixel reaches, and ``(pixel, positions,
-    offsets)`` of the later terms of each pixel that has any, in raster order: its terms at the
-    positions that an earlier pixel reaches too.
+    A term is indexed by its pixel's place in (rows, cols), its flat output position ``p*ow + q``
+    and its flat kernel offset ``i*kw + j``. Returns three read-only parts:
+    - ``table``, a (3, terms) array of every term's ``pixel, position, offset``, pixel by pixel in
+      raster order, and each pixel's positions in raster order;
+    - ``first``, the columns of ``table`` that hold the first term at each output position reached,
+      as a (3, positions) array: the entries of the lowered kernel;
+    - ``later``, ``(pixel, positions, offsets)`` for each pixel that has later terms, in raster
+      order: its terms at the positions that an earlier pixel reaches too.
     """
-    offsets = np.arange(kh * kw).reshape(kh, kw)[::-1, ::-1]  # the flipped kernel's offsets
-    positions = np.arange(oh * ow).reshape(oh, ow)
-    seen = np.zeros(oh * ow, dtype=bool)
-    first, later = [np.zeros((3, 0), dtype=np.intp)], []
-    for k, (r, c) in enumerate(zip(rows, cols)):
-        (orow, ocol), (ki, kj) = _reach(r, c, kh, kw, oh, ow)
-        pos, off = positions[orow, ocol].ravel(), offsets[ki, kj].ravel()
-        new = ~seen[pos]
-        seen[pos] = True
-        first.append(np.stack((np.full(new.sum(), k), pos[new], off[new])))
-        if not new.all():
-            later.append((k, pos[~new], off[~new]))
-    pixel, pos, off = np.concatenate(first, axis=1)
-    for a in (pixel, pos, off, *(a for _, p, o in later for a in (p, o))):
+    # pixel (r, c) meets kernel offset (i, j) at output (r - i, c - j); over the flipped kernel's
+    # offsets those outputs come in raster order
+    flipped = np.arange(kh * kw)[::-1]
+    p = np.array(rows, dtype=np.intp)[:, None] - flipped // kw
+    q = np.array(cols, dtype=np.intp)[:, None] - flipped % kw
+    pixel, tap = np.nonzero((0 <= p) & (p < oh) & (0 <= q) & (q < ow))
+    table = np.stack((pixel, p[pixel, tap] * ow + q[pixel, tap], flipped[tap]))
+    new = np.zeros(table.shape[1], dtype=bool)
+    new[np.unique(table[1], return_index=True)[1]] = True  # each position's first term in table order
+    first = table[:, new]
+    later = tuple((k, *table[1:, ~new & (pixel == k)]) for k in np.unique(pixel[~new]))
+    for a in (table, first, *(a for _, pos, off in later for a in (pos, off))):
         a.flags.writeable = False  # the cache hands the same arrays to every call
-    return pixel, pos, off, tuple(later)
+    return table, first, later
 
 
 class Conv2d(Layer):
     """Valid-padding 2-d convolution, channels-last (B, H, W, C).
 
     Pixel-sparse path: with one input channel and at most half the input pixels non-zero in any
-    row (an encoded fingerprint has one per beacon), ``forward`` and the weight gradient visit only
-    those pixels. At every output position, raster order over the pixels that reach it is the dense
-    loop's order over the kernel offsets. ``forward`` is one matrix product, the pixels' values
-    ``(B, P)`` times a lowered kernel ``(P, oh*ow*C_out)`` that holds, at each output position, only
-    the flipped-kernel entry of the first pixel in raster order that reaches it. Then each pixel, in
-    raster order, adds its products at the positions where an earlier pixel came first, and the
+    row (an encoded fingerprint has one per beacon), both passes read one table of terms that
+    ``_lowering`` builds once per pixel set and shape: each term's pixel, output position and
+    flipped-kernel offset, pixel by pixel in raster order. At every output position, raster order
+    over the pixels that reach it is the dense loop's order over the kernel offsets.
+
+    ``forward`` is one matrix product, the pixels' values ``(B, P)`` times a lowered kernel
+    ``(P, oh*ow*C_out)`` that holds each output position's first term only. Then each pixel, in
+    raster order, adds its later terms, at the positions where an earlier pixel came first, and the
     bias is added last. The product adds exact zeros to one rounded product per entry, so a fused
     multiply-add has no second term to fuse, and each later term is one rounded product added in
-    the dense loop's order: every output bit is the dense loop's. The lowering's index arrays depend
-    only on the pixel set and the shapes, so ``_lowering`` builds them once per pixel set. A
-    non-finite pixel makes its whole sample's output non-finite, not only the positions it reaches,
-    since the product multiplies it by the zeros too. ``backward`` takes both parameter
-    gradients from one matrix product: the pixels' values ``(P, B)`` over a row of ones, times
-    ``dy`` as ``(B, oh*ow*C_out)``. Row p is pixel p's values times ``dy``, summed over the batch,
-    at every output position; each pixel adds the part it reaches into its slice of the flipped
-    kernel, in raster order, for the weight gradient. The ones row is ``dy`` summed over the batch;
-    summed over the positions it is the bias gradient. Both are the dense loop's terms in another
-    order, so they may differ from the dense sums by rounding (over 1200 paper-scale CNN steps,
-    the weight gradient by at most 1.0e-15, 4.7e-15 of its largest entry, and the bias gradient by
-    at most 2.1e-14, 6.7e-13 of its largest entry). The input gradient is the dense path's.
+    the dense loop's order: every output bit is the dense loop's. A non-finite pixel makes its whole
+    sample's output non-finite, not only the positions it reaches, since the product multiplies it
+    by the zeros too.
+
+    ``backward`` takes both parameter gradients from one matrix product: the pixels' values
+    ``(P, B)`` over a row of ones, times ``dy`` as ``(B, oh*ow*C_out)``. Row p is pixel p's values
+    times ``dy``, summed over the batch, at every output position. ``np.add.at`` adds each term of
+    the table into the weight gradient at its offset, unbuffered and in table order. A pixel's
+    offsets are distinct, so each weight entry adds its pixels' terms one at a time in raster order,
+    as one slice add per pixel in raster order would. The ones row is ``dy`` summed over the batch;
+    summed over the positions it is the bias gradient. Both sum the dense loop's terms in another
+    order, so they may differ from the dense sums by rounding. The input gradient is the dense
+    path's.
 
     Dense path: each kernel offset's term of ``forward`` and of the input gradient is one 2-d
     matrix product over every output pixel of the batch, ``(B*oh*ow, C_in) @ (C_in, C_out)`` and
     its transpose; numpy runs a 4-d operand as one small product per output row. Each output entry
     is the same dot product added in the same offset order, so the bits are those of the per-offset
     loop. The exception is the input gradient of a one-channel input: its product is a
-    matrix-vector product, which BLAS may round differently from one product per output row (by
-    up to 2.4e-16 of the largest entry for a 7x7 kernel over 12 channels).
+    matrix-vector product, which BLAS may round differently from one product per output row.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, int]):
@@ -189,8 +182,9 @@ class Conv2d(Layer):
         self._pixels = None
         if self.in_channels == 1 and 2 * ai.size <= x.shape[1] * x.shape[2]:
             vals = x[:, ai, aj, 0].T.copy()  # (pixel, batch)
-            self._pixels = (tuple(ai.tolist()), tuple(aj.tolist()), vals)
-            pixel, pos, off, later = _lowering(*self._pixels[:2], self.kh, self.kw, oh, ow)
+            table, first, later = _lowering(tuple(ai.tolist()), tuple(aj.tolist()), self.kh, self.kw, oh, ow)
+            self._pixels = table, vals
+            pixel, pos, off = first
             taps = w.reshape(-1, self.out_channels)  # one row per kernel offset, in raster order
             low = np.zeros((ai.size, oh * ow * self.out_channels))
             low.reshape(ai.size, oh * ow, self.out_channels)[pixel, pos] = taps[off]
@@ -214,23 +208,24 @@ class Conv2d(Layer):
         oh, ow = dy.shape[1], dy.shape[2]
         w = self.params[0]
         dw, db = self.grads
-        dx = np.zeros_like(x) if self.input_grad else None
         flat_dy = dy.reshape(-1, self.out_channels)
         if self._pixels is not None:
-            rows, cols, vals = self._pixels
-            terms = (np.vstack((vals, np.ones(len(x)))) @ dy.reshape(len(x), -1)).reshape(-1, *dy.shape[1:])
+            (pixel, pos, off), vals = self._pixels
+            terms = (np.vstack((vals, np.ones(len(x)))) @ dy.reshape(len(x), -1)).reshape(-1, oh * ow, len(db))
             dw[...] = 0.0
-            for r, c, term in zip(rows, cols, terms):
-                (orow, ocol), (ki, kj) = _reach(r, c, self.kh, self.kw, oh, ow)
-                dw[::-1, ::-1, 0][ki, kj] += term[orow, ocol]
+            np.add.at(dw.reshape(-1, self.out_channels), off, terms[pixel, pos])
+            db[...] = terms[-1].sum(axis=0)
+        else:
+            for i in range(self.kh):
+                for j in range(self.kw):
+                    dw[i, j] = x[:, i:i + oh, j:j + ow, :].reshape(-1, self.in_channels).T @ flat_dy
+            db[...] = flat_dy.sum(axis=0)
+        if not self.input_grad:
+            return None
+        dx = np.zeros_like(x)
         for i in range(self.kh):
             for j in range(self.kw):
-                if self._pixels is None:
-                    patch = x[:, i:i + oh, j:j + ow, :].reshape(-1, self.in_channels)
-                    dw[i, j] = patch.T @ flat_dy
-                if dx is not None:
-                    dx[:, i:i + oh, j:j + ow, :] += (flat_dy @ w[i, j].T).reshape(*dy.shape[:3], -1)
-        db[...] = flat_dy.sum(axis=0) if self._pixels is None else terms[-1].sum(axis=(0, 1))
+                dx[:, i:i + oh, j:j + ow, :] += (flat_dy @ w[i, j].T).reshape(*dy.shape[:3], -1)
         return dx
 
     def spec(self):
