@@ -612,6 +612,10 @@ def load_network(blob: bytes) -> Network:
         specs, entries = payload["layers"], payload["params"]
         recorded = [entry["shape"] for entry in entries]
         shapes = [shape for spec in specs for shape in _param_shapes(spec)]
+        for spec in specs:
+            sizes = [spec[k] for k in ("in", "out") if k in spec] + [*spec.get("kernel", ()), *spec.get("window", ())]
+            if not all(type(n) is int and n >= 1 for n in sizes):  # a bool is not a size
+                raise LoadError(f"layer sizes must be integers >= 1, got {spec}")
         if recorded != shapes:
             raise LoadError(f"parameter shapes {recorded} != layer shapes {shapes}")
         blobs = [base64.b64decode(entry["data"]) for entry in entries]

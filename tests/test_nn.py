@@ -776,6 +776,25 @@ class TestSerialization:
         with pytest.raises(LoadError):
             nn.load_network(json.dumps(doc).encode("utf-8"))
 
+    @pytest.mark.parametrize("layer, key, value, weight_shape", [
+        (nn.MaxPool2d((3, 3)), "window", [-3, 3], None),
+        (nn.MaxPool2d((3, 3)), "window", [0, 3], None),
+        (nn.MaxPool2d((3, 3)), "window", [3.5, 3], None),
+        (nn.MaxPool2d((3, 3)), "window", [True, 3], None),
+        (nn.Conv2d(1, 2, (3, 3)), "kernel", [0, 3], [0, 3, 1, 2]),
+        (nn.Dense(2, 3), "in", 0, [0, 3]),
+    ], ids=["negative-window", "zero-window", "fractional-window", "bool-window", "zero-kernel", "zero-in"])
+    def test_layer_size_that_is_not_a_positive_integer_rejected(self, layer, key, value, weight_shape):
+        # each blob is self-consistent: its weight, if any, has the shape and length its spec asks for
+        doc = json.loads(nn.save_network(nn.Network([layer], seed=0)))
+        doc["payload"]["layers"][0][key] = value
+        if weight_shape is not None:
+            doc["payload"]["params"][0] = {"shape": weight_shape, "data": ""}
+        body = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        with pytest.raises(LoadError, match="integers >= 1"):
+            nn.load_network(json.dumps(doc).encode("utf-8"))
+
     def test_short_blob_cannot_allocate_its_spec(self):
         # a few hundred bytes that ask for a Dense(4000, 4000) fail before anything that size exists
         payload = {"format": nn.SERIAL_FORMAT, "version": nn.SERIAL_VERSION,
