@@ -112,7 +112,8 @@ def _lowering(rows, cols, kh, kw, oh, ow):
     new = np.zeros(table.shape[1], dtype=bool)
     new[np.unique(table[1], return_index=True)[1]] = True  # each position's first term in table order
     first = table[:, new]
-    later = tuple((k, *table[1:, ~new & (pixel == k)]) for k in np.unique(pixel[~new]))
+    # not np.unique, which imports numpy.ma (about 1 MB) on its first call without return_index
+    later = tuple((k, *table[1:, ~new & (pixel == k)]) for k in sorted(set(pixel[~new].tolist())))
     for a in (table, first, *(a for _, pos, off in later for a in (pos, off))):
         a.flags.writeable = False  # the cache hands the same arrays to every call
     return table, first, later
