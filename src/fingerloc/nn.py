@@ -102,8 +102,7 @@ def _lowering(rows, cols, kh, kw, oh, ow):
     - ``later``, ``(pixel, positions, offsets)`` for each pixel that has later terms, in raster
       order: its terms at the positions that an earlier pixel reaches too.
     """
-    # pixel (r, c) meets kernel offset (i, j) at output (r - i, c - j); over the flipped kernel's
-    # offsets those outputs come in raster order
+    # pixel (r, c) meets offset (i, j) at output (r - i, c - j), in raster order over the flipped offsets
     flipped = np.arange(kh * kw)[::-1]
     p = np.array(rows, dtype=np.intp)[:, None] - flipped // kw
     q = np.array(cols, dtype=np.intp)[:, None] - flipped % kw
@@ -139,13 +138,12 @@ class Conv2d(Layer):
 
     ``backward`` takes both parameter gradients from one matrix product: the pixels' values
     ``(P, B)`` over a row of ones, times ``dy`` as ``(B, oh*ow*C_out)``. Row p is pixel p's values
-    times ``dy``, summed over the batch, at every output position. ``np.add.at`` adds each term of
-    the table into the weight gradient at its offset, unbuffered and in table order. A pixel's
-    offsets are distinct, so each weight entry adds its pixels' terms one at a time in raster order,
-    as one slice add per pixel in raster order would. The ones row is ``dy`` summed over the batch;
-    summed over the positions it is the bias gradient. Both sum the dense loop's terms in another
-    order, so they may differ from the dense sums by rounding. The input gradient is the dense
-    path's.
+    times ``dy``, summed over the batch, at every output position. ``np.add.at`` adds the table's
+    terms into the weight gradient unbuffered, in table order, and a pixel's offsets are distinct,
+    so each weight entry adds its pixels' terms in raster order, as one slice add per pixel would.
+    The ones row is ``dy`` summed over the batch; summed over the positions it is the bias
+    gradient. Both sum the dense loop's terms in another order, so they may differ from the dense
+    sums by rounding. The input gradient is the dense path's.
 
     Dense path: each kernel offset's term of ``forward`` and of the input gradient is one 2-d
     matrix product over every output pixel of the batch, ``(B*oh*ow, C_in) @ (C_in, C_out)`` and
