@@ -33,18 +33,28 @@ SERIAL_VERSION = 1
 # layers
 
 class Layer:
-    """Base layer: zeroed parameter arrays of the given shapes in ``params``, grads in ``grads``.
+    """Base layer: zeroed parameter arrays in ``params`` and gradient arrays in ``grads``.
 
-    A ``Network`` rebinds them to views into its ``theta`` and ``grad``, so layers write in place.
-    ``input_grad`` says whether ``backward`` must return the gradient of its input; a ``Network``
-    clears it on its first layer, whose input gradient no one reads.
+    A subclass states how ``model.bin`` records it: its ``kind``, and ``size_keys``, the spec key of
+    each constructor argument in order. ``param_shapes`` maps those arguments to the parameter
+    shapes, so ``load_network`` checks a file's shapes before it builds any layer, and ``KINDS`` maps
+    each kind to its class. A ``Network`` rebinds the arrays to views into its ``theta`` and ``grad``,
+    so layers write in place. ``input_grad`` says whether ``backward`` must return the gradient of its
+    input; a ``Network`` clears it on its first layer, whose input gradient no one reads.
     """
 
+    kind: str
+    size_keys: tuple[str, ...] = ()
     input_grad = True
 
-    def __init__(self, *shapes: tuple[int, ...]):
-        self.params: tuple[np.ndarray, ...] = tuple(np.zeros(shape) for shape in shapes)
-        self.grads: tuple[np.ndarray, ...] = tuple(np.zeros(shape) for shape in shapes)
+    def __init__(self, *sizes):
+        self.sizes = sizes
+        self.params: tuple[np.ndarray, ...] = tuple(np.zeros(shape) for shape in self.param_shapes(*sizes))
+        self.grads: tuple[np.ndarray, ...] = tuple(np.zeros(p.shape) for p in self.params)
+
+    @staticmethod
+    def param_shapes(*sizes) -> tuple[tuple[int, ...], ...]:
+        return ()
 
     def init_params(self, rng: np.random.Generator) -> None:
         pass
@@ -56,7 +66,9 @@ class Layer:
         raise NotImplementedError
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        """The layer as ``model.bin`` records it: its ``kind`` and each size under its key, a pair as a list."""
+        sizes = (list(n) if isinstance(n, (tuple, list)) else n for n in self.sizes)
+        return {"kind": self.kind, **dict(zip(self.size_keys, sizes))}
 
 
 def _glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -65,10 +77,16 @@ def _glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: in
 
 
 class Dense(Layer):
+    kind, size_keys = "dense", ("in", "out")
+
     def __init__(self, n_in: int, n_out: int):
-        super().__init__((n_in, n_out), (n_out,))
+        super().__init__(n_in, n_out)
         self.n_in = n_in
         self.n_out = n_out
+
+    @staticmethod
+    def param_shapes(n_in, n_out):
+        return (n_in, n_out), (n_out,)
 
     def init_params(self, rng):
         self.params[0][...] = _glorot_uniform(rng, (self.n_in, self.n_out), self.n_in, self.n_out)
@@ -84,9 +102,6 @@ class Dense(Layer):
         self.grads[0][...] = self._x.T @ dy
         self.grads[1][...] = dy.sum(axis=0)
         return dy @ self.params[0].T if self.input_grad else None
-
-    def spec(self):
-        return {"kind": "dense", "in": self.n_in, "out": self.n_out}
 
 
 @functools.lru_cache(maxsize=128)
@@ -153,11 +168,18 @@ class Conv2d(Layer):
     matrix-vector product, which BLAS may round differently from one product per output row.
     """
 
+    kind, size_keys = "conv2d", ("in", "out", "kernel")
+
     def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, int]):
-        super().__init__((*kernel, in_channels, out_channels), (out_channels,))
+        super().__init__(in_channels, out_channels, kernel)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kh, self.kw = kernel
+
+    @staticmethod
+    def param_shapes(in_channels, out_channels, kernel):
+        kh, kw = kernel
+        return (kh, kw, in_channels, out_channels), (out_channels,)
 
     def init_params(self, rng):
         fan_in = self.kh * self.kw * self.in_channels
@@ -227,10 +249,6 @@ class Conv2d(Layer):
                 dx[:, i:i + oh, j:j + ow, :] += (flat_dy @ w[i, j].T).reshape(*dy.shape[:3], -1)
         return dx
 
-    def spec(self):
-        return {"kind": "conv2d", "in": self.in_channels, "out": self.out_channels,
-                "kernel": [self.kh, self.kw]}
-
 
 class MaxPool2d(Layer):
     """Max pooling with stride = window; ceil mode, so edge windows may be partial.
@@ -244,8 +262,10 @@ class MaxPool2d(Layer):
     ``backward`` assigns each output's gradient to its input, so a -0.0 gradient stays -0.0 there.
     """
 
+    kind, size_keys = "maxpool2d", ("window",)
+
     def __init__(self, window: tuple[int, int]):
-        super().__init__()
+        super().__init__(window)
         self.wh, self.ww = window
 
     def forward(self, x):
@@ -276,11 +296,10 @@ class MaxPool2d(Layer):
         dx.reshape(-1)[origin + offset[self._window]] = dy
         return dx
 
-    def spec(self):
-        return {"kind": "maxpool2d", "window": [self.wh, self.ww]}
-
 
 class ReLU(Layer):
+    kind = "relu"
+
     def forward(self, x):
         self._mask = x > 0
         y = np.maximum(x, 0.0)  # propagates NaN, so a NaN input reaches the loss
@@ -290,11 +309,10 @@ class ReLU(Layer):
     def backward(self, dy):
         return np.where(self._mask, dy, 0.0)
 
-    def spec(self):
-        return {"kind": "relu"}
-
 
 class Sigmoid(Layer):
+    kind = "sigmoid"
+
     def forward(self, x):
         # exp(-x) overflows below x = -log(float64 max); 1 / (1 + inf) = 0 is the value there
         e = np.exp(-x, out=np.full(np.shape(x), np.inf), where=~(x < -709.782712893384))
@@ -304,11 +322,10 @@ class Sigmoid(Layer):
     def backward(self, dy):
         return dy * self._y * (1.0 - self._y)
 
-    def spec(self):
-        return {"kind": "sigmoid"}
-
 
 class Flatten(Layer):
+    kind = "flatten"
+
     def forward(self, x):
         self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
@@ -316,34 +333,9 @@ class Flatten(Layer):
     def backward(self, dy):
         return dy.reshape(self._in_shape)
 
-    def spec(self):
-        return {"kind": "flatten"}
 
-
-def _layer_from_spec(spec: dict) -> Layer:
-    kind = spec["kind"]
-    if kind == "dense":
-        return Dense(spec["in"], spec["out"])
-    if kind == "conv2d":
-        return Conv2d(spec["in"], spec["out"], tuple(spec["kernel"]))
-    if kind == "maxpool2d":
-        return MaxPool2d(tuple(spec["window"]))
-    if kind == "relu":
-        return ReLU()
-    if kind == "sigmoid":
-        return Sigmoid()
-    if kind == "flatten":
-        return Flatten()
-    raise LoadError(f"unknown layer kind {kind!r}")
-
-
-def _param_shapes(spec: dict) -> list[list]:
-    """The parameter shapes of the layer ``spec`` describes, read from its fields without building it."""
-    if spec["kind"] == "dense":
-        return [[spec["in"], spec["out"]], [spec["out"]]]
-    if spec["kind"] == "conv2d":
-        return [[*spec["kernel"], spec["in"], spec["out"]], [spec["out"]]]
-    return []
+# each saved layer kind -> its class
+KINDS: dict[str, type[Layer]] = {cls.kind: cls for cls in (Dense, Conv2d, MaxPool2d, ReLU, Sigmoid, Flatten)}
 
 
 class Network:
@@ -380,14 +372,6 @@ class Network:
                 raise ShapeError(f"layer {i}: {e}") from None
         return x
 
-    def backward_from(self, d_out: np.ndarray) -> None:
-        """Backpropagate ``d_out`` into every layer's ``grads``.
-
-        The first layer's ``input_grad`` is False, so it skips its input gradient.
-        """
-        for layer in reversed(self.layers):
-            d_out = layer.backward(d_out)
-
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params]
 
@@ -423,12 +407,16 @@ LOSSES: dict[str, Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]] 
 
 
 def backward(network: Network, x: np.ndarray, target: np.ndarray, loss_kind: str = "rmse") -> tuple[float, list[np.ndarray]]:
-    """One forward/backward pass; returns (loss, gradients per parameter)."""
+    """One forward/backward pass; returns (loss, gradients per parameter).
+
+    The first layer's ``input_grad`` is False, so it skips its input gradient.
+    """
     pred = network.forward(x)
     if pred.shape != target.shape:
         raise ShapeError(f"output shape {pred.shape} != target shape {target.shape}")
-    loss, d_pred = LOSSES[loss_kind](pred, target)
-    network.backward_from(d_pred)
+    loss, d_out = LOSSES[loss_kind](pred, target)
+    for layer in reversed(network.layers):
+        d_out = layer.backward(d_out)
     return loss, network.gradients()
 
 
@@ -575,6 +563,11 @@ def evaluate(network: Network, inputs: np.ndarray, targets: np.ndarray,
 # ---------------------------------------------------------------------------
 # serialization
 
+def _checksum(payload) -> str:
+    """The SHA-256 of ``payload``'s canonical JSON: sorted keys, no spaces."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
+
+
 def save_network(network: Network) -> bytes:
     payload = {
         "format": SERIAL_FORMAT,
@@ -585,9 +578,7 @@ def save_network(network: Network) -> bytes:
             for p in network.parameters()
         ],
     }
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return json.dumps({"checksum": checksum, "payload": payload},
+    return json.dumps({"checksum": _checksum(payload), "payload": payload},
                       sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -598,30 +589,36 @@ def load_network(blob: bytes) -> Network:
         payload = doc["payload"]
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as e:  # TypeError: a non-object root
         raise LoadError(f"not a serialized network: {e}") from None
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if hashlib.sha256(body.encode("utf-8")).hexdigest() != checksum:
+    if _checksum(payload) != checksum:
         raise LoadError("checksum mismatch")
     if not isinstance(payload, dict):
         raise LoadError(f"payload is a {type(payload).__name__}, not an object")
     if payload.get("format") != SERIAL_FORMAT or payload.get("version") != SERIAL_VERSION:
         raise LoadError(f"unsupported format/version: {payload.get('format')}/{payload.get('version')}")
     try:
-        # check every shape and blob length before anything is allocated, so a short file cannot
-        # ask for an arbitrary amount of memory
-        specs, entries = payload["layers"], payload["params"]
-        recorded = [entry["shape"] for entry in entries]
-        shapes = [shape for spec in specs for shape in _param_shapes(spec)]
-        for spec in specs:
-            sizes = [spec[k] for k in ("in", "out") if k in spec] + [*spec.get("kernel", ()), *spec.get("window", ())]
-            if not all(type(n) is int and n >= 1 for n in sizes):  # a bool is not a size
+        # check every size, shape and blob length before anything is allocated, so a short file
+        # cannot ask for an arbitrary amount of memory
+        layers, shapes = [], []  # (class, sizes) per layer; every parameter's shape
+        for spec in payload["layers"]:
+            cls = KINDS.get(spec["kind"])
+            if cls is None:
+                raise LoadError(f"unknown layer kind {spec['kind']!r}")
+            sizes = [spec[key] for key in cls.size_keys]
+            layer_shapes = [list(shape) for shape in cls.param_shapes(*sizes)]
+            # a bool is not a size, and neither is a list where a shape wants one number
+            if not all(type(n) is int and n >= 1
+                       for group in sizes + layer_shapes for n in (group if type(group) is list else [group])):
                 raise LoadError(f"layer sizes must be integers >= 1, got {spec}")
+            layers.append((cls, sizes))
+            shapes += layer_shapes
+        recorded = [entry["shape"] for entry in payload["params"]]
         if recorded != shapes:
             raise LoadError(f"parameter shapes {recorded} != layer shapes {shapes}")
-        blobs = [base64.b64decode(entry["data"]) for entry in entries]
+        blobs = [base64.b64decode(entry["data"]) for entry in payload["params"]]
         for raw, shape in zip(blobs, shapes):
             if len(raw) != 8 * math.prod(shape):
                 raise LoadError(f"parameter blob length {len(raw)} != expected {8 * math.prod(shape)}")
-        network = Network([_layer_from_spec(s) for s in specs])
+        network = Network([cls(*sizes) for cls, sizes in layers])
         for p, raw in zip(network.parameters(), blobs):
             p[...] = np.frombuffer(raw, dtype="<f8").reshape(p.shape)
     except (KeyError, TypeError, ValueError) as e:  # a missing field, a non-dict entry, bad base64

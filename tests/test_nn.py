@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fingerloc import data, models, nn
 from fingerloc.errors import ConfigError, DivergedError, LoadError, ShapeError
@@ -713,7 +714,31 @@ class TestCountParams:
         assert models.build_model("cnn", seed=0).count_params() == 5438
 
 
+# a draw of each spec size key
+SIZE_DRAWS = {"in": st.integers(1, 5), "out": st.integers(1, 5),
+              "kernel": st.tuples(st.integers(1, 4), st.integers(1, 4)),
+              "window": st.tuples(st.integers(1, 4), st.integers(1, 4))}
+
+
+def test_every_layer_class_has_its_kind():
+    classes = {c for c in vars(nn).values() if isinstance(c, type) and issubclass(c, nn.Layer) and c is not nn.Layer}
+    assert classes == set(nn.KINDS.values())
+
+
 class TestSerialization:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_one_layer_of_each_kind_round_trips(self, case):
+        kinds = case.draw(st.permutations(list(nn.KINDS.values())))
+        net = nn.Network([cls(*(case.draw(SIZE_DRAWS[key]) for key in cls.size_keys)) for cls in kinds])
+        # any bits, NaN payloads, infinities and -0.0 included
+        net.theta[...] = case.draw(hnp.arrays(np.uint64, net.theta.size)).view(np.float64)
+        restored = nn.load_network(nn.save_network(net))
+        assert [layer.spec() for layer in restored.layers] == [layer.spec() for layer in net.layers]
+        assert [type(layer) for layer in restored.layers] == kinds
+        for a, b in zip(net.parameters(), restored.parameters(), strict=True):
+            assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
     def test_round_trip_forward_identical(self):
         rng = np.random.Generator(np.random.PCG64(0))
         net = models.build_model("dnn", seed=5)
@@ -767,7 +792,8 @@ class TestSerialization:
         lambda payload: payload["layers"][0].pop("in"),
         lambda payload: payload["layers"].insert(0, "dense"),
         lambda payload: payload["params"][0].update(data="abc"),
-    ], ids=["spec-missing-field", "spec-not-a-dict", "bad-base64"])
+        lambda payload: payload["layers"][0].update(kind="lstm"),
+    ], ids=["spec-missing-field", "spec-not-a-dict", "bad-base64", "unknown-kind"])
     def test_malformed_entry_with_valid_checksum_rejected(self, corrupt):
         doc = json.loads(nn.save_network(nn.Network([nn.Dense(2, 3)], seed=0)))
         corrupt(doc["payload"])
@@ -783,7 +809,9 @@ class TestSerialization:
         (nn.MaxPool2d((3, 3)), "window", [True, 3], None),
         (nn.Conv2d(1, 2, (3, 3)), "kernel", [0, 3], [0, 3, 1, 2]),
         (nn.Dense(2, 3), "in", 0, [0, 3]),
-    ], ids=["negative-window", "zero-window", "fractional-window", "bool-window", "zero-kernel", "zero-in"])
+        (nn.Dense(2, 3), "in", [2, 3], [[2, 3], 3]),
+    ], ids=["negative-window", "zero-window", "fractional-window", "bool-window", "zero-kernel", "zero-in",
+            "list-in"])
     def test_layer_size_that_is_not_a_positive_integer_rejected(self, layer, key, value, weight_shape):
         # each blob is self-consistent: its weight, if any, has the shape and length its spec asks for
         doc = json.loads(nn.save_network(nn.Network([layer], seed=0)))
