@@ -246,8 +246,8 @@ def cmd_augment(args: dict, out_dir: Path) -> tuple[list[Path], int]:
 def cmd_rationalize(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     layout = _load_layout(args["layout"])
     dataset = data.load_dataset(args["labelled"], None, layout)
-    seeds = [args["seed"] + i for i in range(args["n_seeds"])]
     config = _train_config(args)
+    seeds = [config.seed + i for i in range(args["n_seeds"])]
     result = rationalize.dropout_study(args["model"], config, dataset, seeds)
     ranked = rationalize.rank_beacons(result)
 
@@ -271,7 +271,7 @@ def cmd_rationalize(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     })
     print(f"baseline {result.baseline_feet:.1f} ft; "
           f"top impact: {ranked[0][0].beacon_id} ({ranked[0][0].delta_feet})")
-    return [study_path, summary_path], args["seed"]
+    return [study_path, summary_path], config.seed
 
 
 def cmd_synth(args: dict, out_dir: Path) -> tuple[list[Path], int]:
@@ -388,12 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="RSSI fingerprint localization toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    config_seed = dict(type=_in_range(int, 0, math.inf), default=None, help="default: the config's seed, else 0")
 
     p = sub.add_parser("train", help="train a localization model")
     _add(p, "--labelled", "--unlabelled", "--layout", "--config", "--jobs", "--out-dir",
          "--model", "--epochs", "--threshold")
-    p.add_argument("--seed", type=_in_range(int, 0, math.inf), default=None,
-                   help="default: the config's seed, else 0")
+    p.add_argument("--seed", **config_seed)
     p.add_argument("--optimizer", choices=nn.OPTIMIZERS, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None, help="finite and >= 0")
@@ -416,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=aug.STRATEGIES, default="naive")
 
     p = sub.add_parser("rationalize", help="per-beacon dropout study")
-    _add(p, "--labelled", "--layout", "--config", "--seed", "--jobs", "--out-dir",
-         "--model", "--epochs")
+    _add(p, "--labelled", "--layout", "--config", "--jobs", "--out-dir", "--model", "--epochs")
+    p.add_argument("--seed", **config_seed)
     p.add_argument("--n-seeds", type=_in_range(int, 1, math.inf), default=5)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
@@ -445,15 +445,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as e:
+    except (DataError, OSError, UnicodeDecodeError) as e:  # or an unreadable or non-UTF-8 input file
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, UnicodeDecodeError) as e:  # an unreadable or non-UTF-8 input file
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
     return 0
 
 

@@ -162,6 +162,13 @@ def decode_location_label(label: str) -> tuple[int, int]:
     return col, int(row)
 
 
+def _number(value, key: str) -> float:
+    """A layout's JSON number as a float; a bool or a string is not one."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} {json.dumps(value)} is not a number")
+    return float(value)  # OverflowError for an integer past the float range
+
+
 def load_layout(path: str | Path) -> BeaconLayout:
     """Read a layout JSON file: grid size, cell feet, beacon positions."""
     with open(path) as f:
@@ -170,10 +177,10 @@ def load_layout(path: str | Path) -> BeaconLayout:
             grid = list(doc.get("grid", [GRID_SIZE, GRID_SIZE]))
             beacons = doc["beacons"]
             ids = tuple(b["id"] for b in beacons)
-            xs = tuple(float(b["x"]) for b in beacons)
-            ys = tuple(float(b["y"]) for b in beacons)
-            cell_feet = float(doc.get("cell_feet", DEFAULT_CELL_FEET))
-        except (AttributeError, KeyError, TypeError, ValueError) as e:  # not JSON, or not a layout
+            xs = tuple(_number(b["x"], "x") for b in beacons)
+            ys = tuple(_number(b["y"], "y") for b in beacons)
+            cell_feet = _number(doc.get("cell_feet", DEFAULT_CELL_FEET), "cell_feet")
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:  # not JSON, or not a layout
             raise LayoutError(f"malformed layout {path}: {e!r}") from None
     if grid != [GRID_SIZE, GRID_SIZE]:
         raise LayoutError(f"unsupported grid {grid}, expected [{GRID_SIZE}, {GRID_SIZE}]")

@@ -254,6 +254,16 @@ class TestRationalizeCommand:
         assert summary["baseline_mean_error_ft"] > 0
         assert len(summary["beacons"]) == 13
 
+    @pytest.mark.parametrize("flag, seed", [([], 7), (["--seed", "2"], 2)], ids=["config", "flag"])
+    def test_seeds_start_at_the_config_seed_unless_a_flag_sets_one(self, corpus, tmp_path, flag, seed):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"seed": 7}}))
+        assert run(["rationalize", "--labelled", str(corpus / "labelled.csv"), "--layout", str(corpus / "layout.json"),
+                    "--config", str(config), "--epochs", "1", "--n-seeds", "2", *flag,
+                    "--out-dir", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["seeds"] == [seed, seed + 1]
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] == seed
+
     def test_empty_dataset_errors(self, corpus, tmp_path):
         empty = tmp_path / "empty.csv"
         layout = data.load_layout(corpus / "layout.json")
@@ -553,12 +563,16 @@ def test_integer_and_null_stand_for_a_float_rate(corpus, tmp_path):
 
 BEACONS = b",".join(b"b30%02d" % i for i in range(1, 14))
 READINGS = b",".join([b"-70"] * 13)
+LAYOUT = (Path(data.__file__).parent / "layouts" / "default_layout.json").read_bytes()  # the corpus's beacons
 
 # (input flag, content of the file given to it)
 MALFORMED_FILES = [
     ("--layout", b"{not json"),
     ("--layout", b'{"cell_feet": 10}'),
     ("--layout", b'{"beacons": [{"id": "b1", "x": "left", "y": 3}]}'),
+    ("--layout", LAYOUT.replace(b'"x": 3,', b'"x": "3.5",', 1)),
+    ("--layout", LAYOUT.replace(b'"x": 3,', b'"x": true,', 1)),
+    ("--layout", LAYOUT.replace(b'"x": 3,', b'"x": 1' + b"0" * 400 + b",", 1)),
     ("--layout", b"[1, 2]"),
     ("--labelled", b"location,date," + BEACONS + b"\nA01,d\xe9c," + READINGS + b"\n"),
     ("--labelled", b"location,date," + BEACONS + b"\nA\xc2\xb2,d," + READINGS + b"\n"),  # A²
@@ -569,7 +583,8 @@ MALFORMED_FILES = [
 
 
 @pytest.mark.parametrize("flag, content", MALFORMED_FILES, ids=[
-    "layout-not-json", "layout-without-beacons", "layout-non-numeric-x", "layout-list-root",
+    "layout-not-json", "layout-without-beacons", "layout-non-numeric-x", "layout-numeric-string-x",
+    "layout-bool-x", "layout-x-past-float-range", "layout-list-root",
     "labelled-not-utf8", "labelled-non-ascii-digit", "labelled-empty", "labelled-non-numeric-rssi",
     "unlabelled-not-utf8"])
 def test_malformed_input_file_exits_3_without_traceback(flag, content, corpus, tmp_path, capsys):
@@ -647,7 +662,8 @@ def test_tune_checks_its_space_once(corpus, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("cell_feet", [-10, 0, float("nan")], ids=["negative", "zero", "nan"])
+@pytest.mark.parametrize("cell_feet", [-10, 0, float("nan"), True, "10"],
+                         ids=["negative", "zero", "nan", "bool", "string"])
 def test_layout_cell_feet_not_finite_and_positive_exits_3(cell_feet, corpus, tmp_path, capsys):
     layout = tmp_path / "layout.json"
     layout.write_text(json.dumps({**json.loads((corpus / "layout.json").read_text()), "cell_feet": cell_feet}))
