@@ -1,5 +1,6 @@
-"""Every public top-level function and class in ``src/fingerloc``, and every public method and property
-of a public class, is named somewhere else in ``src/``.
+"""Every top-level function and class in ``src/fingerloc``, and every method and property of a class,
+is named somewhere else: a public one anywhere else in ``src/``, a private one elsewhere in its module,
+and a private method or property by another member of its class.
 
 A definition that no code in the package reaches is dead: only its own tests keep it alive.
 """
@@ -27,25 +28,34 @@ def _names(node: ast.AST) -> set[str]:
 
 
 def unreached_definitions(src: Path = SRC) -> list[str]:
-    """``module.name`` of each public top-level def or class that no other top-level statement names,
-    and ``module.Class.name`` of each public method or property of a public class that neither another
-    top-level statement nor another member of its class names."""
+    """``module.name`` of each top-level def or class that no other top-level statement names (of its own
+    module, for a private one), and ``module.Class.name`` of each method or property that no other
+    member of its class names: a public one of a public class may be named by another top-level
+    statement instead, and one of a private class is not checked unless it is private. Dunder methods
+    are called by Python itself."""
     statements = [(path.stem, stmt) for path in sorted(src.glob("*.py"))
                   for stmt in ast.parse(path.read_text()).body]
     names = [_names(stmt) for _, stmt in statements]
     dead = []
     for i, (module, stmt) in enumerate(statements):
-        if not (isinstance(stmt, (*FUNCTIONS, ast.ClassDef)) and not stmt.name.startswith("_")):
+        if not isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
             continue
-        outside = set().union(*(other for j, other in enumerate(names) if j != i))
+        private = stmt.name.startswith("_")
+        outside = set().union(*(other for j, other in enumerate(names)
+                                if j != i and (statements[j][0] == module or not private)))
         if stmt.name not in outside and f"{module}.{stmt.name}" not in ENTRY_POINTS:
             dead.append(f"{module}.{stmt.name}")
         if isinstance(stmt, ast.ClassDef):
             for member in stmt.body:
-                if isinstance(member, FUNCTIONS) and not member.name.startswith("_"):
-                    siblings = set().union(*(_names(m) for m in stmt.body if m is not member))
-                    if member.name not in outside | siblings:
-                        dead.append(f"{module}.{stmt.name}.{member.name}")
+                if not isinstance(member, FUNCTIONS) or member.name.startswith("__"):
+                    continue
+                siblings = set().union(*(_names(m) for m in stmt.body if m is not member))
+                if member.name.startswith("_"):
+                    reached = member.name in siblings
+                else:
+                    reached = private or member.name in outside | siblings
+                if not reached:
+                    dead.append(f"{module}.{stmt.name}.{member.name}")
     return dead
 
 
