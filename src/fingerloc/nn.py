@@ -603,6 +603,8 @@ def load_network(blob: bytes) -> Network:
             cls = KINDS.get(spec["kind"])
             if cls is None:
                 raise LoadError(f"unknown layer kind {spec['kind']!r}")
+            if set(spec) != {"kind", *cls.size_keys}:
+                raise LoadError(f"a {cls.kind} spec has the keys kind and {cls.size_keys}, got {sorted(spec)}")
             sizes = [spec[key] for key in cls.size_keys]
             layer_shapes = [list(shape) for shape in cls.param_shapes(*sizes)]
             # a bool is not a size, and neither is a list where a shape wants one number

@@ -721,7 +721,8 @@ SIZE_DRAWS = {"in": st.integers(1, 5), "out": st.integers(1, 5),
 
 
 def test_every_layer_class_has_its_kind():
-    classes = {c for c in vars(nn).values() if isinstance(c, type) and issubclass(c, nn.Layer) and c is not nn.Layer}
+    classes = {c for c in vars(nn).values()
+               if isinstance(c, type) and issubclass(c, nn.Layer) and c is not nn.Layer}
     assert classes == set(nn.KINDS.values())
 
 
@@ -793,7 +794,8 @@ class TestSerialization:
         lambda payload: payload["layers"].insert(0, "dense"),
         lambda payload: payload["params"][0].update(data="abc"),
         lambda payload: payload["layers"][0].update(kind="lstm"),
-    ], ids=["spec-missing-field", "spec-not-a-dict", "bad-base64", "unknown-kind"])
+        lambda payload: payload["layers"][0].update(window=[0, 3]),
+    ], ids=["spec-missing-field", "spec-not-a-dict", "bad-base64", "unknown-kind", "spec-stray-field"])
     def test_malformed_entry_with_valid_checksum_rejected(self, corrupt):
         doc = json.loads(nn.save_network(nn.Network([nn.Dense(2, 3)], seed=0)))
         corrupt(doc["payload"])
