@@ -258,9 +258,9 @@ class TestRationalizeCommand:
     def test_seeds_start_at_the_config_seed_unless_a_flag_sets_one(self, corpus, tmp_path, flag, seed):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"train": {"seed": 7}}))
-        assert run(["rationalize", "--labelled", str(corpus / "labelled.csv"), "--layout", str(corpus / "layout.json"),
-                    "--config", str(config), "--epochs", "1", "--n-seeds", "2", *flag,
-                    "--out-dir", str(tmp_path / "out")]) == 0
+        assert run(["rationalize", "--labelled", str(corpus / "labelled.csv"),
+                    "--layout", str(corpus / "layout.json"), "--config", str(config),
+                    "--epochs", "1", "--n-seeds", "2", *flag, "--out-dir", str(tmp_path / "out")]) == 0
         assert json.loads((tmp_path / "out" / "summary.json").read_text())["seeds"] == [seed, seed + 1]
         assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] == seed
 

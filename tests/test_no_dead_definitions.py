@@ -1,6 +1,7 @@
-"""Every top-level function and class in ``src/fingerloc``, and every method and property of a class,
-is named somewhere else: a public one anywhere else in ``src/``, a private one elsewhere in its module,
-and a private method or property by another member of its class.
+"""Every top-level function and class in ``src/fingerloc`` is named somewhere else in ``src/``, a private
+one elsewhere in its module. Every public method and property of a public class is named by another
+top-level statement or another member of its class, and every private one of any class by another
+member of its class.
 
 A definition that no code in the package reaches is dead: only its own tests keep it alive.
 """
@@ -28,11 +29,9 @@ def _names(node: ast.AST) -> set[str]:
 
 
 def unreached_definitions(src: Path = SRC) -> list[str]:
-    """``module.name`` of each top-level def or class that no other top-level statement names (of its own
-    module, for a private one), and ``module.Class.name`` of each method or property that no other
-    member of its class names: a public one of a public class may be named by another top-level
-    statement instead, and one of a private class is not checked unless it is private. Dunder methods
-    are called by Python itself."""
+    """``module.name`` of each top-level def or class that no other top-level statement names (of its
+    module, if it is private), and ``module.Class.name`` of each method or property that the rules in
+    this module's docstring leave unnamed. Python itself calls the dunder methods."""
     statements = [(path.stem, stmt) for path in sorted(src.glob("*.py"))
                   for stmt in ast.parse(path.read_text()).body]
     names = [_names(stmt) for _, stmt in statements]
@@ -52,7 +51,7 @@ def unreached_definitions(src: Path = SRC) -> list[str]:
                 siblings = set().union(*(_names(m) for m in stmt.body if m is not member))
                 if member.name.startswith("_"):
                     reached = member.name in siblings
-                else:
+                else:  # a public member of a private class is not checked
                     reached = private or member.name in outside | siblings
                 if not reached:
                     dead.append(f"{module}.{stmt.name}.{member.name}")
