@@ -3,9 +3,11 @@
 Subcommands: train, tune, augment, rationalize, synth, rerun. An option is
 registered only on the commands that read it; its parser default is its only
 default. ``_run`` resolves a command's input files (``INPUTS``) to absolute
-paths, runs it and writes a manifest of the inputs' SHA-256, the arguments
-and the artifacts. ``fingerloc rerun manifest.json`` refuses changed inputs,
-then replays the command and reproduces its outputs bit-identically.
+paths and loads its layout and tables, so every command reads its input files
+before its ``--config`` or ``--spec``. It runs the command on them and writes a
+manifest of the inputs' SHA-256, the arguments and the artifacts.
+``fingerloc rerun manifest.json`` refuses changed inputs, then replays the
+command and reproduces its outputs bit-identically.
 
 Exit codes: 0 ok, 2 configuration error or invalid flag, 3 data error,
 4 numerical error.
@@ -57,10 +59,6 @@ def _resolve_inputs(args: dict) -> dict[str, str]:
         if path is not None:
             resolved[name] = str(Path(path).resolve())
     return resolved
-
-
-def _load_layout(path: str | None) -> data.BeaconLayout:
-    return data.default_layout() if path is None else data.load_layout(path)
 
 
 def _sha256(path: Path) -> str:
@@ -159,12 +157,10 @@ def _train_config(args: dict) -> nn.TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# commands: (resolved args, out_dir) -> (artifacts, seed)
+# commands: (resolved args, out_dir, layout, dataset) -> (artifacts, seed)
 
-def cmd_train(args: dict, out_dir: Path) -> tuple[list[Path], int]:
+def cmd_train(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset) -> tuple[list[Path], int]:
     config = _train_config(args)
-    layout = _load_layout(args["layout"])
-    dataset = data.load_dataset(args["labelled"], args["unlabelled"], layout)
     kind, strategy, ratio = args["model"], args["strategy"], args["ratio"]
     policy = aug.AugmentationPolicy(seed=config.seed, threshold=args["threshold"])
 
@@ -201,7 +197,7 @@ def cmd_train(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     return [model_path, metrics_path, cdf_path], config.seed
 
 
-def cmd_tune(args: dict, out_dir: Path) -> tuple[list[Path], int]:
+def cmd_tune(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset) -> tuple[list[Path], int]:
     spec = _load_config(args["spec"])
     params = _checked({"space": spec.pop("space", None)}, {"space": list | None}, "experiment spec")["space"]
     exp_config = _overlay(hpo.ExperimentConfig, spec, args, "experiment spec")
@@ -212,8 +208,6 @@ def cmd_tune(args: dict, out_dir: Path) -> tuple[list[Path], int]:
         entries = [_checked(p, {"name": str, "min": float, "max": float}, "search-space entry", required=True)
                    for p in params]
         space = hpo.SearchSpace(tuple((e["name"], e["min"], e["max"]) for e in entries))
-    layout = _load_layout(args["layout"])
-    dataset = data.load_dataset(args["labelled"], None, layout)
     result = hpo.run_search(hpo.training_objective(args["model"], dataset, space, base), space, exp_config)
 
     trials_path = out_dir / "trials.csv"
@@ -229,9 +223,7 @@ def cmd_tune(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     return [trials_path, best_path], exp_config.seed
 
 
-def cmd_augment(args: dict, out_dir: Path) -> tuple[list[Path], int]:
-    layout = _load_layout(args["layout"])
-    dataset = data.load_dataset(args["labelled"], args["unlabelled"], layout)
+def cmd_augment(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset) -> tuple[list[Path], int]:
     strategy = args["strategy"]
     policy = aug.AugmentationPolicy(threshold=args["threshold"], seed=args["seed"])
     result = aug.augment(dataset.labelled, strategy, policy, dataset.unlabelled)
@@ -243,9 +235,7 @@ def cmd_augment(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     return [augmented_path, counts_path], args["seed"]
 
 
-def cmd_rationalize(args: dict, out_dir: Path) -> tuple[list[Path], int]:
-    layout = _load_layout(args["layout"])
-    dataset = data.load_dataset(args["labelled"], None, layout)
+def cmd_rationalize(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset) -> tuple[list[Path], int]:
     config = _train_config(args)
     seeds = [config.seed + i for i in range(args["n_seeds"])]
     result = rationalize.dropout_study(args["model"], config, dataset, seeds)
@@ -274,10 +264,9 @@ def cmd_rationalize(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     return [study_path, summary_path], config.seed
 
 
-def cmd_synth(args: dict, out_dir: Path) -> tuple[list[Path], int]:
-    layout = _load_layout(args["layout"])
+def cmd_synth(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: None) -> tuple[list[Path], int]:
     try:
-        dataset = data.synth_generate(
+        corpus = data.synth_generate(
             layout, data.PathLossModel(noise_std=args["noise_std"]), n_locations=args["locations"],
             samples_per_location=args["samples_per_location"], seed=args["seed"],
             n_unlabelled=args["unlabelled_count"])
@@ -286,10 +275,10 @@ def cmd_synth(args: dict, out_dir: Path) -> tuple[list[Path], int]:
     labelled_path = out_dir / "labelled.csv"
     unlabelled_path = out_dir / "unlabelled.csv"
     layout_path = out_dir / "layout.json"
-    data.write_labelled_csv(dataset.labelled, layout, labelled_path)
-    data.write_unlabelled_csv(dataset.unlabelled, layout, unlabelled_path)
+    data.write_labelled_csv(corpus.labelled, layout, labelled_path)
+    data.write_unlabelled_csv(corpus.unlabelled, layout, unlabelled_path)
     data.save_layout(layout, layout_path)
-    print(f"wrote {len(dataset.labelled)} labelled / {len(dataset.unlabelled)} unlabelled samples")
+    print(f"wrote {len(corpus.labelled)} labelled / {len(corpus.unlabelled)} unlabelled samples")
     return [labelled_path, unlabelled_path, layout_path], args["seed"]
 
 
@@ -298,13 +287,15 @@ COMMANDS = {"train": cmd_train, "tune": cmd_tune, "augment": cmd_augment,
 
 
 def _run(command: str, args: dict) -> None:
-    """Resolve the inputs, run one command and write its manifest."""
+    """Resolve and load the inputs, run one command on them and write its manifest."""
     started = time.monotonic()
     out_dir = Path(args["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = _resolve_inputs(args)
     args = {**args, **inputs}
-    artifacts, seed = COMMANDS[command](args, out_dir)
+    layout = data.load_layout(inputs["layout"]) if "layout" in inputs else data.default_layout()
+    dataset = data.load_dataset(inputs["labelled"], inputs.get("unlabelled"), layout) if "labelled" in inputs else None
+    artifacts, seed = COMMANDS[command](args, out_dir, layout, dataset)
     write_manifest(out_dir, command, args, [Path(p) for p in inputs.values()],
                    artifacts, seed, started)
 

@@ -132,7 +132,6 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.n
     if np.any(pos):
         from scipy.special import ndtr
         z = improve[pos] / std[pos]
-        ei = np.array(ei, dtype=np.float64)
         pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)  # scipy.stats.norm.pdf's own expression
         ei[pos] = np.maximum(improve[pos] * ndtr(z) + std[pos] * pdf, 0.0)
     return ei

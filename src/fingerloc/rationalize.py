@@ -67,7 +67,7 @@ def dropout_study(model_kind: str, config: TrainConfig, dataset: Dataset,
                                         residual_samples=len(residual.labelled),
                                         mean_error_feet=err,
                                         delta_feet=err - baseline))
-        except (FingerlocError, ValueError) as e:  # degenerate residual or divergence
+        except FingerlocError as e:  # degenerate residual or divergence
             impacts.append(BeaconImpact(beacon_id=beacon_id,
                                         residual_samples=len(residual.labelled),
                                         mean_error_feet=None, delta_feet=None,

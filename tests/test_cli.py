@@ -597,6 +597,22 @@ def test_malformed_input_file_exits_3_without_traceback(flag, content, corpus, t
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, content", [
+    ("train", "--config", {"trian": {"epochs": 2}}),
+    ("tune", "--spec", {"max_trial": 2}),
+    ("rationalize", "--config", {"trian": {"epochs": 2}}),
+], ids=["train-config", "tune-spec", "rationalize-config"])
+def test_bad_input_file_is_reported_before_a_bad_config(command, flag, content, corpus, tmp_path, capsys):
+    """Every command loads its layout and tables before it reads its --config or --spec."""
+    (tmp_path / "layout.json").write_bytes(b"{not json")
+    (tmp_path / "values.json").write_text(json.dumps(content))
+    argv = [command, "--labelled", str(corpus / "labelled.csv"), "--layout", str(tmp_path / "layout.json"),
+            flag, str(tmp_path / "values.json"), "--out-dir", str(tmp_path / "out"), "--epochs", "1"]
+    assert run(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "malformed layout" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--labelled", "--unlabelled"])
 @pytest.mark.parametrize("beacons, named", [(lambda ids: ids[::-1], "'b3013'"),
                                             (lambda ids: [f"u{i}" for i in range(13)], "'u0'")],
