@@ -3,11 +3,12 @@
 Subcommands: train, tune, augment, rationalize, synth, rerun. An option is
 registered only on the commands that read it; its parser default is its only
 default. ``_run`` resolves a command's input files (``INPUTS``) to absolute
-paths and loads its layout and tables, so every command reads its input files
-before its ``--config`` or ``--spec``. It runs the command on them and writes a
-manifest of the inputs' SHA-256, the arguments and the artifacts.
-``fingerloc rerun manifest.json`` refuses changed inputs, then replays the
-command and reproduces its outputs bit-identically.
+paths and opens each once: it hashes the bytes it read and parses those bytes,
+the layout and tables first, then the ``--config`` or ``--spec`` document. It
+runs the command on them and writes a manifest of those SHA-256 digests, the
+arguments and the artifacts. ``fingerloc rerun manifest.json`` replays the
+command, refusing each input whose bytes differ from the recorded digest before
+it is parsed, and reproduces its outputs bit-identically.
 
 Exit codes: 0 ok, 2 configuration error or invalid flag, 3 data error,
 4 numerical error.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -61,21 +63,13 @@ def _resolve_inputs(args: dict) -> dict[str, str]:
     return resolved
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_json(path: Path, doc) -> None:
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def write_manifest(out_dir: Path, command: str, args: dict, inputs: list[Path],
+def write_manifest(out_dir: Path, command: str, args: dict, inputs: dict[str, str],
                    artifacts: list[Path], seed: int | None, started: float) -> Path:
     manifest = {
         "tool": "fingerloc",
@@ -83,7 +77,7 @@ def write_manifest(out_dir: Path, command: str, args: dict, inputs: list[Path],
         "command": command,
         "args": args,
         "seed": seed,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
         "artifacts": [str(p) for p in artifacts],
         "wall_clock_s": round(time.monotonic() - started, 3),
     }
@@ -100,15 +94,11 @@ def write_cdf(errors_feet: np.ndarray, path: Path) -> None:
                      ([repr(e), repr((i + 1) / n)] for i, e in enumerate(ordered.tolist())))
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _load_config(stream: io.TextIOBase | None) -> dict:
+    """Parse a ``--config`` or ``--spec`` file's text into its JSON object; {} when no file is given."""
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read config: {e}") from None
-    except ValueError as e:
+        doc = {} if stream is None else json.load(stream)
+    except ValueError as e:  # a UnicodeDecodeError too
         raise ConfigError(f"config is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -149,18 +139,19 @@ def _overlay(cls, section, args: dict, what: str):
     return cls(**values)
 
 
-def _train_config(args: dict) -> nn.TrainConfig:
-    """The ``--config`` file's ``train`` section overlaid by the flags given. ``objective_grid`` is
+def _train_config(args: dict, document: dict) -> nn.TrainConfig:
+    """The ``--config`` ``document``'s ``train`` section overlaid by the flags given. ``objective_grid`` is
     allowed beside it, so that ``tune``'s ``best_config.json`` passes back as written."""
-    doc = _checked(_load_config(args["config"]), {"train": dict, "objective_grid": float}, "config")
+    doc = _checked(document, {"train": dict, "objective_grid": float}, "config")
     return _overlay(nn.TrainConfig, doc.get("train", {}), args, "train config")
 
 
 # ---------------------------------------------------------------------------
-# commands: (resolved args, out_dir, layout, dataset) -> (artifacts, seed)
+# commands: (resolved args, out_dir, layout, dataset, the parsed --config or --spec document or {})
+# -> (artifact paths, seed). A command opens no input file: _run reads and parses them all.
 
-def cmd_train(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset) -> tuple[list[Path], int]:
-    config = _train_config(args)
+def cmd_train(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset, document: dict):
+    config = _train_config(args, document)
     kind, strategy, ratio = args["model"], args["strategy"], args["ratio"]
     policy = aug.AugmentationPolicy(seed=config.seed, threshold=args["threshold"])
 
@@ -197,8 +188,7 @@ def cmd_train(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: dat
     return [model_path, metrics_path, cdf_path], config.seed
 
 
-def cmd_tune(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset) -> tuple[list[Path], int]:
-    spec = _load_config(args["spec"])
+def cmd_tune(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset, spec: dict):
     params = _checked({"space": spec.pop("space", None)}, {"space": list | None}, "experiment spec")["space"]
     exp_config = _overlay(hpo.ExperimentConfig, spec, args, "experiment spec")
     base = _overlay(nn.TrainConfig, {"seed": exp_config.seed}, args, "train config")
@@ -223,7 +213,7 @@ def cmd_tune(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data
     return [trials_path, best_path], exp_config.seed
 
 
-def cmd_augment(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset) -> tuple[list[Path], int]:
+def cmd_augment(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset, document: dict):
     strategy = args["strategy"]
     policy = aug.AugmentationPolicy(threshold=args["threshold"], seed=args["seed"])
     result = aug.augment(dataset.labelled, strategy, policy, dataset.unlabelled)
@@ -235,8 +225,8 @@ def cmd_augment(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: d
     return [augmented_path, counts_path], args["seed"]
 
 
-def cmd_rationalize(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset) -> tuple[list[Path], int]:
-    config = _train_config(args)
+def cmd_rationalize(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset, document: dict):
+    config = _train_config(args, document)
     seeds = [config.seed + i for i in range(args["n_seeds"])]
     result = rationalize.dropout_study(args["model"], config, dataset, seeds)
     ranked = rationalize.rank_beacons(result)
@@ -264,7 +254,7 @@ def cmd_rationalize(args: dict, out_dir: Path, layout: data.BeaconLayout, datase
     return [study_path, summary_path], config.seed
 
 
-def cmd_synth(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: None) -> tuple[list[Path], int]:
+def cmd_synth(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: None, document: dict):
     try:
         corpus = data.synth_generate(
             layout, data.PathLossModel(noise_std=args["noise_std"]), n_locations=args["locations"],
@@ -286,18 +276,39 @@ COMMANDS = {"train": cmd_train, "tune": cmd_tune, "augment": cmd_augment,
             "rationalize": cmd_rationalize, "synth": cmd_synth}
 
 
-def _run(command: str, args: dict) -> None:
-    """Resolve and load the inputs, run one command on them and write its manifest."""
+def _run(command: str, args: dict, recorded: dict[str, str] | None = None) -> None:
+    """Resolve, read and parse the inputs, run one command on them and write its manifest.
+
+    Each input file is opened once and its bytes are hashed, then parsed. A replay passes the
+    ``recorded`` digests, and an input whose bytes differ is refused before it is parsed."""
     started = time.monotonic()
     out_dir = Path(args["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    inputs = _resolve_inputs(args)
-    args = {**args, **inputs}
-    layout = data.load_layout(inputs["layout"]) if "layout" in inputs else data.default_layout()
-    dataset = data.load_dataset(inputs["labelled"], inputs.get("unlabelled"), layout) if "labelled" in inputs else None
-    artifacts, seed = COMMANDS[command](args, out_dir, layout, dataset)
-    write_manifest(out_dir, command, args, [Path(p) for p in inputs.values()],
-                   artifacts, seed, started)
+    paths = _resolve_inputs(args)
+    args = {**args, **paths}
+    digests = {}
+
+    def read(name: str) -> io.TextIOWrapper | None:
+        """The input ``name``'s bytes, hashed and checked, as UTF-8 text decoded as it is read
+        (a StringIO of the whole text would take 4 bytes a character); None if it was not given."""
+        if name not in paths:
+            return None
+        path = paths[name]
+        with open(path, "rb") as f:
+            raw = f.read()
+        digests[path] = hashlib.sha256(raw).hexdigest()
+        if recorded is not None and recorded.get(path) != digests[path]:
+            raise DataError(f"input is not the one the recorded run read: {path}")
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+
+    layout = data.load_layout(read("layout")) if "layout" in paths else data.default_layout()
+    dataset = data.load_dataset(read("labelled"), read("unlabelled"), layout) if "labelled" in paths else None
+    try:  # a command registers --config, --spec or neither
+        document = _load_config(read("config") or read("spec"))
+    except OSError as e:
+        raise ConfigError(f"cannot read config: {e}") from None
+    artifacts, seed = COMMANDS[command](args, out_dir, layout, dataset, document)
+    write_manifest(out_dir, command, args, digests, artifacts, seed, started)
 
 
 def _rerun(args: dict) -> None:
@@ -316,11 +327,9 @@ def _rerun(args: dict) -> None:
     missing = [f"--{name.replace('_', '-')}" for name in defaults if name not in recorded]
     if missing:
         raise ConfigError(f"manifest {manifest_path} does not record {', '.join(missing)}")
-    for path, digest in inputs.items():
+    for path in inputs:
         if not Path(path).is_file():
             raise DataError(f"recorded input is missing: {path}")
-        if _sha256(Path(path)) != digest:
-            raise DataError(f"recorded input has changed since the run: {path}")
     recorded["out_dir"] = args["out_dir"] or recorded["out_dir"]
     # replayed values pass the parser's checks again; unregistered options are dropped and
     # a null (older versions' unset --seed) or an unset switch takes the parser default
@@ -335,7 +344,7 @@ def _rerun(args: dict) -> None:
         replay = vars(build_parser().parse_args(argv))
     except SystemExit:  # argparse has printed which option it rejected
         raise ConfigError(f"manifest {manifest_path} records a value the command rejects") from None
-    _run(replay.pop("command"), replay)
+    _run(replay.pop("command"), replay, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="RSSI fingerprint localization toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    config_seed = dict(type=_in_range(int, 0, math.inf), default=None, help="default: the config's seed, else 0")
+    config_seed = dict(type=_in_range(int, 0, math.inf), default=None,
+                       help="default: the --config or --spec file's seed, else 0")
 
     p = sub.add_parser("train", help="train a localization model")
     _add(p, "--labelled", "--unlabelled", "--layout", "--config", "--jobs", "--out-dir",
@@ -397,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="hyperparameter search")
     _add(p, "--labelled", "--layout", "--out-dir", "--model", "--epochs")
-    p.add_argument("--seed", type=_in_range(int, 0, math.inf), default=None,
-                   help="default: the spec's seed, else 0")
+    p.add_argument("--seed", **config_seed)
     p.add_argument("--spec", help="experiment spec JSON (algorithm, max_trials, goal, seed, space)")
     p.add_argument("--optimizer", choices=nn.OPTIMIZERS, default="adam")
 

@@ -169,19 +169,18 @@ def _number(value, key: str) -> float:
     return float(value)  # OverflowError for an integer past the float range
 
 
-def load_layout(path: str | Path) -> BeaconLayout:
-    """Read a layout JSON file: grid size, cell feet, beacon positions."""
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-            grid = list(doc.get("grid", [GRID_SIZE, GRID_SIZE]))
-            beacons = doc["beacons"]
-            ids = tuple(b["id"] for b in beacons)
-            xs = tuple(_number(b["x"], "x") for b in beacons)
-            ys = tuple(_number(b["y"], "y") for b in beacons)
-            cell_feet = _number(doc.get("cell_feet", DEFAULT_CELL_FEET), "cell_feet")
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:  # not JSON, or not a layout
-            raise LayoutError(f"malformed layout {path}: {e!r}") from None
+def load_layout(text: io.TextIOBase | str) -> BeaconLayout:
+    """Parse a layout JSON document (a text stream or a str): grid size, cell feet, beacon positions."""
+    try:
+        doc = json.loads(text if isinstance(text, str) else text.read())
+        grid = list(doc.get("grid", [GRID_SIZE, GRID_SIZE]))
+        beacons = doc["beacons"]
+        ids = tuple(b["id"] for b in beacons)
+        xs = tuple(_number(b["x"], "x") for b in beacons)
+        ys = tuple(_number(b["y"], "y") for b in beacons)
+        cell_feet = _number(doc.get("cell_feet", DEFAULT_CELL_FEET), "cell_feet")
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:  # not UTF-8, not JSON, or not a layout
+        raise LayoutError(f"malformed layout: {e!r}") from None
     if grid != [GRID_SIZE, GRID_SIZE]:
         raise LayoutError(f"unsupported grid {grid}, expected [{GRID_SIZE}, {GRID_SIZE}]")
     return BeaconLayout(ids=ids, xs=xs, ys=ys, cell_feet=cell_feet)
@@ -202,7 +201,7 @@ def save_layout(layout: BeaconLayout, path: str | Path) -> None:
 
 
 def default_layout() -> BeaconLayout:
-    return load_layout(_DEFAULT_LAYOUT_PATH)
+    return load_layout(_DEFAULT_LAYOUT_PATH.read_text(encoding="utf-8"))
 
 
 def _parse_rssi_row(fields: Sequence[str], line: int) -> list[float]:
@@ -267,13 +266,12 @@ def parse_unlabelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> F
     return Fingerprints(_rssi_matrix(rssi, layout), timestamps)
 
 
-def load_dataset(labelled_path: str | Path, unlabelled_path: str | Path | None, layout: BeaconLayout) -> Dataset:
-    with open(labelled_path, newline="") as f:
-        labelled = parse_labelled_csv(f, layout)
-    unlabelled = Fingerprints(_rssi_matrix([], layout), [])
-    if unlabelled_path is not None:
-        with open(unlabelled_path, newline="") as f:
-            unlabelled = parse_unlabelled_csv(f, layout)
+def load_dataset(labelled: io.TextIOBase | str, unlabelled: io.TextIOBase | str | None, layout: BeaconLayout) -> Dataset:
+    """Parse a labelled CSV and, if given, an unlabelled one: each a text stream or a str, as
+    :func:`parse_labelled_csv` takes."""
+    labelled = parse_labelled_csv(labelled, layout)
+    unlabelled = (Fingerprints(_rssi_matrix([], layout), []) if unlabelled is None
+                  else parse_unlabelled_csv(unlabelled, layout))
     return Dataset(labelled=labelled, unlabelled=unlabelled, layout=layout)
 
 

@@ -548,7 +548,7 @@ class Metrics:
 
 
 def evaluate(network: Network, inputs: np.ndarray, targets: np.ndarray,
-             cell_feet: float = 10.0) -> Metrics:
+             cell_feet: float) -> Metrics:
     """Mean Euclidean distance between predicted and true grid coordinates."""
     if len(inputs) == 0:
         raise ValueError("empty test set")

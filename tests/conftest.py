@@ -49,4 +49,4 @@ def uci_dataset(layout):
     paths = uci_paths()
     if paths is None:
         pytest.skip("UCI corpus not present")
-    return data.load_dataset(paths[0], paths[1], layout)
+    return data.load_dataset(paths[0].read_text(), paths[1].read_text(), layout)

@@ -1,5 +1,8 @@
 import argparse
+import builtins
+import collections
 import csv
+import io
 import json
 import os
 import shutil
@@ -266,7 +269,7 @@ class TestRationalizeCommand:
 
     def test_empty_dataset_errors(self, corpus, tmp_path):
         empty = tmp_path / "empty.csv"
-        layout = data.load_layout(corpus / "layout.json")
+        layout = data.load_layout((corpus / "layout.json").read_text())
         empty.write_text("location,date," + ",".join(layout.ids) + "\n")
         code = run(["rationalize", "--labelled", str(empty),
                     "--layout", str(corpus / "layout.json"),
@@ -611,6 +614,89 @@ def test_bad_input_file_is_reported_before_a_bad_config(command, flag, content, 
     assert run(argv) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert "malformed layout" in err and "Traceback" not in err
+
+
+# (command, input flag, the file's bytes or None for no file, exit status, a phrase the error names)
+UNREADABLE_FILES = [
+    ("train", "--config", None, cli.EXIT_CONFIG, "cannot read config"),
+    ("rationalize", "--config", None, cli.EXIT_CONFIG, "cannot read config"),
+    ("tune", "--spec", None, cli.EXIT_CONFIG, "cannot read config"),
+    ("train", "--config", b'{"train": {"optimizer": "s\xe9d"}}', cli.EXIT_CONFIG, "config is not valid JSON"),
+    ("tune", "--spec", b'{"algorithm": "r\xe9ndom"}', cli.EXIT_CONFIG, "config is not valid JSON"),
+    ("train", "--layout", None, cli.EXIT_DATA, "data error"),
+    ("train", "--layout", LAYOUT.replace(b'"b3001"', b'"b30\xe901"'), cli.EXIT_DATA, "data error"),
+    ("train", "--labelled", None, cli.EXIT_DATA, "data error"),
+    ("train", "--labelled", b"location,date," + BEACONS + b"\nA01,d\xe9c," + READINGS + b"\n",
+     cli.EXIT_DATA, "data error"),
+    ("train", "--unlabelled", b"date,b30\xe901" + BEACONS[5:] + b"\nd," + READINGS + b"\n",
+     cli.EXIT_DATA, "data error"),
+]
+
+
+@pytest.mark.parametrize("command, flag, content, status, named", UNREADABLE_FILES, ids=[
+    "train-config-missing", "rationalize-config-missing", "tune-spec-missing", "train-config-not-utf8",
+    "tune-spec-not-utf8", "layout-missing", "layout-not-utf8", "labelled-missing", "labelled-not-utf8",
+    "unlabelled-header-not-utf8"])
+def test_each_kind_of_unreadable_input_keeps_its_exit_status(command, flag, content, status, named, corpus,
+                                                             tmp_path, capsys):
+    """A --config or --spec that cannot be read or decoded is a configuration error; a data file is a data error."""
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    inputs = {"--labelled": corpus / "labelled.csv", "--layout": corpus / "layout.json", flag: path}
+    argv = [command, *(str(a) for pair in inputs.items() for a in pair),
+            "--out-dir", str(tmp_path / "out"), "--epochs", "1"]
+    assert run(argv) == status
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_rerun_refuses_an_input_changed_after_the_run_parsed_it(corpus, tmp_path, monkeypatch, capsys):
+    """The manifest records the bytes the run parsed, not the file as it is when the run ends."""
+    (tmp_path / "c").mkdir()
+    labelled = tmp_path / "c" / "labelled.csv"
+    shutil.copy(corpus / "labelled.csv", labelled)
+    last_row = labelled.read_text().splitlines(keepends=True)[-1]
+    load = data.load_dataset
+
+    def load_then_append_a_row(*args):
+        dataset = load(*args)
+        with open(labelled, "a") as f:
+            f.write(last_row)
+        return dataset
+
+    with monkeypatch.context() as m:
+        m.setattr(data, "load_dataset", load_then_append_a_row)
+        assert run(["train", "--labelled", str(labelled), "--layout", str(corpus / "layout.json"),
+                    "--out-dir", str(tmp_path / "first"), "--epochs", "1"]) == 0
+    second = tmp_path / "second"
+    assert run(["rerun", str(tmp_path / "first" / "manifest.json"), "--out-dir", str(second)]) == cli.EXIT_DATA
+    assert str(labelled) in capsys.readouterr().err
+    assert not (second / "model.bin").exists()
+
+
+def test_each_run_opens_each_input_once(corpus, tmp_path, monkeypatch):
+    c = tmp_path / "c"
+    c.mkdir()
+    for name in ("labelled.csv", "layout.json"):
+        shutil.copy(corpus / name, c / name)
+    (c / "config.json").write_text(json.dumps({"train": {"epochs": 1}}))
+    inputs = {str((c / name).resolve()): 1 for name in ("labelled.csv", "layout.json", "config.json")}
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)  # Path.read_text and read_bytes open through io.open
+    assert run(["train", "--labelled", str(c / "labelled.csv"), "--layout", str(c / "layout.json"),
+                "--config", str(c / "config.json"), "--out-dir", str(tmp_path / "first")]) == 0
+    assert collections.Counter(p for p in opened if p in inputs) == inputs
+    opened.clear()
+    assert run(["rerun", str(tmp_path / "first" / "manifest.json"), "--out-dir", str(tmp_path / "second")]) == 0
+    assert collections.Counter(p for p in opened if p in inputs) == inputs
 
 
 @pytest.mark.parametrize("flag", ["--labelled", "--unlabelled"])

@@ -352,7 +352,7 @@ class TestLayout:
     def test_round_trip(self, layout, tmp_path):
         path = tmp_path / "layout.json"
         data.save_layout(layout, path)
-        assert data.load_layout(path) == layout
+        assert data.load_layout(path.read_text()) == layout
 
 
 class TestCsvRoundTrip:

@@ -16,3 +16,16 @@ def test_only_run_names_a_loader():
     named = {getattr(stmt, "name", "<module>"): sorted(LOADERS & _names(stmt)) for stmt in tree.body}
     assert {name: found for name, found in named.items() if found} == {"_run": sorted(LOADERS)}
     assert [name for name in named if name.startswith("cmd_")]  # the commands are still there to check
+
+
+READERS = {"_load_config", "open", "read_text", "read_bytes"}
+
+
+def test_commands_open_no_file_and_only_run_hashes():
+    """Every command gets its parsed ``--config`` or ``--spec`` document from ``_run``, which alone reads
+    and hashes the input bytes, so a manifest's digests are of the bytes the run parsed."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {stmt.name: _names(stmt) for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    readers = {name: sorted(READERS & names) for name, names in functions.items() if name.startswith("cmd_")}
+    assert readers and not any(readers.values()), readers
+    assert [name for name, names in functions.items() if "hashlib" in names] == ["_run"]
