@@ -3,8 +3,9 @@
 Subcommands: train, tune, augment, rationalize, synth, rerun. An option is
 registered only on the commands that read it; its parser default is its only
 default. ``_run`` resolves a command's input files (``INPUTS``) to absolute
-paths and opens each once: it hashes the bytes it read and parses those bytes,
-the layout and tables first, then the ``--config`` or ``--spec`` document. It
+paths (a replay takes the recorded paths alone) and opens each once: it
+hashes the bytes it read and parses those bytes, the layout and tables first,
+then the ``--config`` or ``--spec`` document. It
 runs the command on them and writes a manifest of those SHA-256 digests, the
 arguments and the artifacts. ``fingerloc rerun manifest.json`` replays the
 command, refusing each input whose bytes differ from the recorded digest before
@@ -46,9 +47,9 @@ INPUTS = {"labelled": ("labelled.csv", True), "unlabelled": ("unlabelled.csv", F
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _resolve_inputs(args: dict) -> dict[str, str]:
-    """Absolute paths of the input options this command registers and was given."""
-    root = os.environ.get("FINGERLOC_DATA_DIR")
+def _resolve_inputs(args: dict, root: str | None) -> dict[str, str]:
+    """Absolute paths of the input options this command registers and was given. An option left unset
+    takes its ``INPUTS`` fallback file under ``root`` (``FINGERLOC_DATA_DIR``) if there is one."""
     resolved = {}
     for name, (fallback, required) in INPUTS.items():
         if name not in args:
@@ -98,7 +99,7 @@ def _load_config(stream: io.TextIOBase | None) -> dict:
     """Parse a ``--config`` or ``--spec`` file's text into its JSON object; {} when no file is given."""
     try:
         doc = {} if stream is None else json.load(stream)
-    except ValueError as e:  # a UnicodeDecodeError too
+    except ValueError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -280,17 +281,21 @@ def _run(command: str, args: dict, recorded: dict[str, str] | None = None) -> No
     """Resolve, read and parse the inputs, run one command on them and write its manifest.
 
     Each input file is opened once and its bytes are hashed, then parsed. A replay passes the
-    ``recorded`` digests, and an input whose bytes differ is refused before it is parsed."""
+    ``recorded`` digests, and an input whose bytes differ is refused before it is parsed. A replay
+    reads exactly the recorded paths: an option the recorded run left unset stays unset, whatever
+    ``FINGERLOC_DATA_DIR`` holds now."""
     started = time.monotonic()
     out_dir = Path(args["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = _resolve_inputs(args)
+    paths = _resolve_inputs(args, os.environ.get("FINGERLOC_DATA_DIR") if recorded is None else None)
     args = {**args, **paths}
     digests = {}
 
     def read(name: str) -> io.TextIOWrapper | None:
-        """The input ``name``'s bytes, hashed and checked, as UTF-8 text decoded as it is read
-        (a StringIO of the whole text would take 4 bytes a character); None if it was not given."""
+        """The input ``name``'s bytes, hashed, checked against the record and checked to be UTF-8, as text
+        decoded as it is read (a StringIO of the whole text would take 4 bytes a character); None if it
+        was not given. A file that is not UTF-8 is a data error, or a config error for ``--config`` and
+        ``--spec``, naming its path."""
         if name not in paths:
             return None
         path = paths[name]
@@ -299,6 +304,13 @@ def _run(command: str, args: dict, recorded: dict[str, str] | None = None) -> No
         digests[path] = hashlib.sha256(raw).hexdigest()
         if recorded is not None and recorded.get(path) != digests[path]:
             raise DataError(f"input is not the one the recorded run read: {path}")
+        if not raw.isascii():  # ASCII is UTF-8, and needs no decoded copy to show it
+            try:  # here, not in a parser, which would meet the byte without knowing the file
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                if name in ("config", "spec"):
+                    raise ConfigError(f"config is not valid JSON: {path} is not UTF-8: {e}") from None
+                raise DataError(f"{path} is not UTF-8: {e}") from None
         return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
 
     layout = data.load_layout(read("layout")) if "layout" in paths else data.default_layout()
@@ -445,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, OSError, UnicodeDecodeError) as e:  # or an unreadable or non-UTF-8 input file
+    except (DataError, OSError) as e:  # or an unreadable input file
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as e:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, DivergedError, LoadError, ShapeError
 
 DIVERGENCE_BOUND = 1e6
+EVAL_CHUNK = 100  # rows per forward pass in evaluate: TrainConfig's default batch
 ADAM_EPSILON = 1e-8  # added to Adam's step denominator
 SERIAL_FORMAT = "fingerloc-net"
 SERIAL_VERSION = 1
@@ -549,10 +550,20 @@ class Metrics:
 
 def evaluate(network: Network, inputs: np.ndarray, targets: np.ndarray,
              cell_feet: float) -> Metrics:
-    """Mean Euclidean distance between predicted and true grid coordinates."""
+    """Mean Euclidean distance between predicted and true grid coordinates.
+
+    The forward pass runs over chunks of ``EVAL_CHUNK`` rows, so its peak memory does not grow with the
+    test set: the CNN's conv1 and ReLU outputs take about 69 KB a row. A last chunk of one row is folded
+    into the chunk before it, since numpy runs a one-row product as a matrix-vector product, which may
+    round differently. Each row's prediction is that of a forward over its chunk alone; a whole-set
+    forward may differ from it in the last bits where BLAS splits a larger product another way.
+    """
     if len(inputs) == 0:
         raise ValueError("empty test set")
-    pred = network.forward(inputs)
+    ends = list(range(EVAL_CHUNK, len(inputs), EVAL_CHUNK))
+    if ends and ends[-1] == len(inputs) - 1:
+        ends.pop()
+    pred = np.concatenate([network.forward(chunk) for chunk in np.split(inputs, ends)])
     errors = np.sqrt(np.sum((pred - targets) ** 2, axis=1))
     mean_grid = float(errors.mean())
     return Metrics(mean_error_grid=mean_grid,

@@ -412,6 +412,28 @@ class TestInputResolution:
         assert set(manifest["inputs"]) == expected
         assert manifest["args"]["labelled"] == str((corpus / "labelled.csv").resolve())
 
+    @pytest.mark.parametrize("command, flags, artifacts", [
+        ("augment", [], ("augmented.csv", "counts.json")),
+        ("train", ["--epochs", "2"], ("model.bin", "metrics.json", "cdf.csv")),
+    ], ids=["augment", "train"])
+    def test_replay_takes_no_fallback_the_run_did_not(self, corpus, tmp_path, monkeypatch, command, flags,
+                                                      artifacts):
+        """An unlabelled.csv that appears under FINGERLOC_DATA_DIR after the run is not read by its replay."""
+        (tmp_path / "dd").mkdir()
+        for name in ("labelled.csv", "layout.json"):
+            shutil.copy(corpus / name, tmp_path / "dd" / name)
+        first = tmp_path / "first"
+        assert run([command, "--labelled", str(tmp_path / "dd" / "labelled.csv"),
+                    "--layout", str(tmp_path / "dd" / "layout.json"), *flags, "--out-dir", str(first)]) == 0
+        shutil.copy(corpus / "unlabelled.csv", tmp_path / "dd" / "unlabelled.csv")
+        monkeypatch.setenv("FINGERLOC_DATA_DIR", str(tmp_path / "dd"))
+        second = tmp_path / "second"
+        assert run(["rerun", str(first / "manifest.json"), "--out-dir", str(second)]) == 0
+        for name in artifacts:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert json.loads((second / "manifest.json").read_text())["inputs"].keys() == {
+            str((tmp_path / "dd" / name).resolve()) for name in ("labelled.csv", "layout.json")}
+
     def test_unknown_train_config_key_is_config_error(self, corpus, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"train": {"epoch": 2}}))
@@ -649,6 +671,25 @@ def test_each_kind_of_unreadable_input_keeps_its_exit_status(command, flag, cont
     assert run(argv) == status
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, content, status", [
+    ("--labelled", b"location,date," + BEACONS + b"\nA01,d\xe9c," + READINGS + b"\n", cli.EXIT_DATA),
+    ("--unlabelled", b"date," + BEACONS + b"\nd\xe9c," + READINGS + b"\n", cli.EXIT_DATA),
+    ("--config", b'{"train": {"optimizer": "s\xe9d"}}', cli.EXIT_CONFIG),
+], ids=["labelled", "unlabelled", "config"])
+def test_a_file_that_is_not_utf8_is_named(flag, content, status, corpus, tmp_path, capsys):
+    """Given both CSVs, the error says which of them is not UTF-8."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    inputs = {"--labelled": str(corpus / "labelled.csv"), "--unlabelled": str(corpus / "unlabelled.csv"),
+              "--layout": str(corpus / "layout.json"), flag: str(bad)}
+    argv = ["train", *(a for pair in inputs.items() for a in pair), "--out-dir", str(tmp_path / "out"),
+            "--epochs", "1"]
+    assert run(argv) == status
+    err = capsys.readouterr().err
+    assert f"{bad} is not UTF-8" in err and "Traceback" not in err
+    assert not any(path in err for name, path in inputs.items() if name != flag)
 
 
 def test_rerun_refuses_an_input_changed_after_the_run_parsed_it(corpus, tmp_path, monkeypatch, capsys):

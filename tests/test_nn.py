@@ -699,6 +699,41 @@ class TestEvaluate:
         m = nn.evaluate(net, x, np.array([[0.0, 0.0]]), cell_feet=10.0)
         assert m.mean_error_feet == pytest.approx(22.0)
 
+    @pytest.mark.parametrize("kind", ["cnn", "dnn", "autoencoder"])
+    @pytest.mark.parametrize("chunks", [
+        [(0, 1)], [(0, 99)], [(0, 100)], [(0, 101)], [(0, 100), (100, 200)], [(0, 100), (100, 201)],
+        [(0, 100), (100, 200), (200, 284)], [(0, 100), (100, 200), (200, 300), (300, 401)],
+    ], ids=lambda chunks: f"{chunks[-1][1]}-rows")
+    def test_predicts_chunk_by_chunk(self, layout, kind, chunks):
+        """Each row's error is that of a forward over its chunk of ``EVAL_CHUNK`` rows, and a last row
+        that would be a chunk of its own joins the chunk before it."""
+        n = chunks[-1][1]
+        rng = np.random.default_rng(n)
+        x = models.prepare_inputs(kind, rng.uniform(-100.0, -40.0, size=(n, layout.n_beacons)), layout)
+        net = models.build_model(kind, seed=0)
+        pred = np.concatenate([net.forward(x[a:b]) for a, b in chunks])
+        target = rng.uniform(0.0, 24.0, size=pred.shape)
+        expected = np.sqrt(np.sum((pred - target) ** 2, axis=1)) * 10.0
+        got = nn.evaluate(net, x, target, cell_feet=10.0).per_sample_errors_feet
+        assert got.tobytes() == expected.tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_test_set(self, layout):
+        net = models.build_model("cnn", seed=0)
+        rng = np.random.default_rng(0)
+
+        def peak(n):
+            x = models.prepare_inputs("cnn", rng.uniform(-100.0, -40.0, size=(n, layout.n_beacons)), layout)
+            target = rng.uniform(0.0, 24.0, size=(n, 2))
+            tracemalloc.start()
+            try:
+                nn.evaluate(net, x, target, cell_feet=10.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # builds conv1's cached term table for the layout's pixels
+        assert peak(1000) <= 1.5 * peak(100)
+
 
 class TestCountParams:
     def test_dense(self):
