@@ -106,36 +106,10 @@ def _load_config(stream: io.TextIOBase | None) -> dict:
     return doc
 
 
-def _checked(section, types: dict, what: str, required: bool = False) -> dict:
-    """The JSON object ``section``, whose keys must be in ``types`` (all of them if ``required``) and
-    whose values must have their type. An integer may stand for a float and is converted; a bool is
-    not a number, and no integer may lie past the float range."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"the {what} must be a JSON object")
-    unknown = sorted(set(section) - set(types))
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {unknown}")
-    missing = sorted(set(types) - set(section)) if required else []
-    if missing:
-        raise ConfigError(f"{what} {json.dumps(section)} lacks keys: {missing}")
-    values = {}
-    for key, value in section.items():
-        allowed = typing.get_args(types[key]) or (types[key],)  # float | None -> (float, NoneType)
-        if type(value) is int and abs(value) > sys.float_info.max:
-            raise ConfigError(f"{what} {key}: an integer past the float range")
-        if float in allowed and type(value) is int:
-            value = float(value)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            name = getattr(types[key], "__name__", types[key])
-            raise ConfigError(f"{what} {key}: {json.dumps(value)} is not of type {name}")
-        values[key] = value
-    return values
-
-
 def _overlay(cls, section, args: dict, what: str):
-    """``cls``'s defaults, overlaid by the JSON object ``section`` (see :func:`_checked`), then by the flags in ``args``."""
+    """``cls``'s defaults, overlaid by the JSON object ``section`` (see :func:`data.checked`), then by the flags in ``args``."""
     types = typing.get_type_hints(cls)
-    values = _checked(section, types, what)
+    values = data.checked(section, types, what, ConfigError)
     values.update((k, v) for k, v in args.items() if k in types and v is not None)
     return cls(**values)
 
@@ -143,7 +117,7 @@ def _overlay(cls, section, args: dict, what: str):
 def _train_config(args: dict, document: dict) -> nn.TrainConfig:
     """The ``--config`` ``document``'s ``train`` section overlaid by the flags given. ``objective_grid`` is
     allowed beside it, so that ``tune``'s ``best_config.json`` passes back as written."""
-    doc = _checked(document, {"train": dict, "objective_grid": float}, "config")
+    doc = data.checked(document, {"train": dict, "objective_grid": float}, "config", ConfigError)
     return _overlay(nn.TrainConfig, doc.get("train", {}), args, "train config")
 
 
@@ -190,14 +164,15 @@ def cmd_train(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: dat
 
 
 def cmd_tune(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data.Dataset, spec: dict):
-    params = _checked({"space": spec.pop("space", None)}, {"space": list | None}, "experiment spec")["space"]
+    params = data.checked({"space": spec.pop("space", None)}, {"space": list | None}, "experiment spec",
+                          ConfigError)["space"]
     exp_config = _overlay(hpo.ExperimentConfig, spec, args, "experiment spec")
     base = _overlay(nn.TrainConfig, {"seed": exp_config.seed}, args, "train config")
     if params is None:
         space = hpo.default_space(args["optimizer"])
     else:
-        entries = [_checked(p, {"name": str, "min": float, "max": float}, "search-space entry", required=True)
-                   for p in params]
+        entries = [data.checked(p, {"name": str, "min": float, "max": float}, "search-space entry", ConfigError,
+                                required=True) for p in params]
         space = hpo.SearchSpace(tuple((e["name"], e["min"], e["max"]) for e in entries))
     result = hpo.run_search(hpo.training_objective(args["model"], dataset, space, base), space, exp_config)
 
@@ -381,7 +356,6 @@ SHARED = {
     "--layout": dict(help="beacon layout JSON (default: built-in layout)"),
     "--config": dict(help='JSON file; its "train" section sets training fields, flags override them'),
     "--seed": dict(type=_in_range(int, 0, math.inf), default=0),
-    "--jobs": dict(type=int, default=1, help="accepted for compatibility; the run is always serial"),
     "--out-dir": dict(default="out"),
     "--model": dict(choices=("dnn", "cnn"), default="dnn"),
     "--epochs": dict(type=int, default=None),
@@ -404,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default: the --config or --spec file's seed, else 0")
 
     p = sub.add_parser("train", help="train a localization model")
-    _add(p, "--labelled", "--unlabelled", "--layout", "--config", "--jobs", "--out-dir",
-         "--model", "--epochs", "--threshold")
+    _add(p, "--labelled", "--unlabelled", "--layout", "--config", "--out-dir", "--model", "--epochs",
+         "--threshold")
     p.add_argument("--seed", **config_seed)
     p.add_argument("--optimizer", choices=nn.OPTIMIZERS, default=None)
     p.add_argument("--batch-size", type=int, default=None)
@@ -428,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=aug.STRATEGIES, default="naive")
 
     p = sub.add_parser("rationalize", help="per-beacon dropout study")
-    _add(p, "--labelled", "--layout", "--config", "--jobs", "--out-dir", "--model", "--epochs")
+    _add(p, "--labelled", "--layout", "--config", "--out-dir", "--model", "--epochs")
     p.add_argument("--seed", **config_seed)
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; the run is always serial")
     p.add_argument("--n-seeds", type=_in_range(int, 1, math.inf), default=5)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")

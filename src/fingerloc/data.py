@@ -10,14 +10,15 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args
 
 import numpy as np
 
-from .errors import LayoutError, MalformedLabelError, RowError, SchemaError
+from .errors import FingerlocError, LayoutError, MalformedLabelError, RowError, SchemaError
 
 GRID_SIZE = 25
 NO_SIGNAL = -200.0
@@ -162,28 +163,51 @@ def decode_location_label(label: str) -> tuple[int, int]:
     return col, int(row)
 
 
-def _number(value, key: str) -> float:
-    """A layout's JSON number as a float; a bool or a string is not one."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{key} {json.dumps(value)} is not a number")
-    return float(value)  # OverflowError for an integer past the float range
+def checked(section, types: dict, what: str, error: type[FingerlocError], required: bool = False) -> dict:
+    """The JSON object ``section``, whose keys must be in ``types`` (all of them if ``required``) and
+    whose values must have their type; anything else raises ``error``, naming the key. An integer may
+    stand for a float and is converted; a bool is not a number, and no integer may lie past the float
+    range. The one reader of a JSON input's values: ``--config`` and ``--spec`` pass ``ConfigError``,
+    and ``layout.json`` (:func:`load_layout`) passes ``LayoutError``."""
+    if not isinstance(section, dict):
+        raise error(f"the {what} must be a JSON object")
+    unknown = sorted(set(section) - set(types))
+    if unknown:
+        raise error(f"unknown {what} keys: {unknown}")
+    missing = sorted(set(types) - set(section)) if required else []
+    if missing:
+        raise error(f"{what} {json.dumps(section)} lacks keys: {missing}")
+    values = {}
+    for key, value in section.items():
+        allowed = get_args(types[key]) or (types[key],)  # float | None -> (float, NoneType)
+        if type(value) is int and abs(value) > sys.float_info.max:
+            raise error(f"{what} {key}: an integer past the float range")
+        if float in allowed and type(value) is int:
+            value = float(value)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            name = getattr(types[key], "__name__", types[key])
+            raise error(f"{what} {key}: {json.dumps(value)} is not of type {name}")
+        values[key] = value
+    return values
 
 
 def load_layout(text: io.TextIOBase | str) -> BeaconLayout:
-    """Parse a layout JSON document (a text stream or a str): grid size, cell feet, beacon positions."""
+    """Parse a layout JSON document (a text stream or a str): grid size, cell feet, beacon positions.
+
+    Its keys are ``grid``, ``cell_feet`` and ``beacons``, and each beacon has exactly ``id``, ``x``
+    and ``y``, read through :func:`checked`: any other key is a ``LayoutError`` that names it."""
     try:
         doc = json.loads(text if isinstance(text, str) else text.read())
-        grid = list(doc.get("grid", [GRID_SIZE, GRID_SIZE]))
-        beacons = doc["beacons"]
-        ids = tuple(b["id"] for b in beacons)
-        xs = tuple(_number(b["x"], "x") for b in beacons)
-        ys = tuple(_number(b["y"], "y") for b in beacons)
-        cell_feet = _number(doc.get("cell_feet", DEFAULT_CELL_FEET), "cell_feet")
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:  # not UTF-8, not JSON, or not a layout
+    except ValueError as e:  # not UTF-8 or not JSON
         raise LayoutError(f"malformed layout: {e!r}") from None
+    doc = checked(doc, {"grid": list, "cell_feet": float, "beacons": list}, "layout", LayoutError)
+    beacons = [checked(b, {"id": str, "x": float, "y": float}, "beacon", LayoutError, required=True)
+               for b in doc.get("beacons", [])]
+    grid = doc.get("grid", [GRID_SIZE, GRID_SIZE])
     if grid != [GRID_SIZE, GRID_SIZE]:
         raise LayoutError(f"unsupported grid {grid}, expected [{GRID_SIZE}, {GRID_SIZE}]")
-    return BeaconLayout(ids=ids, xs=xs, ys=ys, cell_feet=cell_feet)
+    return BeaconLayout(ids=tuple(b["id"] for b in beacons), xs=tuple(b["x"] for b in beacons),
+                        ys=tuple(b["y"] for b in beacons), cell_feet=doc.get("cell_feet", DEFAULT_CELL_FEET))
 
 
 def save_layout(layout: BeaconLayout, path: str | Path) -> None:

@@ -282,8 +282,7 @@ def test_criterion_9_manifest_determinism(tmp_path):
     assert cli.main(["train", "--labelled", str(corpus / "labelled.csv"),
                      "--unlabelled", str(corpus / "unlabelled.csv"),
                      "--layout", str(corpus / "layout.json"),
-                     "--out-dir", str(first), "--epochs", "5", "--seed", "3",
-                     "--jobs", "1"]) == 0
+                     "--out-dir", str(first), "--epochs", "5", "--seed", "3"]) == 0
     second = tmp_path / "second"
     assert cli.main(["rerun", str(first / "manifest.json"),
                      "--out-dir", str(second)]) == 0

@@ -103,6 +103,15 @@ class TestTrain:
                         "--epochs", "3", "--seed", "11"]) == 0
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
 
+    def test_blank_lines_change_nothing(self, corpus, tmp_path):
+        lines = (corpus / "labelled.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "blank.csv").write_text("\n".join([lines[0], *lines[1:], ""]))  # one after every line
+        for name, labelled in (("plain", corpus / "labelled.csv"), ("blank", tmp_path / "blank.csv")):
+            assert run(["train", "--labelled", str(labelled), "--layout", str(corpus / "layout.json"),
+                        "--out-dir", str(tmp_path / name), "--epochs", "2"]) == 0
+        for name in ("model.bin", "metrics.json", "cdf.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "blank" / name).read_bytes()
+
     def test_missing_layout_exits_with_data_error(self, corpus, tmp_path):
         code = run(["train", "--labelled", str(corpus / "labelled.csv"),
                     "--layout", str(tmp_path / "nope.json"),
@@ -379,15 +388,20 @@ class TestRerun:
         assert "--ratio" in capsys.readouterr().err
 
     def test_recorded_option_no_longer_registered_is_ignored(self, corpus, tmp_path):
-        first = tmp_path / "first"
-        assert run(["augment", *common_args(corpus), "--out-dir", str(first)]) == 0
-        manifest = json.loads((first / "manifest.json").read_text())
-        manifest["args"].update(config=None, jobs=1)  # augment registered both once
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
-        assert run(["rerun", str(path), "--out-dir", str(tmp_path / "second")]) == 0
-        assert ((first / "augmented.csv").read_bytes()
-                == (tmp_path / "second" / "augmented.csv").read_bytes())
+        # (command, flags, options an older version recorded, artifacts): augment registered --config
+        # and --jobs once, and train --jobs
+        cases = [("augment", [], {"config": None, "jobs": 1}, ["augmented.csv"]),
+                 ("train", ["--epochs", "2"], {"jobs": 1}, ["model.bin", "metrics.json", "cdf.csv"])]
+        for command, flags, recorded, artifacts in cases:
+            first, second = tmp_path / command / "first", tmp_path / command / "second"
+            assert run([command, *common_args(corpus), *flags, "--out-dir", str(first)]) == 0
+            manifest = json.loads((first / "manifest.json").read_text())
+            manifest["args"].update(recorded)
+            path = tmp_path / command / "manifest.json"
+            path.write_text(json.dumps(manifest))
+            assert run(["rerun", str(path), "--out-dir", str(second)]) == 0
+            for name in artifacts:
+                assert (first / name).read_bytes() == (second / name).read_bytes(), (command, name)
 
     def test_replayed_value_is_validated_like_a_fresh_one(self, tmp_path, capsys):
         first = tmp_path / "first"
@@ -434,6 +448,11 @@ class TestInputResolution:
         assert json.loads((second / "manifest.json").read_text())["inputs"].keys() == {
             str((tmp_path / "dd" / name).resolve()) for name in ("labelled.csv", "layout.json")}
 
+    def test_labelled_given_nowhere_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("FINGERLOC_DATA_DIR", raising=False)
+        assert run(["train", "--out-dir", str(tmp_path), "--epochs", "1"]) == cli.EXIT_CONFIG
+        assert "--labelled" in capsys.readouterr().err
+
     def test_unknown_train_config_key_is_config_error(self, corpus, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"train": {"epoch": 2}}))
@@ -442,10 +461,9 @@ class TestInputResolution:
         assert "epoch" in capsys.readouterr().err
 
 
-# the options each subcommand registers; each is read by that command
+# the options each subcommand registers; each is read by that command, except rationalize --jobs
 OPTIONS = {
-    "train": {"--labelled", "--unlabelled", "--layout", "--config", "--seed", "--jobs",
-              "--out-dir", "--model", "--optimizer", "--epochs", "--batch-size",
+    "train": {"--labelled", "--unlabelled", "--layout", "--config", "--seed", "--out-dir", "--model", "--optimizer", "--epochs", "--batch-size",
               "--learning-rate", "--strategy", "--threshold", "--ratio", "--paper-protocol"},
     "tune": {"--labelled", "--layout", "--seed", "--out-dir", "--spec", "--model",
              "--optimizer", "--epochs"},
@@ -465,7 +483,7 @@ def test_option_surface():
     registered = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
                   for name, p in sub.choices.items()}
     assert registered == OPTIONS
-    assert sum(len(flags) for flags in registered.values()) == 48
+    assert sum(len(flags) for flags in registered.values()) == 47
 
 
 INVALID_FLAGS = [
@@ -480,6 +498,8 @@ INVALID_FLAGS = [
     ["train", "--ratio", "0.001"],
     ["train", "--strategy", "naive", "--threshold", "0"],
     ["train", "--learning-rate", "-1"],
+    ["train", "--epochs", "0"],
+    ["train", "--batch-size", "0"],
     ["augment", "--threshold", "0"],
     ["rationalize", "--n-seeds", "0"],
     ["synth", "--locations", "1" + "0" * 400],  # past the float range: compared, not converted
@@ -555,6 +575,12 @@ UNRUNNABLE_FILE_VALUES = [
                                         "space": [{"name": "beta1", "min": 0.5, "max": 0.95}]}, "beta1"),
     ("train", "--config", {"train": {"optimizer": "adam", "momentum": 0.99}}, "momentum"),
     ("train", "--config", {"train": {"optimizer": "sgd", "beta1": 0.5}}, "beta1"),
+    ("train", "--config", {"train": {"loss": "l1"}}, "loss"),
+    ("train", "--config", {"train": {"optimizer": "rmsprop"}}, "rmsprop"),
+    ("tune", "--spec", {"max_trials": 0}, "max trials"),
+    ("tune", "--spec", {"space": [{"name": "learning_rate", "min": 0.001, "max": 0.002},
+                                  {"name": "learning_rate", "min": 0.003, "max": 0.004}]}, "duplicate"),
+    ("tune", "--spec", {"space": [{"name": "learning_rate", "min": 0.001, "max": 0.001}]}, "lower bound"),
 ]
 
 
@@ -566,7 +592,8 @@ UNRUNNABLE_FILE_VALUES = [
     "tune-unknown-entry-key", "tune-empty-grid-space", "tune-empty-random-space",
     "tune-entry-not-an-object", "train-config-root-not-an-object", "train-section-not-an-object",
     "tune-space-not-a-list", "tune-entry-without-max", "tune-nan-goal", "tune-grid-trials-past-float-range",
-    "tune-adam-momentum", "tune-sgd-beta1", "train-adam-momentum", "train-sgd-beta1"])
+    "tune-adam-momentum", "tune-sgd-beta1", "train-adam-momentum", "train-sgd-beta1", "train-unknown-loss",
+    "train-unknown-optimizer", "tune-zero-trials", "tune-duplicate-name", "tune-empty-range"])
 def test_file_value_that_cannot_run_exits_2_without_traceback(command, flag, content, named, corpus,
                                                               tmp_path, capsys):
     path = tmp_path / "values.json"
@@ -599,6 +626,7 @@ MALFORMED_FILES = [
     ("--layout", LAYOUT.replace(b'"x": 3,', b'"x": true,', 1)),
     ("--layout", LAYOUT.replace(b'"x": 3,', b'"x": 1' + b"0" * 400 + b",", 1)),
     ("--layout", b"[1, 2]"),
+    ("--layout", LAYOUT.replace(b'"grid": [25, 25]', b'"grid": [10, 10]', 1)),
     ("--labelled", b"location,date," + BEACONS + b"\nA01,d\xe9c," + READINGS + b"\n"),
     ("--labelled", b"location,date," + BEACONS + b"\nA\xc2\xb2,d," + READINGS + b"\n"),  # A²
     ("--labelled", b""),
@@ -609,7 +637,7 @@ MALFORMED_FILES = [
 
 @pytest.mark.parametrize("flag, content", MALFORMED_FILES, ids=[
     "layout-not-json", "layout-without-beacons", "layout-non-numeric-x", "layout-numeric-string-x",
-    "layout-bool-x", "layout-x-past-float-range", "layout-list-root",
+    "layout-bool-x", "layout-x-past-float-range", "layout-list-root", "layout-grid-10",
     "labelled-not-utf8", "labelled-non-ascii-digit", "labelled-empty", "labelled-non-numeric-rssi",
     "unlabelled-not-utf8"])
 def test_malformed_input_file_exits_3_without_traceback(flag, content, corpus, tmp_path, capsys):
@@ -826,6 +854,21 @@ def test_beacon_id_that_no_header_can_match_exits_3(beacon_id, tmp_path, capsys)
     err = capsys.readouterr().err
     assert "beacon id" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "labelled.csv").exists()
+
+
+@pytest.mark.parametrize("content, named", [
+    (LAYOUT.replace(b'"cell_feet"', b'"cell_fet"', 1), "'cell_fet'"),
+    (LAYOUT.replace(b'"x": 3,', b'"x": 3, "z": 1,', 1), "'z'"),
+], ids=["top-level", "beacon"])
+def test_layout_key_it_does_not_know_exits_3_and_is_named(content, named, corpus, tmp_path, capsys):
+    """A misspelt key is refused, not dropped: "cell_fet" would train with the 10-ft default."""
+    (tmp_path / "layout.json").write_bytes(content)
+    argv = ["train", "--labelled", str(corpus / "labelled.csv"), "--layout", str(tmp_path / "layout.json"),
+            "--out-dir", str(tmp_path / "out"), "--epochs", "1"]
+    assert run(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "model.bin").exists()
 
 
 def test_layout_without_beacons_exits_3(tmp_path, capsys):

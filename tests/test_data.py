@@ -1,6 +1,8 @@
 import csv
 import io
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +120,15 @@ class TestParsing:
         table = data.parse_unlabelled_csv(body, layout)
         assert len(table) == 1
         assert table.timestamps[0] == "ts1"
+
+    @pytest.mark.parametrize("parse, lead, row_lead", [(data.parse_labelled_csv, "location,date", "A01,ts"),
+                                                       (data.parse_unlabelled_csv, "date", "ts")],
+                             ids=["labelled", "unlabelled"])
+    def test_blank_lines_skipped(self, layout, parse, lead, row_lead):
+        lines = [f"{lead}," + ",".join(layout.ids), *(f"{row_lead}," + ",".join([str(-60 - i)] * 13) for i in range(3))]
+        plain = parse("\n".join(lines) + "\n", layout)
+        assert len(plain) == 3
+        assert parse("\n\n".join(lines) + "\n\n", layout) == plain
 
     def test_timestamp_preserved(self, layout):
         rows = ["C03,opaque-stamp," + ",".join(["-70"] * 13)]
@@ -353,6 +364,29 @@ class TestLayout:
         path = tmp_path / "layout.json"
         data.save_layout(layout, path)
         assert data.load_layout(path.read_text()) == layout
+
+    beacon_ids = st.text(min_size=1, max_size=8).filter(lambda s: s == s.strip())
+    coordinates = st.floats(0.0, data.GRID_SIZE, exclude_max=True)
+
+    @given(st.data())
+    def test_saved_layout_loads_back_and_any_other_key_is_refused(self, tmp_path_factory, gen):
+        ids = gen.draw(st.lists(self.beacon_ids, min_size=1, max_size=6, unique=True))
+        xs, ys = (tuple(gen.draw(st.lists(self.coordinates, min_size=len(ids), max_size=len(ids))))
+                  for _ in "xy")
+        cell_feet = gen.draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+        layout = data.BeaconLayout(tuple(ids), xs, ys, cell_feet)
+        path = tmp_path_factory.mktemp("layout") / "layout.json"
+        data.save_layout(layout, path)
+        assert data.load_layout(path.read_text()) == layout
+
+        doc = json.loads(path.read_text())
+        where = gen.draw(st.sampled_from([None, *range(len(ids))]))  # None: the top level, else a beacon
+        target, known = ((doc, {"grid", "cell_feet", "beacons"}) if where is None
+                         else (doc["beacons"][where], {"id", "x", "y"}))
+        key = gen.draw(st.text().filter(lambda k: k not in known))
+        target[key] = gen.draw(st.none() | st.booleans() | st.integers() | st.text())
+        with pytest.raises(LayoutError, match=re.escape(repr(key))):
+            data.load_layout(json.dumps(doc))
 
 
 class TestCsvRoundTrip:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fingerloc import hpo, models
-from fingerloc.errors import ConfigError, DivergedError, ExperimentFailedError, GridExhausted
+from fingerloc.errors import ConfigError, DivergedError, ExperimentFailedError, GridExhausted, NumericalError
 from fingerloc.nn import TrainConfig
 
 PHI_AT_ZERO = 1.0 / math.sqrt(2.0 * math.pi)  # standard normal density at 0
@@ -84,6 +84,21 @@ class TestGpSurrogate:
     def test_requires_finite_objectives(self):
         with pytest.raises(ValueError):
             hpo.GpSurrogate(np.array([[0.5]]), np.array([np.nan]))
+
+
+class TestCholeskyWithJitter:
+    def test_kernel_singular_at_zero_jitter_is_factored(self):
+        # two equal points and no noise term: the kernel matrix has rank 1
+        gp = hpo.GpSurrogate(np.array([[0.5], [0.5]]), np.array([1.0, 2.0]), noise_var=0.0)
+        k = gp._kernel(gp.x, gp.x)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(k)
+        assert np.allclose(gp.chol @ gp.chol.T, k, rtol=0.0, atol=1e-9)
+        assert np.array_equal(gp.chol, np.tril(gp.chol))
+
+    def test_matrix_no_jitter_makes_definite_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="jitter"):
+            hpo._cholesky_with_jitter(-np.eye(2))
 
 
 class TestExpectedImprovement:

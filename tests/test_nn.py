@@ -816,6 +816,14 @@ class TestSerialization:
         with pytest.raises(LoadError):
             nn.load_network(json.dumps(doc).encode("utf-8"))
 
+    def test_unsupported_version_with_valid_checksum_rejected(self):
+        doc = json.loads(nn.save_network(nn.Network([nn.Dense(2, 3)], seed=0)))
+        doc["payload"]["version"] = nn.SERIAL_VERSION + 1
+        body = json.dumps(doc["payload"], sort_keys=True, separators=(",", ":"))
+        doc["checksum"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        with pytest.raises(LoadError, match="version"):
+            nn.load_network(json.dumps(doc).encode("utf-8"))
+
     def test_shape_disagreeing_with_layer_spec_rejected(self):
         doc = json.loads(nn.save_network(nn.Network([nn.Dense(2, 3)], seed=0)))
         doc["payload"]["params"][0]["shape"] = [3, 2]  # same byte length as the (2, 3) weight
