@@ -107,7 +107,8 @@ def _load_config(stream: io.TextIOBase | None) -> dict:
 
 
 def _overlay(cls, section, args: dict, what: str):
-    """``cls``'s defaults, overlaid by the JSON object ``section`` (see :func:`data.checked`), then by the flags in ``args``."""
+    """``cls``'s defaults, overlaid by the JSON object ``section`` (see :func:`data.checked`), then by the flags
+    in ``args``."""
     types = typing.get_type_hints(cls)
     values = data.checked(section, types, what, ConfigError)
     values.update((k, v) for k, v in args.items() if k in types and v is not None)

@@ -105,7 +105,7 @@ class TestTrain:
 
     def test_blank_lines_change_nothing(self, corpus, tmp_path):
         lines = (corpus / "labelled.csv").read_text().splitlines(keepends=True)
-        (tmp_path / "blank.csv").write_text("\n".join([lines[0], *lines[1:], ""]))  # one after every line
+        (tmp_path / "blank.csv").write_text("\n".join([*lines, ""]))  # a blank line after every line
         for name, labelled in (("plain", corpus / "labelled.csv"), ("blank", tmp_path / "blank.csv")):
             assert run(["train", "--labelled", str(labelled), "--layout", str(corpus / "layout.json"),
                         "--out-dir", str(tmp_path / name), "--epochs", "2"]) == 0
@@ -463,8 +463,9 @@ class TestInputResolution:
 
 # the options each subcommand registers; each is read by that command, except rationalize --jobs
 OPTIONS = {
-    "train": {"--labelled", "--unlabelled", "--layout", "--config", "--seed", "--out-dir", "--model", "--optimizer", "--epochs", "--batch-size",
-              "--learning-rate", "--strategy", "--threshold", "--ratio", "--paper-protocol"},
+    "train": {"--labelled", "--unlabelled", "--layout", "--config", "--seed", "--out-dir", "--model",
+              "--optimizer", "--epochs", "--batch-size", "--learning-rate", "--strategy", "--threshold",
+              "--ratio", "--paper-protocol"},
     "tune": {"--labelled", "--layout", "--seed", "--out-dir", "--spec", "--model",
              "--optimizer", "--epochs"},
     "augment": {"--labelled", "--unlabelled", "--layout", "--seed", "--out-dir",

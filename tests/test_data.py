@@ -125,7 +125,8 @@ class TestParsing:
                                                        (data.parse_unlabelled_csv, "date", "ts")],
                              ids=["labelled", "unlabelled"])
     def test_blank_lines_skipped(self, layout, parse, lead, row_lead):
-        lines = [f"{lead}," + ",".join(layout.ids), *(f"{row_lead}," + ",".join([str(-60 - i)] * 13) for i in range(3))]
+        lines = [f"{lead}," + ",".join(layout.ids),
+                 *(f"{row_lead}," + ",".join([str(-60 - i)] * 13) for i in range(3))]
         plain = parse("\n".join(lines) + "\n", layout)
         assert len(plain) == 3
         assert parse("\n\n".join(lines) + "\n\n", layout) == plain
