@@ -5,7 +5,10 @@ Architectures:
   * cnn: 25x25x1 image -> Conv(12, 7x7, valid) -> 3x3 max-pool ->
     Conv(12, 5x5, valid) -> 2x2 max-pool -> Dense(24) -> Dense(2).
     Pooling is ceil-mode (spatial chain 25 -> 19 -> 7 -> 3 -> 2), giving
-    2*2*12 = 48 flattened features and 5438 parameters total.
+    2*2*12 = 48 flattened features and 5438 parameters total. Each conv
+    is saved as conv, ReLU, pool, the order ``model.bin`` records; the
+    ``Network`` runs each ReLU after its pool, on the smaller array, with
+    the same bits (see ``nn.Network``).
   * autoencoder: 13 -> 8 -> 4 -> 8 -> 13 on normalized RSSI vectors,
     ReLU hidden layers, sigmoid output.
 

@@ -41,7 +41,7 @@ class Layer:
     shapes, so ``load_network`` checks a file's shapes before it builds any layer, and ``KINDS`` maps
     each kind to its class. A ``Network`` rebinds the arrays to views into its ``theta`` and ``grad``,
     so layers write in place. ``input_grad`` says whether ``backward`` must return the gradient of its
-    input; a ``Network`` clears it on its first layer, whose input gradient no one reads.
+    input; a ``Network`` clears it on the first layer it runs, whose input gradient no one reads.
     """
 
     kind: str
@@ -259,7 +259,9 @@ class MaxPool2d(Layer):
     last offset at which the maximum rose, which is the first in row-major order that holds it, or
     the first NaN, as ``argmax`` picks. Output values and gradient routing are a per-window
     ``argmax`` loop's, bit for bit, except for the sign of a zero maximum when a window holds both
-    +0.0 and -0.0 (ReLU emits only +0.0). Stride = window, so no two outputs share an input:
+    +0.0 and -0.0. A ``Network`` runs the ReLU that feeds a pool after it, so the pool sees the raw
+    values, -0.0 included, but that ReLU maps a zero maximum of either sign to +0.0: no output of a
+    network with that ReLU shows the caveat. Stride = window, so no two outputs share an input:
     ``backward`` assigns each output's gradient to its input, so a -0.0 gradient stays -0.0 there.
     """
 
@@ -340,10 +342,25 @@ KINDS: dict[str, type[Layer]] = {cls.kind: cls for cls in (Dense, Conv2d, MaxPoo
 
 
 class Network:
-    """Sequential composition of layers over one parameter and one gradient vector."""
+    """Sequential composition of layers over one parameter and one gradient vector.
+
+    ``layers`` is the saved order: the order ``save_network`` records, ``theta`` and ``init_params``
+    follow, and a ``ShapeError`` names. ``run_order`` is the order ``forward`` and ``backward`` run them
+    in, as indices into ``layers``: the saved order, except that a ``ReLU`` runs after the ``MaxPool2d``
+    layers that directly follow it, on the pooled array (a ninth of the size after a 3x3 pool). ReLU is
+    monotone and maps every value that is not positive, NaN aside, to +0.0, so pool-then-ReLU gives
+    ReLU-then-pool's values bit for bit. Both send each window's gradient to its first maximum, or
+    nowhere when that maximum is not positive or is NaN.
+    """
 
     def __init__(self, layers: Sequence[Layer], seed: int | None = None):
         self.layers = list(layers)
+        self.run_order: list[int] = []
+        for i, layer in enumerate(self.layers):
+            if isinstance(layer, MaxPool2d) and self.run_order and isinstance(self.layers[self.run_order[-1]], ReLU):
+                self.run_order.insert(-1, i)  # the pool runs before the ReLU that feeds it
+            else:
+                self.run_order.append(i)
         self.theta = np.concatenate([np.zeros(0), *(p.ravel() for p in self.parameters())])
         self.grad = np.zeros_like(self.theta)
         start = 0
@@ -355,7 +372,7 @@ class Network:
             layer.params = tuple(self.theta[span].reshape(shape) for span, shape in spans)
             layer.grads = tuple(self.grad[span].reshape(shape) for span, shape in spans)
         if self.layers:
-            self.layers[0].input_grad = False
+            self.layers[self.run_order[0]].input_grad = False
         if seed is not None:
             self.init_params(seed)
 
@@ -366,7 +383,8 @@ class Network:
             layer.init_params(np.random.Generator(np.random.PCG64(ss)))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        for i, layer in enumerate(self.layers):
+        for i in self.run_order:
+            layer = self.layers[i]
             try:
                 x = layer.forward(x)
             except ShapeError as e:
@@ -410,14 +428,15 @@ LOSSES: dict[str, Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]] 
 def backward(network: Network, x: np.ndarray, target: np.ndarray, loss_kind: str = "rmse") -> tuple[float, list[np.ndarray]]:
     """One forward/backward pass; returns (loss, gradients per parameter).
 
-    The first layer's ``input_grad`` is False, so it skips its input gradient.
+    The layers run in ``network.run_order`` and back. The first one run has ``input_grad`` False, so it
+    skips its input gradient.
     """
     pred = network.forward(x)
     if pred.shape != target.shape:
         raise ShapeError(f"output shape {pred.shape} != target shape {target.shape}")
     loss, d_out = LOSSES[loss_kind](pred, target)
-    for layer in reversed(network.layers):
-        d_out = layer.backward(d_out)
+    for i in reversed(network.run_order):
+        d_out = network.layers[i].backward(d_out)
     return loss, network.gradients()
 
 
@@ -553,7 +572,7 @@ def evaluate(network: Network, inputs: np.ndarray, targets: np.ndarray,
     """Mean Euclidean distance between predicted and true grid coordinates.
 
     The forward pass runs over chunks of ``EVAL_CHUNK`` rows, so its peak memory does not grow with the
-    test set: the CNN's conv1 and ReLU outputs take about 69 KB a row. A last chunk of one row is folded
+    test set: the CNN's conv1 output takes about 35 KB a row. A last chunk of one row is folded
     into the chunk before it, since numpy runs a one-row product as a matrix-vector product, which may
     round differently. Each row's prediction is that of a forward over its chunk alone; a whole-set
     forward may differ from it in the last bits where BLAS splits a larger product another way.

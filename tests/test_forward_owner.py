@@ -3,7 +3,7 @@ function in ``src/`` but it runs ``Network.forward``.
 
 ``evaluate`` runs it over chunks of ``nn.EVAL_CHUNK`` rows. A forward over a whole test set holds every
 layer's output for every row at once, so its peak memory grows with the set: the CNN's first convolution
-and ReLU take about 69 KB a row.
+output alone takes about 35 KB a row.
 """
 import ast
 

@@ -478,7 +478,9 @@ def textbook_maxpool(x, window, dy):
 
 class TestMaxPoolContract:
     def _conv_relu(self, layout, upto):
-        # the CNN's own maxpool inputs: ReLU zeros and, away from the beacons, the constant relu(bias)
+        # the CNN's layers up to ``upto`` in saved order: with ReLU, its zeros and, away from the beacons,
+        # the constant relu(bias); without it, the raw conv1 output that the CNN's first pool now receives,
+        # where a negative bias leaves windows with no positive value
         net = models.build_model("cnn", seed=15)
         net.layers[0].params[1][...] = np.linspace(-0.3, 0.6, net.layers[0].out_channels)
         x = TestSparseConv._encoded(self, layout, n=6)
@@ -495,13 +497,14 @@ class TestMaxPoolContract:
         return x
 
     @pytest.mark.parametrize("make, window", [
+        (lambda self, layout: self._conv_relu(layout, 1), (3, 3)),
         (lambda self, layout: self._conv_relu(layout, 2), (3, 3)),
         (lambda self, layout: self._conv_relu(layout, 5), (2, 2)),
         (lambda self, layout: np.maximum(np.random.Generator(np.random.PCG64(17)).normal(size=(4, 19, 19, 3)),
                                          0.0), (3, 3)),
         (_nan, (3, 3)),
         (_nan, (2, 3)),
-    ], ids=["conv1-relu-19to7", "conv2-relu-3to2", "relu-zeros", "nan-3x3", "nan-2x3"])
+    ], ids=["conv1-raw-19to7", "conv1-relu-19to7", "conv2-relu-3to2", "relu-zeros", "nan-3x3", "nan-2x3"])
     def test_bitwise_equal_to_textbook_loop(self, layout, make, window):
         x = make(self, layout)
         pool = nn.MaxPool2d(window)
@@ -520,6 +523,10 @@ class TestMaxPoolContract:
         tied = (windows == top).sum(axis=(2, 4)) > 1
         assert np.any(tied & (top[:, :, 0, :, 0] > 0))  # the constant relu(bias) away from the beacons
         assert np.any(tied & (top[:, :, 0, :, 0] == 0))  # windows of ReLU zeros
+        raw = self._conv_relu(layout, 1)[:, :18, :18].reshape(x.shape[0], 6, 3, 6, 3, -1)
+        top = raw.max(axis=(2, 4), keepdims=True)
+        tied = (raw == top).sum(axis=(2, 4)) > 1
+        assert np.any(tied & (top[:, :, 0, :, 0] < 0))  # the constant negative bias away from the beacons
 
     def test_nan_batch_still_diverges(self):
         # a NaN window's gradient goes to its first NaN, so training reports the divergence
@@ -529,6 +536,68 @@ class TestMaxPoolContract:
         x[2, 4, 4, 1] = np.nan
         with pytest.raises(DivergedError):
             nn.train(net, x, rng.normal(size=(4, 2)), nn.TrainConfig(epochs=1, seed=0))
+
+
+# ties, values that are not positive, both zeros and NaN are common among these
+POOL_VALUES = st.one_of(st.sampled_from([np.nan, -0.0, 0.0, -1.0, 1.0, 2.0]), st.floats(-3.0, 3.0))
+
+
+def run_saved_order(layers, x, loss):
+    """``layers``' forward in list order, ``loss(output)`` as (value, output gradient), then their backward:
+    the output, the loss value and the last gradient returned."""
+    for layer in layers:
+        x = layer.forward(x)
+    value, dy = loss(x)
+    for layer in reversed(layers):
+        dy = layer.backward(dy)
+    return x, value, dy
+
+
+class TestRunOrder:
+    def test_each_relu_runs_after_the_pool_it_feeds(self):
+        assert models.build_model("cnn", seed=0).run_order == [0, 2, 1, 3, 5, 4, 6, 7, 8, 9]
+        for kind in ("dnn", "autoencoder"):
+            net = models.build_model(kind, seed=0)
+            assert net.run_order == list(range(len(net.layers)))
+
+    def test_shape_error_names_the_saved_index(self):
+        net = nn.Network([nn.Dense(4, 4), nn.ReLU(), nn.MaxPool2d((2, 2))])
+        assert net.run_order == [0, 2, 1]
+        with pytest.raises(ShapeError, match="layer 2"):
+            net.forward(np.zeros((3, 4)))
+
+    def test_first_layer_run_skips_its_input_gradient(self):
+        net = nn.Network([nn.ReLU(), nn.MaxPool2d((2, 2)), nn.Flatten(), nn.Dense(4, 2)])
+        assert [layer.input_grad for layer in net.layers] == [True, False, True, True]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pool_then_relu_bits_equal_relu_then_pool(self, case):
+        window = case.draw(st.sampled_from([(2, 2), (3, 3), (2, 3)]))
+        shape = (case.draw(st.integers(1, 3)), case.draw(st.integers(1, 7)), case.draw(st.integers(1, 7)),
+                 case.draw(st.integers(1, 2)))  # a side that the window does not divide has partial windows
+        x = case.draw(hnp.arrays(np.float64, shape, elements=POOL_VALUES))
+        dy = case.draw(hnp.arrays(np.float64, (shape[0], -(-shape[1] // window[0]), -(-shape[2] // window[1]),
+                                               shape[3]), elements=POOL_VALUES))
+        out, _, dx = run_saved_order([nn.ReLU(), nn.MaxPool2d(window)], x, lambda out: (0.0, dy))
+        swapped_out, _, swapped_dx = run_saved_order([nn.MaxPool2d(window), nn.ReLU()], x, lambda out: (0.0, dy))
+        assert np.array_equal(out.view(np.uint64), swapped_out.view(np.uint64))
+        assert np.array_equal(dx.view(np.uint64), swapped_dx.view(np.uint64))
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["built", "reloaded"])
+    def test_cnn_backward_bits_equal_a_saved_order_loop(self, layout, reload):
+        net = models.build_model("cnn", seed=21)
+        # negative biases leave conv1 windows with no positive value away from the beacons
+        net.layers[0].params[1][...] = np.linspace(-0.3, 0.6, net.layers[0].out_channels)
+        if reload:
+            net = nn.load_network(nn.save_network(net))
+        x = TestSparseConv._encoded(self, layout, n=100)
+        target = np.random.Generator(np.random.PCG64(22)).uniform(0.0, 25.0, size=(100, 2))
+        loss, _ = nn.backward(net, x, target)
+        grad = net.grad.copy()
+        _, expected_loss, _ = run_saved_order(net.layers, x, lambda out: nn.rmse_loss(out, target))
+        assert loss == expected_loss
+        assert np.array_equal(grad.view(np.uint64), net.grad.view(np.uint64))
 
 
 class TestLosses:
