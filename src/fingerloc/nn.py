@@ -346,8 +346,8 @@ class Network:
 
     ``layers`` is the saved order: the order ``save_network`` records, ``theta`` and ``init_params``
     follow, and a ``ShapeError`` names. ``run_order`` is the order ``forward`` and ``backward`` run them
-    in, as indices into ``layers``: the saved order, except that a ``ReLU`` runs after the ``MaxPool2d``
-    layers that directly follow it, on the pooled array (a ninth of the size after a 3x3 pool). ReLU is
+    in, as indices into ``layers``: the saved order, except that a ``ReLU`` directly followed by a
+    ``MaxPool2d`` runs after the pool, on the pooled array (a ninth of the size after a 3x3 pool). ReLU is
     monotone and maps every value that is not positive, NaN aside, to +0.0, so pool-then-ReLU gives
     ReLU-then-pool's values bit for bit. Both send each window's gradient to its first maximum, or
     nowhere when that maximum is not positive or is NaN.
@@ -357,7 +357,7 @@ class Network:
         self.layers = list(layers)
         self.run_order: list[int] = []
         for i, layer in enumerate(self.layers):
-            if isinstance(layer, MaxPool2d) and self.run_order and isinstance(self.layers[self.run_order[-1]], ReLU):
+            if i and isinstance(layer, MaxPool2d) and isinstance(self.layers[i - 1], ReLU):
                 self.run_order.insert(-1, i)  # the pool runs before the ReLU that feeds it
             else:
                 self.run_order.append(i)
