@@ -21,7 +21,7 @@ Groups = list[tuple[tuple[int, int], np.ndarray]]
 
 STRATEGIES = ("none", "naive", "autoencoder", "hybrid")
 
-# normalized-value cutoff: a decoded rssi/-200 below it counts as "shows signal"
+# an autoencoder reading at or below SIGNAL_TAU * NO_SIGNAL (-180 dBm) is written as NO_SIGNAL
 SIGNAL_TAU = 0.9
 
 
@@ -66,8 +66,10 @@ def autoencoder_augment(table: Fingerprints, groups: Groups,
                         autoencoder: Network) -> tuple[Fingerprints, int]:
     """Reconstruct the first sample of each grouped cell.
 
-    A candidate is discarded when it shows signal on a beacon never seen
-    with signal at that location. Returns (kept rows, discarded count).
+    Each output is decoded to dBm, and a reading at or below
+    ``SIGNAL_TAU * NO_SIGNAL`` is written as ``NO_SIGNAL``. A candidate is
+    discarded when it has signal (``rssi > NO_SIGNAL``) on a beacon never
+    seen with signal at that location. Returns (kept rows, discarded count).
     """
     out = np.empty((len(groups), table.rssi.shape[1]))
     seen = np.empty(out.shape, dtype=bool)
@@ -75,11 +77,11 @@ def autoencoder_augment(table: Fingerprints, groups: Groups,
         # one batch-1 forward per cell: batching them changes the last bits
         out[k] = autoencoder.forward(table.rssi[rows[:1]] / NO_SIGNAL)[0]
         seen[k] = (table.rssi[rows] > NO_SIGNAL).any(axis=0)
-    np.clip(out, 0.0, 1.0, out=out)
-    keep = ~((out < SIGNAL_TAU) & ~seen).any(axis=1)
+    rssi = np.clip(out * NO_SIGNAL, NO_SIGNAL, 0.0)
+    rssi[rssi <= SIGNAL_TAU * NO_SIGNAL] = NO_SIGNAL
+    keep = ~((rssi > NO_SIGNAL) & ~seen).any(axis=1)
     cells = [cell for cell, _ in groups]
-    grown = Fingerprints(np.clip(out * NO_SIGNAL, NO_SIGNAL, 0.0),
-                         [f"autoenc-{col}-{row}" for col, row in cells], cells)
+    grown = Fingerprints(rssi, [f"autoenc-{col}-{row}" for col, row in cells], cells)
     return grown.take(keep), len(groups) - int(keep.sum())
 
 

@@ -12,9 +12,12 @@ Architectures:
   * autoencoder: 13 -> 8 -> 4 -> 8 -> 13 on normalized RSSI vectors,
     ReLU hidden layers, sigmoid output.
 
-Image encoding: every beacon pixel is written as rssi / -200, so a no-signal
-beacon (-200 dBm) produces the brightest pixel value 1.0. That is the
-deliberate, literal convention for this encoding.
+Image encoding: each beacon sits on the image pixel nearest its layout
+position (a coordinate above 24.5 takes the last row or column), and only
+two beacons on one pixel make a layout unusable here. Every beacon pixel is
+written as rssi / -200, so a no-signal beacon (-200 dBm) produces the
+brightest pixel value 1.0. That is the deliberate, literal convention for
+this encoding.
 """
 from __future__ import annotations
 
@@ -59,15 +62,13 @@ def build_model(kind: str, seed: int, n_beacons: int = 13) -> Network:
 
 
 def beacon_pixels(layout: BeaconLayout) -> list[tuple[int, int]]:
-    """Nearest-integer (row, col) pixel per beacon; collisions are a layout error."""
-    pixels = []
-    for bid, x, y in zip(layout.ids, layout.xs, layout.ys):
-        col, row = int(round(x)), int(round(y))
-        if not (0 <= col < GRID_SIZE and 0 <= row < GRID_SIZE):
-            raise LayoutError(f"beacon {bid} rounds outside the grid")
-        pixels.append((row, col))
-    if len(set(pixels)) != len(pixels):
-        raise LayoutError("two beacons round to the same image pixel")
+    """(row, col) of the image pixel nearest each beacon; collisions are a layout error."""
+    pixels = [(min(int(round(y)), GRID_SIZE - 1), min(int(round(x)), GRID_SIZE - 1))
+              for x, y in zip(layout.xs, layout.ys)]
+    for i, pixel in enumerate(pixels):
+        if pixel in pixels[:i]:
+            raise LayoutError(f"beacons {layout.ids[pixels.index(pixel)]} and {layout.ids[i]} "
+                              f"share image pixel (row, col) {pixel}")
     return pixels
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fingerloc import augment as aug
 from fingerloc import data, models
@@ -129,6 +131,33 @@ class TestAutoencoderAugment:
         out[0], out[7] = 0.3, 0.95  # 0.95 >= tau: beacon 7 counts as no-signal
         kept, discarded = autoencoder_augment(table, _ConstantNet(out), aug.AugmentationPolicy())
         assert len(kept) == 1 and discarded == 0
+
+    def test_reading_at_or_below_tau_is_written_as_no_signal(self):
+        table = labelled_table([(1, 1)], [vec(b0=-50.0)])
+        out = np.ones(13)
+        out[0] = 0.95  # -190 dBm on the seen beacon
+        kept, discarded = autoencoder_augment(table, _ConstantNet(out), aug.AugmentationPolicy())
+        assert len(kept) == 1 and discarded == 0
+        assert kept.rssi[0, 0] == NO_SIGNAL
+
+    @given(out=arrays(np.float64, 13, elements=st.floats(0.0, 1.0)), seen=arrays(np.bool_, 13))
+    @example(out=np.full(13, np.nextafter(aug.SIGNAL_TAU, 0.0)), seen=np.zeros(13, dtype=bool))
+    @example(out=np.full(13, aug.SIGNAL_TAU), seen=np.zeros(13, dtype=bool))
+    def test_keep_rule_matches_the_normalized_cutoff(self, out, seen):
+        table = labelled_table([(1, 1)], [np.where(seen, -60.0, NO_SIGNAL)])
+        kept, discarded = autoencoder_augment(table, _ConstantNet(out), aug.AugmentationPolicy())
+        # reference rule in normalized units: a clipped output below tau shows signal
+        keep = not ((np.clip(out, 0.0, 1.0) < aug.SIGNAL_TAU) & ~seen).any()
+        assert (len(kept), discarded) == (int(keep), 1 - int(keep))
+        assert ((kept.rssi == NO_SIGNAL) | (kept.rssi > aug.SIGNAL_TAU * NO_SIGNAL)).all()
+
+    def test_no_reading_between_no_signal_and_tau_on_a_no_signal_corpus(self, layout):
+        corpus = data.synth_generate(layout, data.PathLossModel(detection_floor=-75.0), 284, 5,
+                                     seed=0, n_unlabelled=5191)
+        result = aug.augment(corpus.labelled, "autoencoder", aug.AugmentationPolicy(), corpus.unlabelled)
+        rssi = kinds(result)[2].rssi
+        assert result.counts["kept"] > 0 and result.counts["discarded"] > 0
+        assert not ((NO_SIGNAL < rssi) & (rssi <= aug.SIGNAL_TAU * NO_SIGNAL)).any()
 
     def test_adversarial_candidates_never_pass(self):
         rng = np.random.Generator(np.random.PCG64(5))

@@ -125,6 +125,19 @@ class TestTrain:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["strategy"] == "hybrid"
 
+    @pytest.mark.parametrize("x, code, message", [(24.6, 0, ""), (9.4, cli.EXIT_DATA, "beacons b3002 and b3004")],
+                             ids=["edge", "collision"])
+    def test_cnn_takes_every_layout_but_a_pixel_collision(self, corpus, tmp_path, capsys, x, code, message):
+        # b3004 sits at (21, 3) in the corpus layout; b3002 at (9, 3)
+        doc = json.loads((corpus / "layout.json").read_text())
+        doc["beacons"][3]["x"] = x
+        (tmp_path / "layout.json").write_text(json.dumps(doc))
+        assert run(["train", "--model", "cnn", "--labelled", str(corpus / "labelled.csv"),
+                    "--layout", str(tmp_path / "layout.json"), "--out-dir", str(tmp_path / "out"),
+                    "--epochs", "1"]) == code
+        assert (tmp_path / "out" / "model.bin").exists() == (code == 0)
+        assert message in capsys.readouterr().err
+
     def test_paper_protocol_flag(self, corpus, tmp_path):
         first = tmp_path / "first"
         code = run(["train", *common_args(corpus), "--out-dir", str(first),

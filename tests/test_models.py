@@ -82,8 +82,14 @@ class TestImageCodec:
 
     def test_colliding_beacons_rejected(self):
         layout = data.BeaconLayout(ids=("a", "b"), xs=(3.0, 3.4), ys=(5.0, 5.0))
-        with pytest.raises(LayoutError):
+        with pytest.raises(LayoutError, match=r"beacons a and b share image pixel \(row, col\) \(5, 3\)"):
             models.beacon_pixels(layout)
+
+    def test_every_layout_position_has_a_pixel_inside_the_image(self, layout):
+        # integer coordinates keep their pixel; one above 24.5 takes the last column or row
+        assert models.beacon_pixels(layout) == [(int(y), int(x)) for x, y in zip(layout.xs, layout.ys)]
+        edge = data.BeaconLayout(ids=("a", "b", "c"), xs=(24.6, 24.4, 0.0), ys=(3.0, 24.99, 0.0))
+        assert models.beacon_pixels(edge) == [(3, 24), (24, 24), (0, 0)]
 
     def test_prepare_inputs_cnn(self, layout):
         vectors = np.full((4, 13), -80.0)
