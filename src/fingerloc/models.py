@@ -1,9 +1,9 @@
-"""Model builders and the RSSI -> grayscale-image encoder for the CNN path.
+"""Model builders and the encoding of RSSI vectors for each model.
 
 Architectures:
   * dnn: 13 -> 50 -> 50 -> 50 -> 2, ReLU hidden layers, linear output.
-  * cnn: 25x25x1 image -> Conv(12, 7x7, valid) -> 3x3 max-pool ->
-    Conv(12, 5x5, valid) -> 2x2 max-pool -> Dense(24) -> Dense(2).
+  * cnn: each RSSI vector placed on a 25x25x1 image -> Conv(12, 7x7, valid) ->
+    3x3 max-pool -> Conv(12, 5x5, valid) -> 2x2 max-pool -> Dense(24) -> Dense(2).
     Pooling is ceil-mode (spatial chain 25 -> 19 -> 7 -> 3 -> 2), giving
     2*2*12 = 48 flattened features and 5438 parameters total. Each conv
     is saved as conv, ReLU, pool, the order ``model.bin`` records; the
@@ -12,18 +12,20 @@ Architectures:
   * autoencoder: 13 -> 8 -> 4 -> 8 -> 13 on normalized RSSI vectors,
     ReLU hidden layers, sigmoid output.
 
-Image encoding: each beacon sits on the image pixel nearest its layout
-position (a coordinate above 24.5 takes the last row or column), and only
-two beacons on one pixel make a layout unusable here. Every beacon pixel is
-written as rssi / -200, so a no-signal beacon (-200 dBm) produces the
-brightest pixel value 1.0. That is the deliberate, literal convention for
-this encoding.
+The CNN reads no image. Its first layer is a pixel ``nn.Conv2d`` that holds
+each beacon's image pixel, the pixel nearest its layout position (a
+coordinate above 24.5 takes the last row or column), and reads the beacon
+vectors as the one-channel image that is zero except at those pixels. Only
+two beacons on one pixel make a layout unusable here. The CNN and the
+autoencoder read every reading as rssi / -200, so a no-signal beacon
+(-200 dBm) is the brightest pixel value 1.0. That is the deliberate,
+literal convention for this encoding.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .data import GRID_SIZE, NO_SIGNAL, BeaconLayout, Fingerprints, split
+from .data import GRID_SIZE, NO_SIGNAL, BeaconLayout, Fingerprints, default_layout, split
 from .errors import DataError, LayoutError
 from .nn import (Conv2d, Dense, Flatten, MaxPool2d, Metrics, Network, ReLU, Sigmoid, TrainConfig,
                  evaluate, train)
@@ -42,14 +44,17 @@ def _dense_stack(sizes: tuple[int, ...], output: list) -> list:
     return layers
 
 
-def build_model(kind: str, seed: int, n_beacons: int = 13) -> Network:
+def build_model(kind: str, seed: int, n_beacons: int = 13, layout: BeaconLayout | None = None) -> Network:
+    """The ``kind`` model seeded by ``seed``. The DNN and the autoencoder read ``n_beacons`` columns; the CNN
+    reads ``layout``'s beacons at their ``beacon_pixels``, the default layout's if ``layout`` is None."""
     if kind == "dnn":
         return Network(_dense_stack((n_beacons, *DNN_HIDDEN, 2), []), seed=seed)
     if kind == "cnn":
         side = -(-(GRID_SIZE - 7 + 1) // 3)  # conv1, then a ceil-mode 3x3 pool
         side = -(-(side - 5 + 1) // 2)  # conv2, then a ceil-mode 2x2 pool
+        pixels = beacon_pixels(default_layout() if layout is None else layout)
         layers = [
-            Conv2d(1, 12, (7, 7)), ReLU(), MaxPool2d((3, 3)),
+            Conv2d(1, 12, (7, 7), GRID_SIZE, len(pixels), pixels), ReLU(), MaxPool2d((3, 3)),
             Conv2d(12, 12, (5, 5)), ReLU(), MaxPool2d((2, 2)),
             Flatten(),
             *_dense_stack((side * side * 12, 24, 2), []),
@@ -72,25 +77,14 @@ def beacon_pixels(layout: BeaconLayout) -> list[tuple[int, int]]:
     return pixels
 
 
-def encode_fingerprint_image(rssi: np.ndarray | tuple[float, ...], layout: BeaconLayout) -> np.ndarray:
-    """Encode RSSI vectors (..., n_beacons) as 25x25x1 grayscale images (..., 25, 25, 1)."""
-    rssi = np.asarray(rssi, dtype=np.float64)
-    if rssi.shape[-1:] != (layout.n_beacons,):
-        raise ValueError(f"RSSI vector length {rssi.shape} != layout beacon count {layout.n_beacons}")
-    rows, cols = np.array(beacon_pixels(layout)).T
-    img = np.zeros((*rssi.shape[:-1], GRID_SIZE, GRID_SIZE, 1))
-    img[..., rows, cols, 0] = rssi / NO_SIGNAL
-    return img
-
-
-def prepare_inputs(kind: str, rssi_vectors: np.ndarray, layout: BeaconLayout) -> np.ndarray:
-    """Model-ready input batch from raw dBm vectors (N, n_beacons)."""
+def prepare_inputs(kind: str, rssi_vectors: np.ndarray, layout: BeaconLayout | None = None) -> np.ndarray:
+    """Model-ready input batch from raw dBm vectors (N, n_beacons): raw dBm for the DNN, rssi / -200 for the
+    CNN and the autoencoder. Every model reads the columns in the layout's beacon order, so ``layout`` is
+    not read."""
     rssi_vectors = np.asarray(rssi_vectors, dtype=np.float64)
     if kind == "dnn":
         return rssi_vectors
-    if kind == "cnn":
-        return encode_fingerprint_image(rssi_vectors, layout)
-    if kind == "autoencoder":
+    if kind in ("cnn", "autoencoder"):
         return rssi_vectors / NO_SIGNAL
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -105,7 +99,7 @@ def fit(kind: str, train_set: Fingerprints, test_set: Fingerprints, layout: Beac
     """Build the model seeded by ``config.seed``, train it on ``train_set``, score it on ``test_set``."""
     if not (len(train_set) and len(test_set)):
         raise DataError(f"{len(train_set) + len(test_set)} labelled rows are too few to split")
-    network = build_model(kind, seed=config.seed, n_beacons=layout.n_beacons)
+    network = build_model(kind, seed=config.seed, n_beacons=layout.n_beacons, layout=layout)
     history = train(network, *xy(kind, train_set, layout), config)
     return network, history, evaluate(network, *xy(kind, test_set, layout), layout.cell_feet)
 

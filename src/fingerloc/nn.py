@@ -7,12 +7,13 @@ serialization format. Double precision throughout; the gradient-check suite
 depends on it.
 
 A layer's ``params`` and ``grads`` are tuples of views into its ``Network``'s
-one parameter vector ``theta`` and one gradient vector ``grad``.
+one parameter vector ``theta`` and one gradient vector ``grad``. Its ``fixed``
+arrays, if it has any, are state that ``model.bin`` saves beside the
+parameters but that no optimizer steps: they stay out of ``theta``.
 """
 from __future__ import annotations
 
 import base64
-import functools
 import hashlib
 import json
 import math
@@ -37,15 +38,19 @@ class Layer:
     """Base layer: zeroed parameter arrays in ``params`` and gradient arrays in ``grads``.
 
     A subclass states how ``model.bin`` records it: its ``kind``, and ``size_keys``, the spec key of
-    each constructor argument in order. ``param_shapes`` maps those arguments to the parameter
-    shapes, so ``load_network`` checks a file's shapes before it builds any layer, and ``KINDS`` maps
-    each kind to its class. A ``Network`` rebinds the arrays to views into its ``theta`` and ``grad``,
-    so layers write in place. ``input_grad`` says whether ``backward`` must return the gradient of its
+    each constructor argument in order; a layer built with trailing arguments left at their default,
+    None, has fewer ``sizes``, and its spec stops before their keys. ``param_shapes`` maps the sizes to
+    the parameter shapes, and ``fixed_shapes`` to the shapes of the fixed arrays, which the constructor
+    takes after its sizes and keeps in ``fixed``. So ``load_network`` checks a file's shapes
+    before it builds any layer, and ``KINDS`` maps each kind to its class. A ``Network`` rebinds the
+    parameter arrays to views into its ``theta`` and ``grad``, so layers write in place; the fixed
+    arrays stay outside both. ``input_grad`` says whether ``backward`` must return the gradient of its
     input; a ``Network`` clears it on the first layer it runs, whose input gradient no one reads.
     """
 
     kind: str
     size_keys: tuple[str, ...] = ()
+    fixed: tuple[np.ndarray, ...] = ()
     input_grad = True
 
     def __init__(self, *sizes):
@@ -55,6 +60,10 @@ class Layer:
 
     @staticmethod
     def param_shapes(*sizes) -> tuple[tuple[int, ...], ...]:
+        return ()
+
+    @staticmethod
+    def fixed_shapes(*sizes) -> tuple[tuple[int, ...], ...]:
         return ()
 
     def init_params(self, rng: np.random.Generator) -> None:
@@ -105,12 +114,11 @@ class Dense(Layer):
         return dy @ self.params[0].T if self.input_grad else None
 
 
-@functools.lru_cache(maxsize=128)
 def _lowering(rows, cols, kh, kw, oh, ow):
-    """Every term of the pixel-sparse convolution, for active pixels (rows, cols) in raster order.
+    """Every term of the pixel-sparse convolution, for pixels (rows, cols) in raster order.
 
     A term is indexed by its pixel's place in (rows, cols), its flat output position ``p*ow + q``
-    and its flat kernel offset ``i*kw + j``. Returns three read-only parts:
+    and its flat kernel offset ``i*kw + j``. Returns three parts:
     - ``table``, a (3, terms) array of every term's ``pixel, position, offset``, pixel by pixel in
       raster order, and each pixel's positions in raster order;
     - ``first``, the columns of ``table`` that hold the first term at each output position reached,
@@ -120,37 +128,37 @@ def _lowering(rows, cols, kh, kw, oh, ow):
     """
     # pixel (r, c) meets offset (i, j) at output (r - i, c - j), in raster order over the flipped offsets
     flipped = np.arange(kh * kw)[::-1]
-    p = np.array(rows, dtype=np.intp)[:, None] - flipped // kw
-    q = np.array(cols, dtype=np.intp)[:, None] - flipped % kw
+    p = rows[:, None] - flipped // kw
+    q = cols[:, None] - flipped % kw
     pixel, tap = np.nonzero((0 <= p) & (p < oh) & (0 <= q) & (q < ow))
     table = np.stack((pixel, p[pixel, tap] * ow + q[pixel, tap], flipped[tap]))
     new = np.zeros(table.shape[1], dtype=bool)
     new[np.unique(table[1], return_index=True)[1]] = True  # each position's first term in table order
-    first = table[:, new]
     # not np.unique, which imports numpy.ma (about 1 MB) on its first call without return_index
     later = tuple((k, *table[1:, ~new & (pixel == k)]) for k in sorted(set(pixel[~new].tolist())))
-    for a in (table, first, *(a for _, pos, off in later for a in (pos, off))):
-        a.flags.writeable = False  # the cache hands the same arrays to every call
-    return table, first, later
+    return table, table[:, new], later
 
 
 class Conv2d(Layer):
-    """Valid-padding 2-d convolution, channels-last (B, H, W, C).
+    """Valid-padding 2-d convolution, channels-last.
 
-    Pixel-sparse path: with one input channel and at most half the input pixels non-zero in any
-    row (an encoded fingerprint has one per beacon), both passes read one table of terms that
-    ``_lowering`` builds once per pixel set and shape: each term's pixel, output position and
-    flipped-kernel offset, pixel by pixel in raster order. At every output position, raster order
-    over the pixels that reach it is the dense loop's order over the kernel offsets.
+    A ``Conv2d`` built with ``side``, ``beacons`` and ``pixels`` is a pixel conv: it reads rows
+    ``(B, beacons)`` and convolves each as a one-channel ``side`` x ``side`` image that is zero
+    except at each beacon's pixel ``pixels[k] = (row, col)``, which holds column k. ``pixels`` is its
+    fixed array, so ``model.bin`` records it; each must be an integer pair in ``[0, side)``, and no two
+    alike. At construction it sorts the beacons into raster order of their pixels and builds one table
+    of terms (``_lowering``): each term's pixel, output position and flipped-kernel offset, pixel by
+    pixel in raster order. At every output position, raster order over the pixels that reach it is the
+    dense loop's order over the kernel offsets, so the results are the dense loop's over that image.
 
     ``forward`` is one matrix product, the pixels' values ``(B, P)`` times a lowered kernel
     ``(P, oh*ow*C_out)`` that holds each output position's first term only. Then each pixel, in
     raster order, adds its later terms, at the positions where an earlier pixel came first, and the
     bias is added last. The product adds exact zeros to one rounded product per entry, so a fused
     multiply-add has no second term to fuse, and each later term is one rounded product added in
-    the dense loop's order: every output bit is the dense loop's. A non-finite pixel makes its whole
-    sample's output non-finite, not only the positions it reaches, since the product multiplies it
-    by the zeros too.
+    the dense loop's order: every output bit is the dense loop's, up to the sign of a zero sum. A
+    non-finite value makes its whole sample's output non-finite, not only the positions it reaches,
+    since the product multiplies it by the zeros too.
 
     ``backward`` takes both parameter gradients from one matrix product: the pixels' values
     ``(P, B)`` over a row of ones, times ``dy`` as ``(B, oh*ow*C_out)``. Row p is pixel p's values
@@ -159,28 +167,57 @@ class Conv2d(Layer):
     so each weight entry adds its pixels' terms in raster order, as one slice add per pixel would.
     The ones row is ``dy`` summed over the batch; summed over the positions it is the bias
     gradient. Both sum the dense loop's terms in another order, so they may differ from the dense
-    sums by rounding. The input gradient is the dense path's.
+    sums by rounding. The input gradient, ``(B, beacons)``, is ``dy`` times the whole lowered kernel.
 
-    Dense path: each kernel offset's term of ``forward`` and of the input gradient is one 2-d
-    matrix product over every output pixel of the batch, ``(B*oh*ow, C_in) @ (C_in, C_out)`` and
-    its transpose; numpy runs a 4-d operand as one small product per output row. Each output entry
-    is the same dot product added in the same offset order, so the bits are those of the per-offset
-    loop. The exception is the input gradient of a one-channel input: its product is a
-    matrix-vector product, which BLAS may round differently from one product per output row.
+    Without pixels it reads images (B, H, W, C_in). Each kernel offset's term of ``forward`` and of
+    the input gradient is one 2-d matrix product over every output pixel of the batch,
+    ``(B*oh*ow, C_in) @ (C_in, C_out)`` and its transpose; numpy runs a 4-d operand as one small
+    product per output row. Each output entry is the same dot product added in the same offset order,
+    so the bits are those of the per-offset loop. The exception is the input gradient of a one-channel
+    input: its product is a matrix-vector product, which BLAS may round differently from one product
+    per output row.
     """
 
-    kind, size_keys = "conv2d", ("in", "out", "kernel")
+    kind, size_keys = "conv2d", ("in", "out", "kernel", "side", "beacons")
 
-    def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, int]):
-        super().__init__(in_channels, out_channels, kernel)
+    def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, int],
+                 side: int | None = None, beacons: int | None = None, pixels=None):
+        image = (side, beacons, pixels)
+        if any(a is None for a in image) and not all(a is None for a in image):
+            raise ValueError("a pixel Conv2d takes side, beacons and pixels together")
+        super().__init__(in_channels, out_channels, kernel, *(() if pixels is None else (side, beacons)))
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kh, self.kw = kernel
+        self.beacons = beacons
+        if pixels is None:
+            return
+        pixels = np.asarray(pixels, dtype=np.float64)
+        if in_channels != 1 or side < max(kernel):
+            raise ValueError(f"a pixel Conv2d reads one channel of a side at least its kernel {kernel}, "
+                             f"got {in_channels} channels and side {side}")
+        if pixels.shape != (beacons, 2):
+            raise ValueError(f"{beacons} beacon pixels have shape ({beacons}, 2), got {pixels.shape}")
+        if not ((0 <= pixels) & (pixels < side)).all():
+            raise ValueError(f"a beacon pixel lies outside [0, {side}): {pixels.tolist()}")
+        if (pixels % 1).any():
+            raise ValueError(f"a beacon pixel is not an integer: {pixels.tolist()}")
+        rows, cols = pixels.astype(np.intp).T
+        if len(set(zip(rows.tolist(), cols.tolist()))) < beacons:
+            raise ValueError(f"two beacons share a pixel: {pixels.tolist()}")
+        self.fixed = (pixels,)
+        self._order = np.lexsort((cols, rows))  # the beacon columns in raster order of their pixels
+        self._out_hw = (side - self.kh + 1, side - self.kw + 1)
+        self._terms = _lowering(rows[self._order], cols[self._order], self.kh, self.kw, *self._out_hw)
 
     @staticmethod
-    def param_shapes(in_channels, out_channels, kernel):
+    def param_shapes(in_channels, out_channels, kernel, side=None, beacons=None):
         kh, kw = kernel
         return (kh, kw, in_channels, out_channels), (out_channels,)
+
+    @staticmethod
+    def fixed_shapes(in_channels, out_channels, kernel, side=None, beacons=None):
+        return () if beacons is None else ((beacons, 2),)
 
     def init_params(self, rng):
         fan_in = self.kh * self.kw * self.in_channels
@@ -189,6 +226,10 @@ class Conv2d(Layer):
         self.params[1][...] = 0.0
 
     def _check(self, x):
+        if self.beacons is not None:
+            if x.ndim != 2 or x.shape[1] != self.beacons:
+                raise ShapeError(f"Conv2d({self.beacons} beacons->{self.out_channels}): got input shape {x.shape}")
+            return
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(f"Conv2d({self.in_channels}->{self.out_channels}): got input shape {x.shape}")
         if x.shape[1] < self.kh or x.shape[2] < self.kw:
@@ -197,30 +238,28 @@ class Conv2d(Layer):
     def forward(self, x):
         self._check(x)
         self._x = x
-        oh = x.shape[1] - self.kh + 1
-        ow = x.shape[2] - self.kw + 1
         w, b = self.params
-        ai, aj = np.nonzero(x.any(axis=(0, 3)))
-        self._pixels = None
-        if self.in_channels == 1 and 2 * ai.size <= x.shape[1] * x.shape[2]:
-            vals = x[:, ai, aj, 0].T.copy()  # (pixel, batch)
-            table, first, later = _lowering(tuple(ai.tolist()), tuple(aj.tolist()), self.kh, self.kw, oh, ow)
-            self._pixels = table, vals
-            pixel, pos, off = first
-            taps = w.reshape(-1, self.out_channels)  # one row per kernel offset, in raster order
-            low = np.zeros((ai.size, oh * ow * self.out_channels))
-            low.reshape(ai.size, oh * ow, self.out_channels)[pixel, pos] = taps[off]
-            with np.errstate(invalid="ignore"):  # a non-finite pixel times the zeros
-                out = (vals.T @ low).reshape(x.shape[0], oh, ow, self.out_channels)
-            flat_out = out.reshape(x.shape[0], oh * ow, self.out_channels)
-            for k, pos, off in later:
-                flat_out[:, pos] += vals[k][:, None, None] * taps[off]
-        else:
+        if self.beacons is None:
+            oh = x.shape[1] - self.kh + 1
+            ow = x.shape[2] - self.kw + 1
             out = np.zeros((x.shape[0], oh, ow, self.out_channels))
             flat_out = out.reshape(-1, self.out_channels)
             for i in range(self.kh):
                 for j in range(self.kw):
                     flat_out += x[:, i:i + oh, j:j + ow, :].reshape(-1, self.in_channels) @ w[i, j]
+        else:
+            oh, ow = self._out_hw
+            vals = x[:, self._order].T.copy()  # (pixel, batch), the pixels in raster order
+            self._vals = vals
+            _, (pixel, pos, off), later = self._terms
+            taps = w.reshape(-1, self.out_channels)  # one row per kernel offset, in raster order
+            low = np.zeros((self.beacons, oh * ow * self.out_channels))
+            low.reshape(self.beacons, oh * ow, self.out_channels)[pixel, pos] = taps[off]
+            with np.errstate(invalid="ignore"):  # a non-finite value times the zeros
+                out = (vals.T @ low).reshape(x.shape[0], oh, ow, self.out_channels)
+            flat_out = out.reshape(x.shape[0], oh * ow, self.out_channels)
+            for k, pos, off in later:
+                flat_out[:, pos] += vals[k][:, None, None] * taps[off]
         rows = out.reshape(x.shape[0], -1)  # a view, one row per sample
         rows += np.tile(b, oh * ow)
         return out
@@ -230,18 +269,24 @@ class Conv2d(Layer):
         oh, ow = dy.shape[1], dy.shape[2]
         w = self.params[0]
         dw, db = self.grads
-        flat_dy = dy.reshape(-1, self.out_channels)
-        if self._pixels is not None:
-            (pixel, pos, off), vals = self._pixels
-            terms = (np.vstack((vals, np.ones(len(x)))) @ dy.reshape(len(x), -1)).reshape(-1, oh * ow, len(db))
+        if self.beacons is not None:
+            pixel, pos, off = self._terms[0]
+            terms = (np.vstack((self._vals, np.ones(len(x)))) @ dy.reshape(len(x), -1)).reshape(-1, oh * ow, len(db))
             dw[...] = 0.0
             np.add.at(dw.reshape(-1, self.out_channels), off, terms[pixel, pos])
             db[...] = terms[-1].sum(axis=0)
-        else:
-            for i in range(self.kh):
-                for j in range(self.kw):
-                    dw[i, j] = x[:, i:i + oh, j:j + ow, :].reshape(-1, self.in_channels).T @ flat_dy
-            db[...] = flat_dy.sum(axis=0)
+            if not self.input_grad:
+                return None
+            kernel = np.zeros((self.beacons, oh * ow, self.out_channels))  # every term, not only the first
+            kernel[pixel, pos] = w.reshape(-1, self.out_channels)[off]
+            dx = np.empty(x.shape)
+            dx[:, self._order] = dy.reshape(len(x), -1) @ kernel.reshape(self.beacons, -1).T
+            return dx
+        flat_dy = dy.reshape(-1, self.out_channels)
+        for i in range(self.kh):
+            for j in range(self.kw):
+                dw[i, j] = x[:, i:i + oh, j:j + ow, :].reshape(-1, self.in_channels).T @ flat_dy
+        db[...] = flat_dy.sum(axis=0)
         if not self.input_grad:
             return None
         dx = np.zeros_like(x)
@@ -598,15 +643,34 @@ def _checksum(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
 
 
+def _records(arrays) -> list[dict]:
+    return [{"shape": list(a.shape), "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
+            for a in arrays]
+
+
+def _arrays(entries, shapes: list[list[int]], what: str) -> list[np.ndarray]:
+    """The arrays that ``entries`` record, once their shapes equal ``shapes`` and each blob has its shape's
+    length: read-only views into the decoded bytes, so nothing the size of a recorded shape is allocated."""
+    recorded = [entry["shape"] for entry in entries]
+    if recorded != shapes:
+        raise LoadError(f"{what} shapes {recorded} != layer shapes {shapes}")
+    blobs = [base64.b64decode(entry["data"]) for entry in entries]
+    for raw, shape in zip(blobs, shapes):
+        if len(raw) != 8 * math.prod(shape):
+            raise LoadError(f"{what} blob length {len(raw)} != expected {8 * math.prod(shape)}")
+    return [np.frombuffer(raw, dtype="<f8").reshape(shape) for raw, shape in zip(blobs, shapes)]
+
+
 def save_network(network: Network) -> bytes:
+    """``model.bin``'s bytes: each layer's spec, every parameter, and every fixed array under ``fixed``, a key
+    that a network without fixed arrays leaves out."""
+    fixed = [a for layer in network.layers for a in layer.fixed]
     payload = {
         "format": SERIAL_FORMAT,
         "version": SERIAL_VERSION,
         "layers": [layer.spec() for layer in network.layers],
-        "params": [
-            {"shape": list(p.shape), "data": base64.b64encode(p.astype("<f8").tobytes()).decode("ascii")}
-            for p in network.parameters()
-        ],
+        "params": _records(network.parameters()),
+        **({"fixed": _records(fixed)} if fixed else {}),
     }
     return json.dumps({"checksum": _checksum(payload), "payload": payload},
                       sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -628,31 +692,31 @@ def load_network(blob: bytes) -> Network:
     try:
         # check every size, shape and blob length before anything is allocated, so a short file
         # cannot ask for an arbitrary amount of memory
-        layers, shapes = [], []  # (class, sizes) per layer; every parameter's shape
+        layers, shapes, fixed_shapes = [], [], []  # (class, sizes, fixed count) per layer; every array's shape
         for spec in payload["layers"]:
             cls = KINDS.get(spec["kind"])
             if cls is None:
                 raise LoadError(f"unknown layer kind {spec['kind']!r}")
-            if set(spec) != {"kind", *cls.size_keys}:
-                raise LoadError(f"a {cls.kind} spec has the keys kind and {cls.size_keys}, got {sorted(spec)}")
-            sizes = [spec[key] for key in cls.size_keys]
+            keys = cls.size_keys[:len(spec) - 1]
+            if set(spec) != {"kind", *keys}:
+                raise LoadError(f"a {cls.kind} spec has the keys kind and {cls.size_keys}, or a leading part "
+                                f"of them, got {sorted(spec)}")
+            sizes = [spec[key] for key in keys]
             layer_shapes = [list(shape) for shape in cls.param_shapes(*sizes)]
+            layer_fixed = [list(shape) for shape in cls.fixed_shapes(*sizes)]
             # a bool is not a size, and neither is a list where a shape wants one number
-            if not all(type(n) is int and n >= 1
-                       for group in sizes + layer_shapes for n in (group if type(group) is list else [group])):
+            if not all(type(n) is int and n >= 1 for group in sizes + layer_shapes + layer_fixed
+                       for n in (group if type(group) is list else [group])):
                 raise LoadError(f"layer sizes must be integers >= 1, got {spec}")
-            layers.append((cls, sizes))
+            layers.append((cls, sizes, len(layer_fixed)))
             shapes += layer_shapes
-        recorded = [entry["shape"] for entry in payload["params"]]
-        if recorded != shapes:
-            raise LoadError(f"parameter shapes {recorded} != layer shapes {shapes}")
-        blobs = [base64.b64decode(entry["data"]) for entry in payload["params"]]
-        for raw, shape in zip(blobs, shapes):
-            if len(raw) != 8 * math.prod(shape):
-                raise LoadError(f"parameter blob length {len(raw)} != expected {8 * math.prod(shape)}")
-        network = Network([cls(*sizes) for cls, sizes in layers])
-        for p, raw in zip(network.parameters(), blobs):
-            p[...] = np.frombuffer(raw, dtype="<f8").reshape(p.shape)
-    except (KeyError, TypeError, ValueError) as e:  # a missing field, a non-dict entry, bad base64
+            fixed_shapes += layer_fixed
+        params = _arrays(payload["params"], shapes, "parameter")
+        fixed = iter(_arrays(payload.get("fixed", []), fixed_shapes, "fixed array"))
+        # a layer's constructor checks the values of its fixed arrays
+        network = Network([cls(*sizes, *(next(fixed) for _ in range(n))) for cls, sizes, n in layers])
+        for p, a in zip(network.parameters(), params):
+            p[...] = a
+    except (KeyError, TypeError, ValueError) as e:  # a missing field, a non-dict entry, bad base64, a bad value
         raise LoadError(f"malformed layer or parameter entry: {e!r}") from None
     return network

@@ -42,9 +42,9 @@ CHECKS = {
     "GP x and y of different lengths": (
         lambda: hpo.GpSurrogate(np.zeros((3, 2)), np.zeros(2)),
         ValueError, "matching x/y lengths"),
-    "image encoder given a vector of the wrong length": (
-        lambda: models.encode_fingerprint_image(np.zeros(12), data.default_layout()),
-        ValueError, "layout beacon count 13"),
+    "pixel Conv2d given rows of the wrong length": (
+        lambda: models.build_model("cnn", seed=0).layers[0].forward(np.zeros((1, 12))),
+        ShapeError, "Conv2d(13 beacons->12): got input shape (1, 12)"),
     "unknown model kind for inputs": (
         lambda: models.prepare_inputs("rnn", np.zeros((1, 13)), data.default_layout()),
         ValueError, "unknown model kind 'rnn'"),
@@ -54,6 +54,15 @@ CHECKS = {
     "Conv2d input smaller than its kernel": (
         lambda: nn.Conv2d(1, 12, (7, 7)).forward(np.zeros((1, 6, 25, 1))),
         ShapeError, "input 6x25 smaller than kernel 7x7"),
+    "pixel Conv2d on more than one channel": (
+        lambda: nn.Conv2d(2, 12, (7, 7), 25, 1, [(0, 0)]),
+        ValueError, "reads one channel"),
+    "pixel Conv2d on an image smaller than its kernel": (
+        lambda: nn.Conv2d(1, 12, (7, 7), 6, 1, [(0, 0)]),
+        ValueError, "side 6"),
+    "pixel Conv2d given a pixel count unlike its pixels": (
+        lambda: nn.Conv2d(1, 12, (7, 7), 25, 2, [(0, 0)]),
+        ValueError, "2 beacon pixels have shape (2, 2), got (1, 2)"),
     "output and target shapes differ": (
         lambda: nn.backward(models.build_model("dnn", seed=0), np.zeros((2, 13)), np.zeros((2, 3))),
         ShapeError, "!= target shape (2, 3)"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,7 @@ class TestBuilders:
 
     def test_cnn_shapes(self):
         net = models.build_model("cnn", seed=0)
-        assert net.forward(np.zeros((3, 25, 25, 1))).shape == (3, 2)
+        assert net.forward(np.zeros((3, 13))).shape == (3, 2)
 
     def test_autoencoder_reconstruction_shape(self):
         net = models.build_model("autoencoder", seed=0)
@@ -39,62 +41,63 @@ class TestBuilders:
 
 
 class TestImageCodec:
+    """The CNN's pixel mapping, held by its first layer, and its vector encoding, rssi / -200."""
+
     def test_minus_20_maps_to_0_1(self, layout):
         rssi = [-200.0] * 13
         rssi[0] = -20.0
-        img = models.encode_fingerprint_image(rssi, layout)
-        row, col = models.beacon_pixels(layout)[0]
-        assert img[row, col, 0] == pytest.approx(0.1)
+        assert models.prepare_inputs("cnn", [rssi], layout)[0, 0] == pytest.approx(0.1)
 
     def test_non_beacon_pixels_zero(self, layout):
-        img = models.encode_fingerprint_image([-50.0] * 13, layout)
-        pixels = set(models.beacon_pixels(layout))
-        for r in range(25):
-            for c in range(25):
-                if (r, c) not in pixels:
-                    assert img[r, c, 0] == 0.0
+        # the first layer reads each row as the image that holds it at the beacon pixels and 0 elsewhere
+        conv = models.build_model("cnn", seed=0, layout=layout).layers[0]
+        conv.params[1][...] = np.linspace(-0.5, 0.5, conv.out_channels)
+        image_conv = nn.Conv2d(1, conv.out_channels, (conv.kh, conv.kw))
+        for p, q in zip(image_conv.params, conv.params):
+            p[...] = q
+        x = models.prepare_inputs("cnn", np.full((2, 13), -50.0), layout)
+        image = np.zeros((2, 25, 25, 1))
+        rows, cols = np.array(models.beacon_pixels(layout)).T
+        image[:, rows, cols, 0] = x
+        assert np.array_equal(conv.forward(x), image_conv.forward(image))
 
     def test_no_signal_maps_to_brightest(self, layout):
         # literal convention: -200 / -200 = 1.0
-        img = models.encode_fingerprint_image([data.NO_SIGNAL] * 13, layout)
-        for row, col in models.beacon_pixels(layout):
-            assert img[row, col, 0] == 1.0
+        assert np.all(models.prepare_inputs("cnn", [[data.NO_SIGNAL] * 13], layout) == 1.0)
 
     def test_decode_pixel_to_dbm(self, layout):
         rssi = [data.NO_SIGNAL] * 13
         rssi[0] = -20.0
-        img = models.encode_fingerprint_image(rssi, layout)
-        row, col = models.beacon_pixels(layout)[0]
-        assert img[row, col, 0] * data.NO_SIGNAL == pytest.approx(-20.0)
+        assert models.prepare_inputs("cnn", [rssi], layout)[0, 0] * data.NO_SIGNAL == pytest.approx(-20.0)
 
     @given(rssi_vectors)
     def test_encode_decode_identity(self, rssi):
-        layout = data.default_layout()
-        img = models.encode_fingerprint_image(rssi, layout)
-        rows, cols = np.array(models.beacon_pixels(layout)).T
-        assert img[..., rows, cols, 0] * data.NO_SIGNAL == pytest.approx(rssi)
+        assert models.prepare_inputs("cnn", rssi, data.default_layout()) * data.NO_SIGNAL == pytest.approx(rssi)
 
     @given(rssi_vectors)
     def test_pixels_in_unit_interval(self, rssi):
-        layout = data.default_layout()
-        img = models.encode_fingerprint_image(rssi, layout)
-        assert np.all((img >= 0.0) & (img <= 1.0))
+        x = models.prepare_inputs("cnn", rssi, data.default_layout())
+        assert np.all((x >= 0.0) & (x <= 1.0))
 
     def test_colliding_beacons_rejected(self):
         layout = data.BeaconLayout(ids=("a", "b"), xs=(3.0, 3.4), ys=(5.0, 5.0))
         with pytest.raises(LayoutError, match=r"beacons a and b share image pixel \(row, col\) \(5, 3\)"):
             models.beacon_pixels(layout)
+        with pytest.raises(LayoutError, match="share image pixel"):
+            models.build_model("cnn", seed=0, layout=layout)
 
     def test_every_layout_position_has_a_pixel_inside_the_image(self, layout):
         # integer coordinates keep their pixel; one above 24.5 takes the last column or row
         assert models.beacon_pixels(layout) == [(int(y), int(x)) for x, y in zip(layout.xs, layout.ys)]
         edge = data.BeaconLayout(ids=("a", "b", "c"), xs=(24.6, 24.4, 0.0), ys=(3.0, 24.99, 0.0))
         assert models.beacon_pixels(edge) == [(3, 24), (24, 24), (0, 0)]
+        assert models.build_model("cnn", seed=0, layout=edge).layers[0].fixed[0].tolist() == [[3, 24], [24, 24], [0, 0]]
 
     def test_prepare_inputs_cnn(self, layout):
         vectors = np.full((4, 13), -80.0)
         batch = models.prepare_inputs("cnn", vectors, layout)
-        assert batch.shape == (4, 25, 25, 1)
+        assert batch.shape == (4, 13)
+        assert np.array_equal(batch, models.prepare_inputs("autoencoder", vectors, layout))
 
     def test_prepare_inputs_autoencoder_normalizes(self, layout):
         vectors = np.full((2, 13), -100.0)
@@ -124,6 +127,25 @@ class TestFit:
         fresh = models.build_model("dnn", seed=self.CONFIG.seed)
         assert nn.train(fresh, *models.xy("dnn", train_set, layout), self.CONFIG) == history
         assert np.array_equal(fresh.theta, network.theta)
+
+
+    def test_cnn_peak_memory_does_not_grow_with_the_test_set(self, layout):
+        # the CNN reads beacon vectors, 104 bytes a row, and nn.evaluate scores 100 rows at a time
+        corpus = data.synth_generate(layout, data.PathLossModel(), 284, 5, seed=0)
+        train_set, test_set = data.split(corpus.labelled, models.HOLDOUT_RATIO, 0)
+        assert (len(train_set), len(test_set)) == (1136, 284)
+        large = test_set.take(np.arange(5000) % len(test_set))
+
+        def peak(test):
+            tracemalloc.start()
+            try:
+                models.fit("cnn", train_set, test, layout, nn.TrainConfig(epochs=1, seed=0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(test_set)  # first-call allocations
+        assert peak(large) - peak(test_set) < 1 << 20
 
 
 class TestScore:

@@ -1,6 +1,8 @@
+import base64
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -134,9 +136,16 @@ class TestGradients:
             x = rng.normal(size=(2, h, h, cin))
             t = rng.normal(size=(2, 2))
             check_gradients(net, x, t)
+        for _ in range(3):  # a pixel conv after a Dense returns the (B, beacons) input gradient the Dense reads
+            side, k = int(rng.integers(4, 7)), int(rng.integers(2, 4))
+            cells = rng.choice(side * side, size=int(rng.integers(1, 6)), replace=False)
+            pixels = np.stack(np.divmod(cells, side), axis=1)
+            net = random_net(rng, [nn.Dense(3, len(pixels)), nn.Conv2d(1, 2, (k, k), side, len(pixels), pixels),
+                                   nn.Flatten(), nn.Dense((side - k + 1) ** 2 * 2, 2)])
+            check_gradients(net, rng.normal(size=(2, 3)), rng.normal(size=(2, 2)))
 
     def test_full_cnn_on_encoded_fingerprints(self, layout):
-        # encoded images take Conv2d's pixel-sparse forward
+        # encoded beacon vectors, which the CNN's pixel conv reads
         rng = np.random.Generator(np.random.PCG64(8))
         rssi = rng.uniform(-95.0, -45.0, size=(2, layout.n_beacons))
         rssi[rng.random(rssi.shape) < 0.3] = data.NO_SIGNAL
@@ -158,6 +167,10 @@ class TestGradients:
         conv.init_params(rng)
         conv.forward(rng.normal(size=(2, 4, 4, 1)))
         assert conv.backward(rng.normal(size=(2, 3, 3, 2))).shape == (2, 4, 4, 1)
+        pixels = nn.Conv2d(1, 2, (2, 2), 4, 3, [(0, 1), (3, 3), (2, 0)])
+        pixels.init_params(rng)
+        pixels.forward(rng.normal(size=(2, 3)))
+        assert pixels.backward(rng.normal(size=(2, 3, 3, 2))).shape == (2, 3)
         net = nn.Network([nn.Dense(3, 3), nn.Dense(3, 2)], seed=0)
         net.forward(x)
         assert net.layers[1].backward(dy).shape == (4, 3)
@@ -239,6 +252,19 @@ def textbook_conv(x, w, b):
     return out + b
 
 
+def image_of(conv, x):
+    """The one-channel image that pixel conv ``conv`` reads rows ``x`` as: zero except at each beacon's pixel."""
+    rows, cols = conv.fixed[0].astype(int).T
+    side = conv.sizes[3]
+    image = np.zeros((len(x), side, side, 1))
+    image[:, rows, cols, 0] = x
+    return image
+
+
+# pixels on the corners and edges of a 25x25 image
+EDGE_PIXELS = [(0, 0), (0, 24), (24, 0), (24, 24), (3, 12), (12, 0), (21, 5)]
+
+
 class TestSparseConv:
     def _encoded(self, layout, n=400):
         rng = np.random.Generator(np.random.PCG64(10))
@@ -246,46 +272,50 @@ class TestSparseConv:
         rssi[rng.random(rssi.shape) < 0.3] = data.NO_SIGNAL
         return models.prepare_inputs("cnn", rssi, layout)
 
-    def _corner(self, layout):
-        x = np.zeros((3, 25, 25, 1))
-        x[1, 24, 24, 0] = 0.4  # reaches only the last output pixel
-        return x
+    def _corner(self, layout, conv):
+        # the corner pixel reaches only the last output pixel
+        x = np.zeros((3, 2))
+        x[1, 0] = 0.4
+        return nn.Conv2d(1, 12, (7, 7), 25, 2, [(24, 24), (3, 5)]), x
 
     @pytest.mark.parametrize("make", [
-        _encoded,
-        lambda self, layout: np.zeros((5, 25, 25, 1)),
+        lambda self, layout, conv: (conv, self._encoded(layout)),
+        lambda self, layout, conv: (conv, np.zeros((5, layout.n_beacons))),
         _corner,
-        lambda self, layout: np.random.Generator(np.random.PCG64(11)).normal(size=(4, 25, 25, 1)),
+        lambda self, layout, conv: (nn.Conv2d(1, 12, (7, 7)),
+                                    np.random.Generator(np.random.PCG64(11)).normal(size=(4, 25, 25, 1))),
     ], ids=["encoded-fingerprints", "all-zero", "corner-pixel", "dense-fallback"])
     def test_bitwise_equal_to_textbook_loop(self, layout, make):
+        # the CNN's pixel conv and, for an image, a conv without pixels with the same weights
         conv = models.build_model("cnn", seed=12).layers[0]
         conv.params[1][...] = np.linspace(-0.5, 0.5, conv.out_channels)
-        x = make(self, layout)
-        expected = textbook_conv(x, *conv.params)
-        assert np.array_equal(conv.forward(x).view(np.uint64), expected.view(np.uint64))
+        layer, x = make(self, layout, conv)
+        for p, q in zip(layer.params, conv.params):
+            p[...] = q
+        expected = textbook_conv(x if x.ndim == 4 else image_of(layer, x), *conv.params)
+        assert np.array_equal(layer.forward(x).view(np.uint64), expected.view(np.uint64))
 
     @staticmethod
     def _clustered(case):
-        """A one-channel ``Conv2d`` and an input that takes its pixel-sparse path, drawn from ``case``.
+        """A pixel ``Conv2d`` and its input rows, drawn from ``case``.
 
         The pixels are clustered, so that up to 25 terms meet at one output and their order matters.
         """
         kh, kw = case.draw(st.integers(1, 7)), case.draw(st.integers(1, 7))
-        h, w = kh + case.draw(st.integers(0, 8)), kw + case.draw(st.integers(0, 8))
-        centre = st.one_of(st.tuples(st.sampled_from([0, h - 1]), st.sampled_from([0, w - 1])),
-                           st.tuples(st.integers(0, h - 1), st.integers(0, w - 1)))
+        side = max(kh, kw) + case.draw(st.integers(0, 8))
+        centre = st.one_of(st.tuples(st.sampled_from([0, side - 1]), st.sampled_from([0, side - 1])),
+                           st.tuples(st.integers(0, side - 1), st.integers(0, side - 1)))
         step = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
         pixels = set()
         for r, c in case.draw(st.lists(centre, min_size=1, max_size=3)):
             for dr, dc in case.draw(st.lists(step, min_size=1, max_size=10)):
-                pixels.add((min(max(r + dr, 0), h - 1), min(max(c + dc, 0), w - 1)))
-        rows, cols = np.array(sorted(pixels)[:h * w // 2], dtype=int).reshape(-1, 2).T  # the sparse path
+                pixels.add((min(max(r + dr, 0), side - 1), min(max(c + dc, 0), side - 1)))
+        pixels = case.draw(st.permutations(sorted(pixels)))  # the beacon columns in any pixel order
         batch, channels = case.draw(st.integers(1, 8)), case.draw(st.integers(1, 4))
         rng = np.random.Generator(np.random.PCG64(case.draw(st.integers(0, 2**32 - 1))))
-        x = np.zeros((batch, h, w, 1))
-        x[:, rows, cols, 0] = rng.normal(size=(batch, rows.size))
+        x = rng.normal(size=(batch, len(pixels)))
         x[rng.random(x.shape) < 0.2] = 0.0  # a pixel is zero in some rows
-        conv = nn.Conv2d(1, channels, (kh, kw))
+        conv = nn.Conv2d(1, channels, (kh, kw), side, len(pixels), pixels)
         for p in conv.params:
             p[...] = rng.normal(size=p.shape) * (rng.random(p.shape) >= 0.2)
         return conv, x, rng
@@ -295,8 +325,7 @@ class TestSparseConv:
     def test_any_pixel_set_bitwise_equal_to_textbook_loop(self, case):
         conv, x, _ = self._clustered(case)
         out = conv.forward(x)
-        assert conv._pixels is not None
-        assert np.array_equal(out.view(np.uint64), textbook_conv(x, *conv.params).view(np.uint64))
+        assert np.array_equal(out.view(np.uint64), textbook_conv(image_of(conv, x), *conv.params).view(np.uint64))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -305,11 +334,28 @@ class TestSparseConv:
         # order, the order every golden CNN artifact was recorded with
         conv, x, rng = self._clustered(case)
         out = conv.forward(x)
-        assert conv._pixels is not None
         dy = rng.normal(size=out.shape)
         conv.grads[0][...] = np.nan  # backward must overwrite every entry
         conv.backward(dy)
-        dw, db = sparse_conv_dw_db(x, dy, conv.kh, conv.kw)
+        dw, db = sparse_conv_dw_db(image_of(conv, x), dy, conv.kh, conv.kw)
+        assert np.array_equal(conv.grads[0].view(np.uint64), dw.view(np.uint64))
+        assert np.array_equal(conv.grads[1].view(np.uint64), db.view(np.uint64))
+
+    @pytest.mark.parametrize("bias", [0.0, 0.3])
+    def test_a_beacon_at_0_dbm_in_every_row_keeps_the_scan_bits(self, layout, bias):
+        # rssi 0 dBm encodes as -0.0, a pixel that a scan for non-zero pixels (sparse_conv_dw_db) drops; the
+        # fixed pixel set keeps it, and its zero products leave every bit of the output, dw and db
+        conv = models.build_model("cnn", seed=12).layers[0]
+        conv.params[1][...] = bias
+        x = self._encoded(layout, n=100)
+        x[:, 4] = models.prepare_inputs("cnn", np.zeros(100), layout)
+        assert not x[:, 4].any() and np.signbit(x[:, 4]).all()
+        out = conv.forward(x)
+        image = image_of(conv, x)
+        assert np.array_equal(out.view(np.uint64), textbook_conv(image, *conv.params).view(np.uint64))
+        dy = np.random.Generator(np.random.PCG64(24)).normal(size=out.shape)
+        conv.backward(dy)
+        dw, db = sparse_conv_dw_db(image, dy, conv.kh, conv.kw)
         assert np.array_equal(conv.grads[0].view(np.uint64), dw.view(np.uint64))
         assert np.array_equal(conv.grads[1].view(np.uint64), db.view(np.uint64))
 
@@ -317,22 +363,21 @@ class TestSparseConv:
     def test_non_finite_pixel_spoils_only_its_own_sample(self, layout):
         conv = models.build_model("cnn", seed=12).layers[0]
         x = self._encoded(layout, n=6)
-        row, col = models.beacon_pixels(layout)[0]
-        x[1, row, col, 0], x[4, row, col, 0] = np.nan, np.inf
+        x[1, 0], x[4, 0] = np.nan, np.inf
         out = conv.forward(x)
         assert not np.isfinite(out[[1, 4]]).any()
         others = [0, 2, 3, 5]
-        expected = textbook_conv(x[others], *conv.params)
+        expected = textbook_conv(image_of(conv, x[others]), *conv.params)
         assert np.array_equal(out[others].view(np.uint64), expected.view(np.uint64))
 
-    def test_lowering_is_built_once_per_pixel_set(self, layout, synth_dataset):
-        # every beacon is heard in every batch of the synthetic corpus, so every batch has one pixel set
+    def test_lowering_is_built_at_construction_never_in_forward(self, layout, synth_dataset, monkeypatch):
+        built = []
+        lowering = nn._lowering
+        monkeypatch.setattr(nn, "_lowering", lambda *args: built.append(args) or lowering(*args))
         train_set, test_set = data.split(synth_dataset.labelled, models.HOLDOUT_RATIO, 0)
-        assert len(train_set) > 100 and (train_set.rssi != data.NO_SIGNAL).all()
-        nn._lowering.cache_clear()
+        assert len(train_set) > 100
         models.fit("cnn", train_set, test_set, layout, nn.TrainConfig(epochs=2, batch_size=100, seed=0))
-        info = nn._lowering.cache_info()
-        assert (info.misses, info.hits) == (1, 4)  # 5 forward passes: 2 epochs of 2 batches, then the test set
+        assert len(built) == 1  # the model's one pixel conv, at construction: 5 forward passes build none
 
 
 def textbook_conv_dw(x, dy, kh, kw):
@@ -346,12 +391,12 @@ def textbook_conv_dw(x, dy, kh, kw):
 
 
 def sparse_conv_dw_db(x, dy, kh, kw):
-    """The pixel-sparse weight and bias gradients of a one-channel input, one pixel at a time.
+    """The pixel-sparse weight and bias gradients of a one-channel image, one pixel at a time.
 
-    The active pixels' values, in raster order over a row of ones, times ``dy`` give one row per
-    pixel. Each pixel, in raster order, adds the part of its row that it reaches into its slice of
-    the kernel flipped in both axes. The ones row summed over the output positions is the bias
-    gradient.
+    The image's non-zero pixels' values, in raster order over a row of ones, times ``dy`` give one
+    row per pixel. Each pixel, in raster order, adds the part of its row that it reaches into its
+    slice of the kernel flipped in both axes. The ones row summed over the output positions is the
+    bias gradient.
     """
     b, oh, ow, channels = dy.shape
     rows, cols = np.nonzero(x.any(axis=(0, 3)))
@@ -365,28 +410,29 @@ def sparse_conv_dw_db(x, dy, kh, kw):
 
 
 class TestSparseConvWeightGradient:
-    def _edges(self, layout):
-        x = np.zeros((4, 25, 25, 1))
-        for r, c in [(0, 0), (0, 24), (24, 0), (24, 24), (3, 12), (12, 0), (21, 5)]:
-            x[:, r, c, 0] = np.linspace(0.1, 0.9, 4)
-        x[::2, 3, 12, 0] = 0.0  # active in some rows only
-        return x
+    def _edges(self, layout, conv):
+        x = np.tile(np.linspace(0.1, 0.9, 4)[:, None], len(EDGE_PIXELS))
+        x[::2, 4] = 0.0  # pixel (3, 12) is active in some rows only
+        return nn.Conv2d(1, 12, (7, 7), 25, len(EDGE_PIXELS), EDGE_PIXELS), x
 
     @pytest.mark.parametrize("make", [
-        TestSparseConv._encoded,
+        lambda self, layout, conv: (conv, TestSparseConv._encoded(self, layout)),
         _edges,
-        lambda self, layout: np.zeros((5, 25, 25, 1)),
+        lambda self, layout, conv: (conv, np.zeros((5, layout.n_beacons))),
     ], ids=["encoded-fingerprints", "edge-and-corner-pixels", "all-zero"])
     def test_matches_dense_weight_gradient(self, layout, make):
         # the sparse dw and db sum over the batch in one product, so only rounding may differ from
         # the dense sums
-        conv = models.build_model("cnn", seed=13).layers[0]
-        x = make(self, layout)
+        cnn_conv = models.build_model("cnn", seed=13).layers[0]
+        conv, x = make(self, layout, cnn_conv)
+        for p, q in zip(conv.params, cnn_conv.params):
+            p[...] = q
         out = conv.forward(x)
         dy = np.random.Generator(np.random.PCG64(14)).normal(size=out.shape)
+        conv.input_grad = False
         conv.grads[0][...] = np.nan  # backward must overwrite every entry
         assert conv.backward(dy) is None
-        expected = textbook_conv_dw(x, dy, conv.kh, conv.kw)
+        expected = textbook_conv_dw(image_of(conv, x), dy, conv.kh, conv.kw)
         assert np.abs(conv.grads[0] - expected).max() <= 1e-12 * np.abs(expected).max()
         expected = dy.reshape(-1, conv.out_channels).sum(axis=0)
         assert np.abs(conv.grads[1] - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -406,39 +452,32 @@ def textbook_conv_backward(x, w, dy):
 
 
 def edge_pixels(n):
-    """``n`` images whose active pixels sit on the corners and edges, one in some rows only."""
-    x = np.zeros((n, 25, 25, 1))
-    for k, (r, c) in enumerate([(0, 0), (0, 24), (24, 0), (24, 24), (3, 12), (12, 0), (21, 5)]):
-        x[:, r, c, 0] = np.linspace(0.1, 0.9, n) + 0.01 * k
-    x[1::2, 3, 12, 0] = 0.0
+    """``n`` rows for a pixel conv on ``EDGE_PIXELS``, with pixel (3, 12) zero in some rows."""
+    x = np.linspace(0.1, 0.9, n)[:, None] + 0.01 * np.arange(len(EDGE_PIXELS))
+    x[1::2, 4] = 0.0
     return x
 
 
 class TestSparseConvInputGradient:
     @pytest.mark.parametrize("batch", [1, 100])
     @pytest.mark.parametrize("make", [
-        lambda layout, n: TestSparseConv._encoded(None, layout, n),
-        lambda layout, n: edge_pixels(n),
+        lambda layout, n: (models.beacon_pixels(layout), TestSparseConv._encoded(None, layout, n)),
+        lambda layout, n: (EDGE_PIXELS, edge_pixels(n)),
     ], ids=["encoded-fingerprints", "edge-and-corner-pixels"])
     def test_matches_dense_backward(self, layout, make, batch):
-        # a layer outside a network keeps its input gradient, so the pixel-sparse backward returns dx
+        # a layer outside a network keeps its input gradient, so the pixel conv returns dx, one entry
+        # per beacon: the image's input gradient at the beacon's pixel
         rng = np.random.Generator(np.random.PCG64(16))
-        conv = nn.Conv2d(1, 12, (7, 7))
+        pixels, x = make(layout, batch)
+        conv = nn.Conv2d(1, 12, (7, 7), 25, len(pixels), pixels)
         conv.init_params(rng)
-        x = make(layout, batch)
         out = conv.forward(x)
-        assert conv._pixels is not None
         dy = rng.normal(size=out.shape)
         dx = conv.backward(dy)
-        grads = [g.copy() for g in conv.grads]
-        # dx reads only dy and the weights, so a dense input gives the dense path's dx for this dy
-        conv.forward(rng.normal(size=x.shape))
-        assert conv._pixels is None
-        assert np.array_equal(dx.view(np.uint64), conv.backward(dy).view(np.uint64))
-        # with one input channel each offset's dx term is a matrix-vector product, which BLAS may
-        # round differently from the textbook's row-by-row products, so the textbook is checked to
-        # rounding, like dw and db
-        for got, want in zip((dx, *grads), textbook_conv_backward(x, conv.params[0], dy)):
+        assert dx.shape == x.shape
+        rows, cols = np.array(pixels).T
+        image_dx, dw, db = textbook_conv_backward(image_of(conv, x), conv.params[0], dy)
+        for got, want in zip((dx, *conv.grads), (image_dx[:, rows, cols, 0], dw, db)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -484,7 +523,7 @@ class TestMaxPoolContract:
         net = models.build_model("cnn", seed=15)
         net.layers[0].params[1][...] = np.linspace(-0.3, 0.6, net.layers[0].out_channels)
         x = TestSparseConv._encoded(self, layout, n=6)
-        x[:, 14:] = 0.0  # no beacon in the bottom rows: conv1 outputs the bias there
+        x[:, net.layers[0].fixed[0][:, 0] >= 14] = 0.0  # no signal in the bottom rows: conv1 outputs the bias there
         for layer in net.layers[:upto]:
             x = layer.forward(x)
         return x
@@ -713,10 +752,8 @@ class TestTraining:
         # conv1's NaN outputs must reach the loss: a ReLU that maps NaN to 0 hides them while
         # conv1's weight gradient reads the NaN pixel and the optimizer spreads it to the weights
         rng = np.random.Generator(np.random.PCG64(21))
-        x = np.zeros((20, data.GRID_SIZE, data.GRID_SIZE, 1))
-        x[:, 4, 7, 0] = rng.uniform(0.1, 1.0, size=20)
-        x[:, 18, 12, 0] = rng.uniform(0.1, 1.0, size=20)
-        x[13, 18, 12, 0] = np.nan
+        x = rng.uniform(0.1, 1.0, size=(20, 13))
+        x[13, 5] = np.nan
         net = models.build_model("cnn", seed=0)
         with pytest.raises(DivergedError):
             nn.train(net, x, rng.uniform(0.0, 24.0, size=(20, 2)),
@@ -800,7 +837,6 @@ class TestEvaluate:
             finally:
                 tracemalloc.stop()
 
-        peak(2)  # builds conv1's cached term table for the layout's pixels
         assert peak(1000) <= 1.5 * peak(100)
 
 
@@ -824,6 +860,28 @@ SIZE_DRAWS = {"in": st.integers(1, 5), "out": st.integers(1, 5),
               "window": st.tuples(st.integers(1, 4), st.integers(1, 4))}
 
 
+def draw_layer(case, cls):
+    """A ``cls`` layer with sizes drawn from ``case``; a ``Conv2d`` may be a pixel conv."""
+    if cls is nn.Conv2d and case.draw(st.booleans()):
+        kernel = case.draw(SIZE_DRAWS["kernel"])
+        side = max(kernel) + case.draw(st.integers(0, 3))
+        cell = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
+        pixels = case.draw(st.lists(cell, min_size=1, max_size=5, unique=True))
+        return nn.Conv2d(1, case.draw(SIZE_DRAWS["out"]), kernel, side, len(pixels), pixels)
+    return cls(*(case.draw(SIZE_DRAWS[key]) for key in cls.size_keys if key in SIZE_DRAWS))
+
+
+def pixel_blob(pixels) -> str:
+    return base64.b64encode(np.array(pixels, dtype="<f8").tobytes()).decode("ascii")
+
+
+def resigned(payload) -> bytes:
+    """``model.bin`` bytes of ``payload`` under its own valid checksum."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps({"checksum": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+                       "payload": payload}).encode("utf-8")
+
+
 def test_every_layer_class_has_its_kind():
     classes = {c for c in vars(nn).values()
                if isinstance(c, type) and issubclass(c, nn.Layer) and c is not nn.Layer}
@@ -835,7 +893,7 @@ class TestSerialization:
     @given(st.data())
     def test_one_layer_of_each_kind_round_trips(self, case):
         kinds = case.draw(st.permutations(list(nn.KINDS.values())))
-        net = nn.Network([cls(*(case.draw(SIZE_DRAWS[key]) for key in cls.size_keys)) for cls in kinds])
+        net = nn.Network([draw_layer(case, cls) for cls in kinds])
         # any bits, NaN payloads, infinities and -0.0 included
         net.theta[...] = case.draw(hnp.arrays(np.uint64, net.theta.size)).view(np.float64)
         restored = nn.load_network(nn.save_network(net))
@@ -843,6 +901,8 @@ class TestSerialization:
         assert [type(layer) for layer in restored.layers] == kinds
         for a, b in zip(net.parameters(), restored.parameters(), strict=True):
             assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        fixed = [(a, b) for x, y in zip(net.layers, restored.layers) for a, b in zip(x.fixed, y.fixed, strict=True)]
+        assert all(np.array_equal(a, b) for a, b in fixed)
 
     def test_round_trip_forward_identical(self):
         rng = np.random.Generator(np.random.PCG64(0))
@@ -875,6 +935,51 @@ class TestSerialization:
         restored = nn.load_network(nn.save_network(net))
         for a, b in zip(net.parameters(), restored.parameters()):
             assert np.array_equal(a, b)
+
+    def test_fixed_arrays_stay_out_of_theta(self, layout):
+        net = models.build_model("cnn", seed=2)
+        conv = net.layers[0]
+        assert conv.fixed[0].tolist() == [list(p) for p in models.beacon_pixels(layout)]
+        assert net.count_params() == net.theta.size == 5438
+        payload = json.loads(nn.save_network(net))["payload"]
+        assert payload["layers"][0] == {"kind": "conv2d", "in": 1, "out": 12, "kernel": [7, 7], "side": 25,
+                                        "beacons": 13}
+        assert [entry["shape"] for entry in payload["fixed"]] == [[13, 2]]
+        for kind in ("dnn", "autoencoder"):  # a network without fixed arrays saves no "fixed" key
+            assert "fixed" not in json.loads(nn.save_network(models.build_model(kind, seed=0)))["payload"]
+
+    def test_cnn_saved_reading_images_still_loads(self, layout):
+        # a CNN saved before its first layer held beacon pixels reads images; on the encoded images its forward
+        # is the pixel CNN's on the vectors, bit for bit
+        net = models.build_model("cnn", seed=3)
+        old = nn.Network([nn.Conv2d(1, 12, (7, 7)), *(type(layer)(*layer.sizes) for layer in net.layers[1:])])
+        old.theta[...] = net.theta
+        payload = json.loads(nn.save_network(old))["payload"]
+        assert "fixed" not in payload and payload["layers"][0] == {"kind": "conv2d", "in": 1, "out": 12,
+                                                                   "kernel": [7, 7]}
+        restored = nn.load_network(nn.save_network(old))
+        assert restored.layers[0].beacons is None and restored.layers[0].fixed == ()
+        x = TestSparseConv._encoded(self, layout, n=100)
+        expected = net.forward(x)
+        assert np.array_equal(restored.forward(image_of(net.layers[0], x)).view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("corrupt, fragment", [
+        (lambda payload: payload["fixed"][0].update(data=pixel_blob([[0, 0], [1, 2.5], [4, 4]])), "not an integer"),
+        (lambda payload: payload["fixed"][0].update(data=pixel_blob([[0, 0], [1, 2], [4, 5]])), "outside [0, 5)"),
+        (lambda payload: payload["fixed"][0].update(data=pixel_blob([[0, 0], [-1, 2], [4, 4]])), "outside [0, 5)"),
+        (lambda payload: payload["fixed"][0].update(data=pixel_blob([[0, 0], [np.nan, 2], [4, 4]])), "outside"),
+        (lambda payload: payload["fixed"][0].update(data=pixel_blob([[0, 0], [1, 2], [0, 0]])), "share a pixel"),
+        (lambda payload: payload["layers"][0].update(beacons=4), "fixed array shapes"),
+        (lambda payload: payload["fixed"][0].update(shape=[2, 3]), "fixed array shapes"),
+        (lambda payload: payload.pop("fixed"), "fixed array shapes"),
+        (lambda payload: payload["layers"][0].pop("beacons") and payload.pop("fixed"), "together"),
+    ], ids=["not-an-integer", "past-the-side", "negative", "nan", "repeated", "spec-count", "recorded-shape",
+            "no-blob", "no-count"])
+    def test_bad_beacon_pixels_rejected(self, corrupt, fragment):
+        doc = json.loads(nn.save_network(nn.Network([nn.Conv2d(1, 2, (3, 3), 5, 3, [(0, 0), (1, 2), (4, 4)])], seed=0)))
+        corrupt(doc["payload"])
+        with pytest.raises(LoadError, match=re.escape(fragment)):
+            nn.load_network(resigned(doc["payload"]))
 
     @pytest.mark.parametrize("doc", [{"checksum": None, "payload": []}, []],
                              ids=["payload-not-an-object", "root-not-an-object"])
@@ -949,6 +1054,22 @@ class TestSerialization:
         tracemalloc.start()
         try:
             with pytest.raises(LoadError, match="blob length"):
+                nn.load_network(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_short_blob_cannot_allocate_its_fixed_arrays(self):
+        # a few hundred bytes whose spec asks for 10 million beacon pixels fail before anything that size exists
+        payload = json.loads(nn.save_network(nn.Network([nn.Conv2d(1, 1, (1, 1), 1, 1, [(0, 0)])], seed=0)))["payload"]
+        payload["layers"][0]["beacons"] = 10_000_000
+        payload["fixed"] = [{"shape": [10_000_000, 2], "data": ""}]
+        blob = resigned(payload)
+        assert len(blob) < 400
+        tracemalloc.start()
+        try:
+            with pytest.raises(LoadError, match="fixed array blob length"):
                 nn.load_network(blob)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
