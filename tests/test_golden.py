@@ -26,7 +26,7 @@ GOLDEN = {
     "train/model.bin": "7232c7e6906a758303c2d7ca8993a701635fd97aa87b710b1e512392db0f0974",
     "train_cnn/cdf.csv": "28e9fa60832557ac8b9ee65c7dcd7459012118c27dff5089250aaf737effbb7f",
     "train_cnn/metrics.json": "3e51dba1f536ee7a3bbda1b2e462021cd11ec4008f848df99ee5c9540e94a40a",
-    "train_cnn/model.bin": "43f968be681073f9eaacf2248d7006ad6b562b005e2e6ca39c484495fc6770f7",
+    "train_cnn/model.bin": "a2b20c2d736baadf0ab924c4af90527e9a6089b361b3c1ff1be7e71dac6609c8",
     "tune/best_config.json": "ce9e1cadd73bfaef91d0b380f91cf55ca9bccac7a6f54eca9debcd6b5fd450ad",
     "tune/trials.csv": "3d2dd78128334a293b72df869369b7f3fd3c7262b9755a71a56e641bf3475886",
 }
