@@ -156,9 +156,9 @@ class Conv2d(Layer):
     raster order, adds its later terms, at the positions where an earlier pixel came first, and the
     bias is added last. The product adds exact zeros to one rounded product per entry, so a fused
     multiply-add has no second term to fuse, and each later term is one rounded product added in
-    the dense loop's order: every output bit is the dense loop's, up to the sign of a zero sum. A
-    non-finite value makes its whole sample's output non-finite, not only the positions it reaches,
-    since the product multiplies it by the zeros too.
+    the dense loop's order: every output bit is the dense loop's. A non-finite value makes its whole
+    sample's output non-finite, not only the positions it reaches, since the product multiplies it by
+    the zeros too.
 
     ``backward`` takes both parameter gradients from one matrix product: the pixels' values
     ``(P, B)`` over a row of ones, times ``dy`` as ``(B, oh*ow*C_out)``. Row p is pixel p's values
@@ -192,7 +192,7 @@ class Conv2d(Layer):
         self.beacons = beacons
         if pixels is None:
             return
-        pixels = np.asarray(pixels, dtype=np.float64)
+        pixels = np.array(pixels, dtype=np.float64)  # a copy: the term table is built from these values
         if in_channels != 1 or side < max(kernel):
             raise ValueError(f"a pixel Conv2d reads one channel of a side at least its kernel {kernel}, "
                              f"got {in_channels} channels and side {side}")
@@ -228,7 +228,8 @@ class Conv2d(Layer):
     def _check(self, x):
         if self.beacons is not None:
             if x.ndim != 2 or x.shape[1] != self.beacons:
-                raise ShapeError(f"Conv2d({self.beacons} beacons->{self.out_channels}): got input shape {x.shape}")
+                raise ShapeError(f"Conv2d({self.beacons} beacons->{self.out_channels}): "
+                                 f"got input shape {x.shape}")
             return
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ShapeError(f"Conv2d({self.in_channels}->{self.out_channels}): got input shape {x.shape}")
@@ -271,7 +272,8 @@ class Conv2d(Layer):
         dw, db = self.grads
         if self.beacons is not None:
             pixel, pos, off = self._terms[0]
-            terms = (np.vstack((self._vals, np.ones(len(x)))) @ dy.reshape(len(x), -1)).reshape(-1, oh * ow, len(db))
+            terms = np.vstack((self._vals, np.ones(len(x)))) @ dy.reshape(len(x), -1)
+            terms = terms.reshape(-1, oh * ow, len(db))
             dw[...] = 0.0
             np.add.at(dw.reshape(-1, self.out_channels), off, terms[pixel, pos])
             db[...] = terms[-1].sum(axis=0)

@@ -91,7 +91,8 @@ class TestImageCodec:
         assert models.beacon_pixels(layout) == [(int(y), int(x)) for x, y in zip(layout.xs, layout.ys)]
         edge = data.BeaconLayout(ids=("a", "b", "c"), xs=(24.6, 24.4, 0.0), ys=(3.0, 24.99, 0.0))
         assert models.beacon_pixels(edge) == [(3, 24), (24, 24), (0, 0)]
-        assert models.build_model("cnn", seed=0, layout=edge).layers[0].fixed[0].tolist() == [[3, 24], [24, 24], [0, 0]]
+        conv = models.build_model("cnn", seed=0, layout=edge).layers[0]
+        assert conv.fixed[0].tolist() == [[3, 24], [24, 24], [0, 0]]
 
     def test_prepare_inputs_cnn(self, layout):
         vectors = np.full((4, 13), -80.0)

@@ -325,7 +325,8 @@ class TestSparseConv:
     def test_any_pixel_set_bitwise_equal_to_textbook_loop(self, case):
         conv, x, _ = self._clustered(case)
         out = conv.forward(x)
-        assert np.array_equal(out.view(np.uint64), textbook_conv(image_of(conv, x), *conv.params).view(np.uint64))
+        expected = textbook_conv(image_of(conv, x), *conv.params)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -523,7 +524,8 @@ class TestMaxPoolContract:
         net = models.build_model("cnn", seed=15)
         net.layers[0].params[1][...] = np.linspace(-0.3, 0.6, net.layers[0].out_channels)
         x = TestSparseConv._encoded(self, layout, n=6)
-        x[:, net.layers[0].fixed[0][:, 0] >= 14] = 0.0  # no signal in the bottom rows: conv1 outputs the bias there
+        # no signal at the beacons in the bottom rows: conv1 outputs the bias there
+        x[:, net.layers[0].fixed[0][:, 0] >= 14] = 0.0
         for layer in net.layers[:upto]:
             x = layer.forward(x)
         return x
@@ -871,8 +873,10 @@ def draw_layer(case, cls):
     return cls(*(case.draw(SIZE_DRAWS[key]) for key in cls.size_keys if key in SIZE_DRAWS))
 
 
-def pixel_blob(pixels) -> str:
-    return base64.b64encode(np.array(pixels, dtype="<f8").tobytes()).decode("ascii")
+def with_pixels(pixels):
+    """A corruption that records ``pixels`` as the first fixed array."""
+    data = base64.b64encode(np.array(pixels, dtype="<f8").tobytes()).decode("ascii")
+    return lambda payload: payload["fixed"][0].update(data=data)
 
 
 def resigned(payload) -> bytes:
@@ -901,8 +905,8 @@ class TestSerialization:
         assert [type(layer) for layer in restored.layers] == kinds
         for a, b in zip(net.parameters(), restored.parameters(), strict=True):
             assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        fixed = [(a, b) for x, y in zip(net.layers, restored.layers) for a, b in zip(x.fixed, y.fixed, strict=True)]
-        assert all(np.array_equal(a, b) for a, b in fixed)
+        for a, b in zip(net.layers, restored.layers):
+            assert all(np.array_equal(x, y) for x, y in zip(a.fixed, b.fixed, strict=True))
 
     def test_round_trip_forward_identical(self):
         rng = np.random.Generator(np.random.PCG64(0))
@@ -961,14 +965,15 @@ class TestSerialization:
         assert restored.layers[0].beacons is None and restored.layers[0].fixed == ()
         x = TestSparseConv._encoded(self, layout, n=100)
         expected = net.forward(x)
-        assert np.array_equal(restored.forward(image_of(net.layers[0], x)).view(np.uint64), expected.view(np.uint64))
+        got = restored.forward(image_of(net.layers[0], x))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("corrupt, fragment", [
-        (lambda payload: payload["fixed"][0].update(data=pixel_blob([[0, 0], [1, 2.5], [4, 4]])), "not an integer"),
-        (lambda payload: payload["fixed"][0].update(data=pixel_blob([[0, 0], [1, 2], [4, 5]])), "outside [0, 5)"),
-        (lambda payload: payload["fixed"][0].update(data=pixel_blob([[0, 0], [-1, 2], [4, 4]])), "outside [0, 5)"),
-        (lambda payload: payload["fixed"][0].update(data=pixel_blob([[0, 0], [np.nan, 2], [4, 4]])), "outside"),
-        (lambda payload: payload["fixed"][0].update(data=pixel_blob([[0, 0], [1, 2], [0, 0]])), "share a pixel"),
+        (with_pixels([[0, 0], [1, 2.5], [4, 4]]), "not an integer"),
+        (with_pixels([[0, 0], [1, 2], [4, 5]]), "outside [0, 5)"),
+        (with_pixels([[0, 0], [-1, 2], [4, 4]]), "outside [0, 5)"),
+        (with_pixels([[0, 0], [np.nan, 2], [4, 4]]), "outside [0, 5)"),
+        (with_pixels([[0, 0], [1, 2], [0, 0]]), "share a pixel"),
         (lambda payload: payload["layers"][0].update(beacons=4), "fixed array shapes"),
         (lambda payload: payload["fixed"][0].update(shape=[2, 3]), "fixed array shapes"),
         (lambda payload: payload.pop("fixed"), "fixed array shapes"),
@@ -976,7 +981,8 @@ class TestSerialization:
     ], ids=["not-an-integer", "past-the-side", "negative", "nan", "repeated", "spec-count", "recorded-shape",
             "no-blob", "no-count"])
     def test_bad_beacon_pixels_rejected(self, corrupt, fragment):
-        doc = json.loads(nn.save_network(nn.Network([nn.Conv2d(1, 2, (3, 3), 5, 3, [(0, 0), (1, 2), (4, 4)])], seed=0)))
+        net = nn.Network([nn.Conv2d(1, 2, (3, 3), 5, 3, [(0, 0), (1, 2), (4, 4)])], seed=0)
+        doc = json.loads(nn.save_network(net))
         corrupt(doc["payload"])
         with pytest.raises(LoadError, match=re.escape(fragment)):
             nn.load_network(resigned(doc["payload"]))
@@ -1062,7 +1068,8 @@ class TestSerialization:
 
     def test_short_blob_cannot_allocate_its_fixed_arrays(self):
         # a few hundred bytes whose spec asks for 10 million beacon pixels fail before anything that size exists
-        payload = json.loads(nn.save_network(nn.Network([nn.Conv2d(1, 1, (1, 1), 1, 1, [(0, 0)])], seed=0)))["payload"]
+        net = nn.Network([nn.Conv2d(1, 1, (1, 1), 1, 1, [(0, 0)])], seed=0)
+        payload = json.loads(nn.save_network(net))["payload"]
         payload["layers"][0]["beacons"] = 10_000_000
         payload["fixed"] = [{"shape": [10_000_000, 2], "data": ""}]
         blob = resigned(payload)
