@@ -524,7 +524,7 @@ class TestMaxPoolContract:
         net = models.build_model("cnn", seed=15)
         net.layers[0].params[1][...] = np.linspace(-0.3, 0.6, net.layers[0].out_channels)
         x = TestSparseConv._encoded(self, layout, n=6)
-        # no signal at the beacons in the bottom rows: conv1 outputs the bias there
+        # the beacons in the bottom rows read 0: conv1 outputs the bias there
         x[:, net.layers[0].fixed[0][:, 0] >= 14] = 0.0
         for layer in net.layers[:upto]:
             x = layer.forward(x)
