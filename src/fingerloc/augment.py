@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import NO_SIGNAL, Fingerprints, find_underrepresented
 from .errors import DataError
-from .models import build_model
+from .models import build_model, prepare_inputs
 from .nn import Network, TrainConfig, train
 
 # (cell, row indices) per under-represented cell, as find_underrepresented returns them
@@ -51,10 +51,10 @@ def naive_augment(table: Fingerprints, groups: Groups, policy: AugmentationPolic
 
 def train_autoencoder(unlabelled: Fingerprints, policy: AugmentationPolicy) -> tuple[Network, list[float]]:
     """Fit the reconstruction autoencoder, one input per beacon column and seeded by ``policy.seed``,
-    on normalized unlabelled vectors."""
+    on unlabelled vectors encoded as :func:`models.prepare_inputs` encodes them for it."""
     if len(unlabelled) == 0:
         raise DataError("the autoencoder needs an unlabelled file")
-    vectors = unlabelled.rssi / NO_SIGNAL
+    vectors = prepare_inputs("autoencoder", unlabelled.rssi)
     network = build_model("autoencoder", seed=policy.seed, n_beacons=vectors.shape[1])
     config = TrainConfig(epochs=policy.autoencoder_epochs, batch_size=100,
                          loss="rmse", optimizer="adam", seed=policy.seed)
@@ -75,7 +75,7 @@ def autoencoder_augment(table: Fingerprints, groups: Groups,
     seen = np.empty(out.shape, dtype=bool)
     for k, (_, rows) in enumerate(groups):
         # one batch-1 forward per cell: batching them changes the last bits
-        out[k] = autoencoder.forward(table.rssi[rows[:1]] / NO_SIGNAL)[0]
+        out[k] = autoencoder.forward(prepare_inputs("autoencoder", table.rssi[rows[:1]]))[0]
         seen[k] = (table.rssi[rows] > NO_SIGNAL).any(axis=0)
     rssi = np.clip(out * NO_SIGNAL, NO_SIGNAL, 0.0)
     rssi[rssi <= SIGNAL_TAU * NO_SIGNAL] = NO_SIGNAL

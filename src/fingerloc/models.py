@@ -2,7 +2,7 @@
 
 Architectures:
   * dnn: 13 -> 50 -> 50 -> 50 -> 2, ReLU hidden layers, linear output.
-  * cnn: each RSSI vector placed on a 25x25x1 image -> Conv(12, 7x7, valid) ->
+  * cnn: beacon vectors on the 25x25 grid -> Conv(12, 7x7, valid) ->
     3x3 max-pool -> Conv(12, 5x5, valid) -> 2x2 max-pool -> Dense(24) -> Dense(2).
     Pooling is ceil-mode (spatial chain 25 -> 19 -> 7 -> 3 -> 2), giving
     2*2*12 = 48 flattened features and 5438 parameters total. Each conv
@@ -89,19 +89,18 @@ def prepare_inputs(kind: str, rssi_vectors: np.ndarray, layout: BeaconLayout | N
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def xy(kind: str, table: Fingerprints, layout: BeaconLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Model inputs and (N, 2) float grid-coordinate targets of labelled rows."""
-    return prepare_inputs(kind, table.rssi, layout), table.cells.astype(np.float64)
-
-
 def fit(kind: str, train_set: Fingerprints, test_set: Fingerprints, layout: BeaconLayout,
         config: TrainConfig) -> tuple[Network, list[float], Metrics]:
-    """Build the model seeded by ``config.seed``, train it on ``train_set``, score it on ``test_set``."""
+    """Build the model seeded by ``config.seed``, train it on ``train_set``, score it on ``test_set``. The
+    one place a labelled table becomes model inputs (:func:`prepare_inputs`) and (N, 2) float grid-coordinate
+    targets."""
     if not (len(train_set) and len(test_set)):
         raise DataError(f"{len(train_set) + len(test_set)} labelled rows are too few to split")
     network = build_model(kind, seed=config.seed, n_beacons=layout.n_beacons, layout=layout)
-    history = train(network, *xy(kind, train_set, layout), config)
-    return network, history, evaluate(network, *xy(kind, test_set, layout), layout.cell_feet)
+    history = train(network, prepare_inputs(kind, train_set.rssi), train_set.cells.astype(np.float64), config)
+    metrics = evaluate(network, prepare_inputs(kind, test_set.rssi), test_set.cells.astype(np.float64),
+                       layout.cell_feet)
+    return network, history, metrics
 
 
 def score(kind: str, labelled: Fingerprints, layout: BeaconLayout, config: TrainConfig) -> Metrics:

@@ -156,14 +156,8 @@ def test_criterion_4_dataset_exactness(uci_dataset):
 
 @requires_uci
 def test_criterion_5_baseline_error_band(uci_dataset):
-    errors = []
-    for seed in range(5):
-        train_set, test_set = data.split(uci_dataset.labelled, 0.8, seed)
-        x, y = models.xy("dnn", train_set, uci_dataset.layout)
-        xt, yt = models.xy("dnn", test_set, uci_dataset.layout)
-        net = models.build_model("dnn", seed=seed)
-        nn.train(net, x, y, nn.TrainConfig(seed=seed))
-        errors.append(nn.evaluate(net, xt, yt, 10.0).mean_error_feet)
+    errors = [models.score("dnn", uci_dataset.labelled, uci_dataset.layout, nn.TrainConfig(seed=seed)).mean_error_feet
+              for seed in range(5)]
     mean = float(np.mean(errors))
     assert 23.2 - 5.0 <= mean <= 23.2 + 5.0, f"mean error {mean:.1f} ft outside band"
     report(5, f"baseline mean error {mean:.1f} ft within 23.2 +/- 5 ft")
@@ -211,12 +205,7 @@ def test_criterion_7_augmentation_direction(uci_dataset):
 
     def mean_error(samples, seed):
         # paper protocol: augment the pool, then split
-        train_set, test_set = data.split(samples, 0.8, seed)
-        x, y = models.xy("dnn", train_set, layout)
-        xt, yt = models.xy("dnn", test_set, layout)
-        net = models.build_model("dnn", seed=seed)
-        nn.train(net, x, y, nn.TrainConfig(seed=seed))
-        return nn.evaluate(net, xt, yt, 10.0).mean_error_feet
+        return models.score("dnn", samples, layout, nn.TrainConfig(seed=seed)).mean_error_feet
 
     base_errors = [mean_error(uci_dataset.labelled, s) for s in range(5)]
     hybrid_errors = [mean_error(hybrid.samples, s) for s in range(5)]
@@ -239,14 +228,11 @@ def test_criterion_8_synthetic_fallback(layout):
     model = data.PathLossModel()
     ds = data.synth_generate(layout, model, n_locations=400, samples_per_location=3,
                              seed=21, n_unlabelled=500)
-    train_set, test_set = data.split(ds.labelled, 0.8, 0)
-    x, y = models.xy("dnn", train_set, layout)
-    xt, yt = models.xy("dnn", test_set, layout)
-    net = models.build_model("dnn", seed=0)
-    nn.train(net, x, y, nn.TrainConfig(seed=0))
-    dnn_err = nn.evaluate(net, xt, yt, 10.0).mean_error_grid
-    centroid = y.mean(axis=0)
-    centroid_err = float(np.sqrt(((yt - centroid) ** 2).sum(axis=1)).mean())
+    # the split models.score makes, kept for the centroid baseline
+    train_set, test_set = data.split(ds.labelled, models.HOLDOUT_RATIO, 0)
+    dnn_err = models.fit("dnn", train_set, test_set, layout, nn.TrainConfig(seed=0))[2].mean_error_grid
+    centroid = train_set.cells.mean(axis=0)
+    centroid_err = float(np.sqrt(((test_set.cells - centroid) ** 2).sum(axis=1)).mean())
     assert dnn_err <= 0.7 * centroid_err, \
         f"DNN {dnn_err:.2f} not >=30% better than centroid {centroid_err:.2f}"
 

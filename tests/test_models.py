@@ -105,6 +105,12 @@ class TestImageCodec:
         batch = models.prepare_inputs("autoencoder", vectors, layout)
         assert np.all(batch == 0.5)
 
+    def test_prepare_inputs_reads_no_layout(self, layout):
+        # bench/run.py passes the layout; models.fit does not
+        vectors = np.linspace(data.NO_SIGNAL, 0.0, 26).reshape(2, 13)
+        for kind in ("dnn", "cnn", "autoencoder"):
+            assert np.array_equal(models.prepare_inputs(kind, vectors, layout), models.prepare_inputs(kind, vectors))
+
 
 class TestFit:
     CONFIG = nn.TrainConfig(epochs=3, seed=4)
@@ -120,13 +126,15 @@ class TestFit:
         train_set, test_set = data.split(synth_dataset.labelled, models.HOLDOUT_RATIO, 0)
         network, history, metrics = models.fit("dnn", train_set, test_set, layout, self.CONFIG)
         assert len(history) == self.CONFIG.epochs
-        again = nn.evaluate(network, *models.xy("dnn", test_set, layout), layout.cell_feet)
+        again = nn.evaluate(network, models.prepare_inputs("dnn", test_set.rssi), test_set.cells.astype(float),
+                            layout.cell_feet)
         assert metrics.mean_error_grid == again.mean_error_grid
         assert metrics.mean_error_feet == again.mean_error_feet
         assert np.array_equal(metrics.per_sample_errors_feet, again.per_sample_errors_feet)
         # the model is the one build_model seeds with config.seed
         fresh = models.build_model("dnn", seed=self.CONFIG.seed)
-        assert nn.train(fresh, *models.xy("dnn", train_set, layout), self.CONFIG) == history
+        x, y = models.prepare_inputs("dnn", train_set.rssi), train_set.cells.astype(float)
+        assert nn.train(fresh, x, y, self.CONFIG) == history
         assert np.array_equal(fresh.theta, network.theta)
 
 
