@@ -99,7 +99,7 @@ def _load_config(stream: io.TextIOBase | None) -> dict:
     """Parse a ``--config`` or ``--spec`` file's text into its JSON object; {} when no file is given."""
     try:
         doc = {} if stream is None else json.load(stream)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested past the interpreter's limit
         raise ConfigError(f"config is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -306,7 +306,7 @@ def _rerun(args: dict) -> None:
         command = str(manifest["command"])
         recorded = dict(manifest["args"])
         inputs = dict(manifest["inputs"])
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
         raise ConfigError(f"bad manifest {manifest_path}: {e}") from None
     if command not in COMMANDS:
         raise ConfigError(f"manifest names unknown command {command!r}")

@@ -198,7 +198,7 @@ def load_layout(text: io.TextIOBase | str) -> BeaconLayout:
     and ``y``, read through :func:`checked`: any other key is a ``LayoutError`` that names it."""
     try:
         doc = json.loads(text if isinstance(text, str) else text.read())
-    except ValueError as e:  # not UTF-8 or not JSON
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested past the interpreter's limit
         raise LayoutError(f"malformed layout: {e!r}") from None
     doc = checked(doc, {"grid": list, "cell_feet": float, "beacons": list}, "layout", LayoutError)
     beacons = [checked(b, {"id": str, "x": float, "y": float}, "beacon", LayoutError, required=True)
@@ -247,7 +247,9 @@ def _rssi_matrix(rows: list, layout: BeaconLayout) -> np.ndarray:
 
 def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str, ...], what: str):
     """Check the ``<lead...>,<beacons...>`` header, then yield
-    (line number, stripped lead fields, RSSI fields) for each non-empty row."""
+    (line number, stripped lead fields, RSSI fields) for each non-empty row. A record the ``csv`` module
+    cannot read, such as one with a field past its size limit, is a ``SchemaError`` in the header and a
+    ``RowError`` in a row."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
@@ -255,6 +257,8 @@ def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str
         header = next(reader)
     except StopIteration:
         raise SchemaError(f"empty {what} CSV") from None
+    except csv.Error as e:
+        raise SchemaError(f"{what} header: {e}") from None
     expected = len(lead) + layout.n_beacons
     if len(header) != expected or [h.strip().lower() for h in header[:len(lead)]] != list(lead):
         raise SchemaError(
@@ -263,12 +267,16 @@ def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str
     for column, (name, beacon) in enumerate(zip(header[len(lead):], layout.ids), start=len(lead) + 1):
         if name.strip() != beacon:
             raise SchemaError(f"{what} header column {column} is {name.strip()!r}, expected beacon {beacon!r}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != expected:
-            raise RowError(lineno, f"expected {expected} columns, got {len(row)}")
-        yield lineno, [f.strip() for f in row[:len(lead)]], row[len(lead):]
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != expected:
+                raise RowError(lineno, f"expected {expected} columns, got {len(row)}")
+            yield lineno, [f.strip() for f in row[:len(lead)]], row[len(lead):]
+    except csv.Error as e:  # raised while reading the record after the last one numbered
+        raise RowError(lineno + 1, str(e)) from None
 
 
 def parse_labelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> Fingerprints:

@@ -683,7 +683,8 @@ def load_network(blob: bytes) -> Network:
         doc = json.loads(blob.decode("utf-8"))
         checksum = doc["checksum"]
         payload = doc["payload"]
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as e:  # TypeError: a non-object root
+    # TypeError: a non-object root; RecursionError: nested past the interpreter's limit
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError, RecursionError) as e:
         raise LoadError(f"not a serialized network: {e}") from None
     if _checksum(payload) != checksum:
         raise LoadError("checksum mismatch")

@@ -346,10 +346,13 @@ class TestRerun:
         for name in ("model.bin", "metrics.json", "cdf.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
-    def test_bad_manifest_is_config_error(self, tmp_path):
+    def test_bad_manifest_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "m.json"
         bad.write_text("{}")
         assert run(["rerun", str(bad)]) == cli.EXIT_CONFIG
+        bad.write_bytes(NESTED_PAST_THE_LIMIT)
+        assert run(["rerun", str(bad)]) == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_manifest_naming_an_unknown_command_is_config_error(self, trained, tmp_path, capsys):
         manifest = json.loads((trained / "manifest.json").read_text())
@@ -630,6 +633,8 @@ def test_integer_and_null_stand_for_a_float_rate(corpus, tmp_path):
 BEACONS = b",".join(b"b30%02d" % i for i in range(1, 14))
 READINGS = b",".join([b"-70"] * 13)
 LAYOUT = (Path(data.__file__).parent / "layouts" / "default_layout.json").read_bytes()  # the corpus's beacons
+PAST_THE_CSV_LIMIT = b"A" * 200_000  # the csv module refuses a field past 131072 characters
+NESTED_PAST_THE_LIMIT = b"[" * 1000 + b"]" * 1000  # json's decoder recurses once per level
 
 # (input flag, content of the file given to it)
 MALFORMED_FILES = [
@@ -646,6 +651,10 @@ MALFORMED_FILES = [
     ("--labelled", b""),
     ("--labelled", b"location,date," + BEACONS + b"\nA01,d,strong," + READINGS[4:] + b"\n"),
     ("--unlabelled", b"date," + BEACONS + b"\nd\xe9c," + READINGS + b"\n"),
+    ("--layout", NESTED_PAST_THE_LIMIT),
+    ("--labelled", b"location,date," + BEACONS + b"\n" + PAST_THE_CSV_LIMIT + b",d," + READINGS + b"\n"),
+    ("--unlabelled", b"date," + BEACONS + b"\n" + PAST_THE_CSV_LIMIT + b"," + READINGS + b"\n"),
+    ("--labelled", b"location," + PAST_THE_CSV_LIMIT + b"," + BEACONS + b"\nA01,d," + READINGS + b"\n"),
 ]
 
 
@@ -653,7 +662,8 @@ MALFORMED_FILES = [
     "layout-not-json", "layout-without-beacons", "layout-non-numeric-x", "layout-numeric-string-x",
     "layout-bool-x", "layout-x-past-float-range", "layout-list-root", "layout-grid-10",
     "labelled-not-utf8", "labelled-non-ascii-digit", "labelled-empty", "labelled-non-numeric-rssi",
-    "unlabelled-not-utf8"])
+    "unlabelled-not-utf8", "layout-nested-past-the-recursion-limit", "labelled-field-past-the-csv-limit",
+    "unlabelled-field-past-the-csv-limit", "labelled-header-field-past-the-csv-limit"])
 def test_malformed_input_file_exits_3_without_traceback(flag, content, corpus, tmp_path, capsys):
     bad = tmp_path / "bad"
     bad.write_bytes(content)
@@ -694,13 +704,16 @@ UNREADABLE_FILES = [
      cli.EXIT_DATA, "data error"),
     ("train", "--unlabelled", b"date,b30\xe901" + BEACONS[5:] + b"\nd," + READINGS + b"\n",
      cli.EXIT_DATA, "data error"),
+    ("train", "--config", NESTED_PAST_THE_LIMIT, cli.EXIT_CONFIG, "config is not valid JSON"),
+    ("tune", "--spec", NESTED_PAST_THE_LIMIT, cli.EXIT_CONFIG, "config is not valid JSON"),
 ]
 
 
 @pytest.mark.parametrize("command, flag, content, status, named", UNREADABLE_FILES, ids=[
     "train-config-missing", "rationalize-config-missing", "tune-spec-missing", "train-config-not-utf8",
     "tune-spec-not-utf8", "layout-missing", "layout-not-utf8", "labelled-missing", "labelled-not-utf8",
-    "unlabelled-header-not-utf8"])
+    "unlabelled-header-not-utf8", "train-config-nested-past-the-recursion-limit",
+    "tune-spec-nested-past-the-recursion-limit"])
 def test_each_kind_of_unreadable_input_keeps_its_exit_status(command, flag, content, status, named, corpus,
                                                              tmp_path, capsys):
     """A --config or --spec that cannot be read or decoded is a configuration error; a data file is a data error."""

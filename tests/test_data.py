@@ -109,6 +109,16 @@ class TestParsing:
         rows = ["A01,ts," + ",".join(["-70"] * 13)]
         assert len(data.parse_labelled_csv("\n".join([header, *rows]), layout)) == 1
 
+    def test_field_past_the_csv_limit_is_a_row_or_schema_error(self, layout):
+        # the csv module refuses a field past 131072 characters; its limit is process-wide, so it stays
+        long = "A" * 200_000
+        rows = ["A01,ts," + ",".join(["-70"] * 13), "", long + ",ts," + ",".join(["-70"] * 13)]
+        with pytest.raises(RowError, match="field larger than field limit") as e:
+            data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
+        assert e.value.line == 4
+        with pytest.raises(SchemaError, match="unlabelled header: field larger"):
+            data.parse_unlabelled_csv(long + "," + ",".join(layout.ids) + "\n", layout)
+
     def test_wrong_column_count_in_row(self, layout):
         rows = ["A00,ts,-70"]
         with pytest.raises(RowError):

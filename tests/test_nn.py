@@ -929,6 +929,10 @@ class TestSerialization:
         with pytest.raises(LoadError):
             nn.load_network(bytes(blob))
 
+    def test_blob_nested_past_the_recursion_limit(self):
+        with pytest.raises(LoadError, match="not a serialized network"):
+            nn.load_network(b"[" * 1000 + b"]" * 1000)
+
     def test_empty_network(self):
         net = nn.Network([])
         restored = nn.load_network(nn.save_network(net))
