@@ -106,11 +106,13 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeError(f"Dense({self.n_in}->{self.n_out}): got input shape {x.shape}")
         self._x = x
-        return x @ self.params[0] + self.params[1]
+        y = x @ self.params[0]
+        y += self.params[1]
+        return y
 
     def backward(self, dy):
-        self.grads[0][...] = self._x.T @ dy
-        self.grads[1][...] = dy.sum(axis=0)
+        np.matmul(self._x.T, dy, out=self.grads[0])
+        np.add.reduce(dy, axis=0, out=self.grads[1])
         return dy @ self.params[0].T if self.input_grad else None
 
 
@@ -451,16 +453,19 @@ class Network:
 # ---------------------------------------------------------------------------
 # losses
 
+def _mean_square(diff: np.ndarray) -> float:
+    # np.mean's own reduction and division, without its Python wrapper
+    return float(np.add.reduce(diff * diff, axis=None)) / diff.size
+
+
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     diff = pred - target
-    loss = float(np.mean(diff * diff))
-    return loss, 2.0 * diff / diff.size
+    return _mean_square(diff), 2.0 * diff / diff.size
 
 
 def rmse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     diff = pred - target
-    mse = float(np.mean(diff * diff))
-    loss = math.sqrt(mse)
+    loss = math.sqrt(_mean_square(diff))
     if loss == 0.0:
         return 0.0, np.zeros_like(diff)
     return loss, diff / (diff.size * loss)
@@ -491,6 +496,14 @@ def backward(network: Network, x: np.ndarray, target: np.ndarray, loss_kind: str
 # optimizers
 
 class AdamState:
+    """Adam over one parameter vector, updated in place.
+
+    Step t computes, bit for bit, ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p -= lr*(m/(1 - b1**t)) / (sqrt(v/(1 - b2**t)) + ADAM_EPSILON)``, each operation rounded once in
+    that order. ``m``, ``v`` and two scratch vectors shaped like ``p`` are allocated on the first
+    step, so later steps allocate nothing the size of ``p``.
+    """
+
     def __init__(self, learning_rate: float = 0.001, beta1: float = 0.9, beta2: float = 0.999):
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ConfigError("betas must be in [0, 1)")
@@ -504,17 +517,24 @@ class AdamState:
     def step(self, p: np.ndarray, g: np.ndarray) -> None:
         """Update ``p`` in place from its gradient ``g``."""
         if self.m is None:
-            self.m = np.zeros_like(p)
-            self.v = np.zeros_like(p)
+            self.m, self.v, self._step, self._denom = (np.zeros_like(p) for _ in range(4))
         self.t += 1
-        b1, b2, m, v = self.beta1, self.beta2, self.m, self.v
+        b1, b2, m, v, step, denom = self.beta1, self.beta2, self.m, self.v, self._step, self._denom
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=step)
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= self.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPSILON)
+        np.multiply(1.0 - b2, g, out=step)
+        step *= g
+        v += step
+        np.divide(m, corr1, out=step)
+        step *= self.learning_rate
+        np.divide(v, corr2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPSILON
+        step /= denom
+        p -= step
 
 
 class SgdMomentumState:
@@ -526,11 +546,12 @@ class SgdMomentumState:
         self.velocity: np.ndarray | None = None
 
     def step(self, p: np.ndarray, g: np.ndarray) -> None:
-        """Update ``p`` in place from its gradient ``g``."""
+        """Update ``p`` in place from its gradient ``g``: ``velocity = momentum*velocity - lr*g``, then
+        ``p += velocity``, through one scratch vector allocated with ``velocity`` on the first step."""
         if self.velocity is None:
-            self.velocity = np.zeros_like(p)
+            self.velocity, self._step = np.zeros_like(p), np.zeros_like(p)
         self.velocity *= self.momentum
-        self.velocity -= self.learning_rate * g
+        self.velocity -= np.multiply(self.learning_rate, g, out=self._step)
         p += self.velocity
 
 
@@ -598,7 +619,8 @@ def train(network: Network, inputs: np.ndarray, targets: np.ndarray,
             epoch_losses = []
             for b, start in enumerate(range(0, len(inputs), config.batch_size)):
                 idx = order[start:start + config.batch_size]
-                loss, _ = backward(network, inputs[idx], targets[idx], loss_fn)
+                # take, not inputs[idx]: the same rows without fancy indexing's overhead
+                loss, _ = backward(network, inputs.take(idx, axis=0), targets.take(idx, axis=0), loss_fn)
                 if not math.isfinite(loss) or loss > DIVERGENCE_BOUND:
                     raise DivergedError(epoch, b, loss)
                 optimizer.step(network.theta, network.grad)

@@ -220,6 +220,23 @@ class TestForward:
         x = np.array([[1.0, -2.0, 3.0]])
         assert np.array_equal(layer.forward(x), x)
 
+    def test_dense_backward_writes_its_gradients_in_place(self):
+        rng = np.random.default_rng(0)
+        layer = nn.Dense(500, 500)
+        layer.init_params(rng)
+        layer.input_grad = False
+        x, dy = rng.normal(size=(2, 100, 500))
+        layer.forward(x)
+        tracemalloc.start()
+        try:
+            assert layer.backward(dy) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < layer.grads[0].nbytes  # no (500, 500) temporary
+        assert np.array_equal(layer.grads[0].view(np.uint64), (x.T @ dy).view(np.uint64))
+        assert np.array_equal(layer.grads[1].view(np.uint64), dy.sum(axis=0).view(np.uint64))
+
     def test_dnn_shape_contract(self):
         net = models.build_model("dnn", seed=0)
         assert net.forward(np.zeros((5, 13))).shape == (5, 2)
@@ -705,6 +722,61 @@ class TestOptimizers:
     def test_invalid_momentum(self):
         with pytest.raises(ConfigError):
             nn.SgdMomentumState(momentum=1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_steps_are_the_textbook_expressions_bit_for_bit(self, case):
+        n = case.draw(st.integers(1, 9))
+        p = case.draw(hnp.arrays(np.float64, n, elements=OPTIMIZER_VALUES))
+        gs = case.draw(st.lists(hnp.arrays(np.float64, n, elements=OPTIMIZER_VALUES), min_size=1, max_size=5))
+        lr = case.draw(st.one_of(st.sampled_from([0.0, 1e-3, 1.0]), st.floats(0.0, 1e3)))
+        b1, b2, momentum = (case.draw(st.one_of(st.sampled_from([0.0, 0.9, 0.999]), st.floats(0.0, 1.0, exclude_max=True)))
+                            for _ in range(3))
+        # from t = 350 on, 1 - 0.9**t rounds to 1.0
+        t = case.draw(st.one_of(st.just(0), st.integers(350, 10**6)))
+        adam = nn.AdamState(learning_rate=lr, beta1=b1, beta2=b2)
+        adam.t = t
+        sgd = nn.SgdMomentumState(learning_rate=lr, momentum=momentum)
+        got_adam, got_sgd = p.copy(), p.copy()
+        want_adam, want_sgd = p.copy(), p.copy()
+        m, v, velocity = np.zeros(n), np.zeros(n), np.zeros(n)
+        with np.errstate(all="ignore"):
+            for k, g in enumerate(gs, start=t + 1):
+                adam.step(got_adam, g)
+                sgd.step(got_sgd, g)
+                # the expressions each step computed before its operations were given buffers
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                want_adam -= lr * (m / (1.0 - b1 ** k)) / (np.sqrt(v / (1.0 - b2 ** k)) + nn.ADAM_EPSILON)
+                velocity *= momentum
+                velocity -= lr * g
+                want_sgd += velocity
+        for got, want in ((got_adam, want_adam), (adam.m, m), (adam.v, v), (got_sgd, want_sgd),
+                          (sgd.velocity, velocity)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("state", [nn.AdamState, nn.SgdMomentumState])
+    def test_a_step_allocates_nothing_the_size_of_theta(self, state):
+        rng = np.random.default_rng(0)
+        p, g = rng.normal(size=(2, 100_000))
+        optimizer = state()
+        optimizer.step(p, g)  # the first step allocates the optimizer's vectors
+        tracemalloc.start()
+        try:
+            optimizer.step(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.nbytes
+
+
+# zeros of both signs, subnormals, values whose squares overflow, and ordinary values
+OPTIMIZER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def _toy_problem(n=10, seed=0):
