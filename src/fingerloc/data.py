@@ -247,9 +247,9 @@ def _rssi_matrix(rows: list, layout: BeaconLayout) -> np.ndarray:
 
 def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str, ...], what: str):
     """Check the ``<lead...>,<beacons...>`` header, then yield
-    (line number, stripped lead fields, RSSI fields) for each non-empty row. A record the ``csv`` module
-    cannot read, such as one with a field past its size limit, is a ``SchemaError`` in the header and a
-    ``RowError`` in a row."""
+    (line number, stripped lead fields, RSSI fields) for each non-empty row, where the line number is
+    the physical line the row starts on. A record the ``csv`` module cannot read, such as one with a
+    field past its size limit, is a ``SchemaError`` in the header and a ``RowError`` in a row."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)
@@ -267,16 +267,17 @@ def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str
     for column, (name, beacon) in enumerate(zip(header[len(lead):], layout.ids), start=len(lead) + 1):
         if name.strip() != beacon:
             raise SchemaError(f"{what} header column {column} is {name.strip()!r}, expected beacon {beacon!r}")
-    lineno = 1
+    start = reader.line_num + 1  # the physical line the next record starts on; a quoted field may span lines
     try:
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != expected:
                 raise RowError(lineno, f"expected {expected} columns, got {len(row)}")
             yield lineno, [f.strip() for f in row[:len(lead)]], row[len(lead):]
-    except csv.Error as e:  # raised while reading the record after the last one numbered
-        raise RowError(lineno + 1, str(e)) from None
+    except csv.Error as e:  # raised while reading the record that starts on line start
+        raise RowError(start, str(e)) from None
 
 
 def parse_labelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> Fingerprints:

@@ -119,6 +119,16 @@ class TestParsing:
         with pytest.raises(SchemaError, match="unlabelled header: field larger"):
             data.parse_unlabelled_csv(long + "," + ",".join(layout.ids) + "\n", layout)
 
+    def test_row_errors_name_the_physical_line_after_a_field_that_spans_lines(self, layout):
+        # the first row's date is "two\nlines", so the third row starts on line 5, not on record 4
+        rows = ['A01,"two\nlines",' + ",".join(["-70"] * 13), "A01,ts," + ",".join(["-70"] * 13),
+                "A01,ts," + ",".join(["strong"] * 13)]
+        with pytest.raises(RowError, match="line 5: non-numeric RSSI value 'strong'"):
+            data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
+        rows[2] = "A" * 200_000 + ",ts," + ",".join(["-70"] * 13)
+        with pytest.raises(RowError, match="line 5: field larger than field limit"):
+            data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
+
     def test_wrong_column_count_in_row(self, layout):
         rows = ["A00,ts,-70"]
         with pytest.raises(RowError):
