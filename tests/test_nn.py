@@ -687,6 +687,14 @@ class TestLosses:
         assert rmse == pytest.approx(math.sqrt(mse))
 
 
+# zeros of both signs, subnormals, values whose squares overflow, and ordinary values
+OPTIMIZER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+DECAYS = st.one_of(st.sampled_from([0.0, 0.9, 0.999]), st.floats(0.0, 1.0, exclude_max=True))
+
+
 class TestOptimizers:
     def test_zero_grad_is_fixed_point_adam(self):
         p = np.array([1.0, 2.0])
@@ -730,9 +738,8 @@ class TestOptimizers:
         p = case.draw(hnp.arrays(np.float64, n, elements=OPTIMIZER_VALUES))
         gs = case.draw(st.lists(hnp.arrays(np.float64, n, elements=OPTIMIZER_VALUES), min_size=1, max_size=5))
         lr = case.draw(st.one_of(st.sampled_from([0.0, 1e-3, 1.0]), st.floats(0.0, 1e3)))
-        b1, b2, momentum = (case.draw(st.one_of(st.sampled_from([0.0, 0.9, 0.999]), st.floats(0.0, 1.0, exclude_max=True)))
-                            for _ in range(3))
-        # from t = 350 on, 1 - 0.9**t rounds to 1.0
+        b1, b2, momentum = (case.draw(DECAYS) for _ in range(3))
+        # 1 - 0.9**t rounds to 1.0 from t = 356 on, so steps after a start at 350 can cross into it
         t = case.draw(st.one_of(st.just(0), st.integers(350, 10**6)))
         adam = nn.AdamState(learning_rate=lr, beta1=b1, beta2=b2)
         adam.t = t
@@ -770,13 +777,6 @@ class TestOptimizers:
         finally:
             tracemalloc.stop()
         assert peak < p.nbytes
-
-
-# zeros of both signs, subnormals, values whose squares overflow, and ordinary values
-OPTIMIZER_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, 1.7e308, -1.7e308]),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
 
 
 def _toy_problem(n=10, seed=0):
