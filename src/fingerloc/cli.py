@@ -299,6 +299,15 @@ def _run(command: str, args: dict, recorded: dict[str, str] | None = None) -> No
     write_manifest(out_dir, command, args, digests, artifacts, seed, started)
 
 
+def _argv_holds(arg: str) -> bool:
+    """Whether a command line can carry ``arg``: it has no NUL, and the file system encoding encodes it
+    (an undecodable argv byte reads back as a surrogate escape, which encodes; a lone surrogate does not)."""
+    try:
+        return b"\0" not in os.fsencode(arg)
+    except UnicodeEncodeError:
+        return False
+
+
 def _rerun(args: dict) -> None:
     manifest_path = Path(args["manifest"])
     try:
@@ -328,6 +337,8 @@ def _rerun(args: dict) -> None:
             argv.append(flag)
         elif value is not None and value is not False:
             argv.append(f"{flag}={value}")
+    if not all(map(_argv_holds, argv)):  # no run was given it, and the OS refuses it as a path
+        raise ConfigError(f"manifest {manifest_path} records a value the command rejects")
     try:
         replay = vars(build_parser().parse_args(argv))
     except SystemExit:  # argparse has printed which option it rejected

@@ -45,7 +45,8 @@ class Layer:
     before it builds any layer, and ``KINDS`` maps each kind to its class. A ``Network`` rebinds the
     parameter arrays to views into its ``theta`` and ``grad``, so layers write in place; the fixed
     arrays stay outside both. ``input_grad`` says whether ``backward`` must return the gradient of its
-    input; a ``Network`` clears it on the first layer it runs, whose input gradient no one reads.
+    input; a ``Network`` clears it on the first layer it runs, whose input gradient no one reads. A
+    pixel ``Conv2d`` reads the network's input and returns no input gradient wherever it runs.
     """
 
     kind: str
@@ -169,7 +170,8 @@ class Conv2d(Layer):
     so each weight entry adds its pixels' terms in raster order, as one slice add per pixel would.
     The ones row is ``dy`` summed over the batch; summed over the positions it is the bias
     gradient. Both sum the dense loop's terms in another order, so they may differ from the dense
-    sums by rounding. The input gradient, ``(B, beacons)``, is ``dy`` times the whole lowered kernel.
+    sums by rounding. A pixel conv reads the network's input, so it computes no input gradient and
+    ``backward`` returns None; a ``Network`` refuses a layer with parameters that runs before it.
 
     Without pixels it reads images (B, H, W, C_in). Each kernel offset's term of ``forward`` and of
     the input gradient is one 2-d matrix product over every output pixel of the batch,
@@ -270,7 +272,6 @@ class Conv2d(Layer):
     def backward(self, dy):
         x = self._x
         oh, ow = dy.shape[1], dy.shape[2]
-        w = self.params[0]
         dw, db = self.grads
         if self.beacons is not None:
             pixel, pos, off = self._terms[0]
@@ -279,13 +280,8 @@ class Conv2d(Layer):
             dw[...] = 0.0
             np.add.at(dw.reshape(-1, self.out_channels), off, terms[pixel, pos])
             db[...] = terms[-1].sum(axis=0)
-            if not self.input_grad:
-                return None
-            kernel = np.zeros((self.beacons, oh * ow, self.out_channels))  # every term, not only the first
-            kernel[pixel, pos] = w.reshape(-1, self.out_channels)[off]
-            dx = np.empty(x.shape)
-            dx[:, self._order] = dy.reshape(len(x), -1) @ kernel.reshape(self.beacons, -1).T
-            return dx
+            return None
+        w = self.params[0]
         flat_dy = dy.reshape(-1, self.out_channels)
         for i in range(self.kh):
             for j in range(self.kw):
@@ -400,6 +396,10 @@ class Network:
     monotone and maps every value that is not positive, NaN aside, to +0.0, so pool-then-ReLU gives
     ReLU-then-pool's values bit for bit. Both send each window's gradient to its first maximum, or
     nowhere when that maximum is not positive or is NaN.
+
+    A pixel ``Conv2d`` reads the network's input and returns no input gradient, so a network that runs
+    a layer with parameters before one is refused with ``ValueError``: no gradient would reach it.
+    Layers without parameters may run before it.
     """
 
     def __init__(self, layers: Sequence[Layer], seed: int | None = None):
@@ -410,6 +410,11 @@ class Network:
                 self.run_order.insert(-1, i)  # the pool runs before the ReLU that feeds it
             else:
                 self.run_order.append(i)
+        for k, i in enumerate(self.run_order):
+            pixel_conv = isinstance(self.layers[i], Conv2d) and self.layers[i].beacons is not None
+            if pixel_conv and any(self.layers[j].params for j in self.run_order[:k]):
+                raise ValueError(f"layer {i} is a pixel Conv2d, which reads the network's input, "
+                                 f"but a layer with parameters runs before it")
         self.theta = np.concatenate([np.zeros(0), *(p.ravel() for p in self.parameters())])
         self.grad = np.zeros_like(self.theta)
         start = 0
@@ -443,9 +448,6 @@ class Network:
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params]
 
-    def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.grads]
-
     def count_params(self) -> int:
         return self.theta.size
 
@@ -477,11 +479,13 @@ LOSSES: dict[str, Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]] 
 }
 
 
-def backward(network: Network, x: np.ndarray, target: np.ndarray, loss_kind: str = "rmse") -> tuple[float, list[np.ndarray]]:
-    """One forward/backward pass; returns (loss, gradients per parameter).
+def backward(network: Network, x: np.ndarray, target: np.ndarray, loss_kind: str = "rmse") -> float:
+    """One forward/backward pass; returns the loss. The gradients are in ``network.grad``, which each
+    layer's ``grads`` views.
 
     The layers run in ``network.run_order`` and back. The first one run has ``input_grad`` False, so it
-    skips its input gradient.
+    skips its input gradient. A pixel ``Conv2d`` returns none, and the pass stops there: the layers
+    run before it have no parameters.
     """
     pred = network.forward(x)
     if pred.shape != target.shape:
@@ -489,7 +493,9 @@ def backward(network: Network, x: np.ndarray, target: np.ndarray, loss_kind: str
     loss, d_out = LOSSES[loss_kind](pred, target)
     for i in reversed(network.run_order):
         d_out = network.layers[i].backward(d_out)
-    return loss, network.gradients()
+        if d_out is None:
+            break
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +626,7 @@ def train(network: Network, inputs: np.ndarray, targets: np.ndarray,
             for b, start in enumerate(range(0, len(inputs), config.batch_size)):
                 idx = order[start:start + config.batch_size]
                 # take, not inputs[idx]: the same rows without fancy indexing's overhead
-                loss, _ = backward(network, inputs.take(idx, axis=0), targets.take(idx, axis=0), loss_fn)
+                loss = backward(network, inputs.take(idx, axis=0), targets.take(idx, axis=0), loss_fn)
                 if not math.isfinite(loss) or loss > DIVERGENCE_BOUND:
                     raise DivergedError(epoch, b, loss)
                 optimizer.step(network.theta, network.grad)
@@ -742,6 +748,7 @@ def load_network(blob: bytes) -> Network:
         network = Network([cls(*sizes, *(next(fixed) for _ in range(n))) for cls, sizes, n in layers])
         for p, a in zip(network.parameters(), params):
             p[...] = a
-    except (KeyError, TypeError, ValueError) as e:  # a missing field, a non-dict entry, bad base64, a bad value
+    # a missing field, a non-dict entry, bad base64, a bad value, a size past what numpy holds
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise LoadError(f"malformed layer or parameter entry: {e!r}") from None
     return network

@@ -432,6 +432,33 @@ class TestRerun:
         assert "--locations" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("char", ["\u0000x", "\ud800"], ids=["nul", "surrogate"])
+    @pytest.mark.parametrize("option", ["labelled", "config", "out_dir"])
+    def test_value_no_command_line_carries_is_config_error(self, corpus, tmp_path, capsys, option, char):
+        # no argv holds a NUL or a lone surrogate, and the OS takes neither in a path
+        first = train_on_copies(corpus, tmp_path)
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["args"][option] += char
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["rerun", str(path)]) == cli.EXIT_CONFIG  # the recorded --out-dir
+        err = capsys.readouterr().err
+        assert "records a value the command rejects" in err and "Traceback" not in err
+
+    def test_path_with_an_undecodable_byte_replays(self, corpus, tmp_path):
+        # argv carries the byte 0xff as the surrogate escape \udcff
+        root = tmp_path / "o\udcff"
+        root.mkdir()
+        shutil.copy(corpus / "labelled.csv", root / "labelled.csv")
+        assert run(["train", "--labelled", str(root / "labelled.csv"), "--epochs", "2",
+                    "--out-dir", str(root / "run")]) == 0
+        artifacts = {name: (root / "run" / name).read_bytes() for name in ("model.bin", "metrics.json", "cdf.csv")}
+        (root / "run" / "manifest.json").rename(tmp_path / "manifest.json")
+        assert run(["rerun", str(tmp_path / "manifest.json")]) == 0  # into the recorded --out-dir
+        for name, content in artifacts.items():
+            assert (root / "run" / name).read_bytes() == content
+
+
 class TestInputResolution:
     def test_data_dir_fallback_is_recorded_as_absolute_input(self, corpus, tmp_path, monkeypatch):
         monkeypatch.setenv("FINGERLOC_DATA_DIR", str(corpus))

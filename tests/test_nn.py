@@ -57,8 +57,8 @@ def max_relative_error(analytic, numeric):
 
 
 def check_gradients(network, x, target, loss_kind="mse", tol=GRAD_TOL, max_coords=None, seed=0):
-    _, analytic = nn.backward(network, x, target, loss_kind)
-    analytic = [g.copy() for g in analytic]
+    nn.backward(network, x, target, loss_kind)
+    analytic = [g.copy() for layer in network.layers for g in layer.grads]
     rng = np.random.Generator(np.random.PCG64(seed))
     numeric = finite_difference_grads(network, x, target, loss_kind,
                                       max_coords=max_coords, rng=rng)
@@ -136,13 +136,13 @@ class TestGradients:
             x = rng.normal(size=(2, h, h, cin))
             t = rng.normal(size=(2, 2))
             check_gradients(net, x, t)
-        for _ in range(3):  # a pixel conv after a Dense returns the (B, beacons) input gradient the Dense reads
+        for _ in range(3):  # a pixel conv behind a layer without parameters, whose input gradient no one reads
             side, k = int(rng.integers(4, 7)), int(rng.integers(2, 4))
             cells = rng.choice(side * side, size=int(rng.integers(1, 6)), replace=False)
             pixels = np.stack(np.divmod(cells, side), axis=1)
-            net = random_net(rng, [nn.Dense(3, len(pixels)), nn.Conv2d(1, 2, (k, k), side, len(pixels), pixels),
+            net = random_net(rng, [nn.Sigmoid(), nn.Conv2d(1, 2, (k, k), side, len(pixels), pixels),
                                    nn.Flatten(), nn.Dense((side - k + 1) ** 2 * 2, 2)])
-            check_gradients(net, rng.normal(size=(2, 3)), rng.normal(size=(2, 2)))
+            check_gradients(net, rng.normal(size=(2, len(pixels))), rng.normal(size=(2, 2)))
 
     def test_full_cnn_on_encoded_fingerprints(self, layout):
         # encoded beacon vectors, which the CNN's pixel conv reads
@@ -170,7 +170,7 @@ class TestGradients:
         pixels = nn.Conv2d(1, 2, (2, 2), 4, 3, [(0, 1), (3, 3), (2, 0)])
         pixels.init_params(rng)
         pixels.forward(rng.normal(size=(2, 3)))
-        assert pixels.backward(rng.normal(size=(2, 3, 3, 2))).shape == (2, 3)
+        assert pixels.backward(rng.normal(size=(2, 3, 3, 2))) is None  # it reads a network's input
         net = nn.Network([nn.Dense(3, 3), nn.Dense(3, 2)], seed=0)
         net.forward(x)
         assert net.layers[1].backward(dy).shape == (4, 3)
@@ -428,16 +428,21 @@ def sparse_conv_dw_db(x, dy, kh, kw):
 
 
 class TestSparseConvWeightGradient:
-    def _edges(self, layout, conv):
-        x = np.tile(np.linspace(0.1, 0.9, 4)[:, None], len(EDGE_PIXELS))
-        x[::2, 4] = 0.0  # pixel (3, 12) is active in some rows only
+    def _edges(self, layout, conv, n=4):
+        x = np.tile(np.linspace(0.1, 0.9, n)[:, None], len(EDGE_PIXELS))
+        x[::2, 4] = 0.0  # pixel (3, 12) is active in some rows only, or in none of one row
         return nn.Conv2d(1, 12, (7, 7), 25, len(EDGE_PIXELS), EDGE_PIXELS), x
 
     @pytest.mark.parametrize("make", [
         lambda self, layout, conv: (conv, TestSparseConv._encoded(self, layout)),
         _edges,
         lambda self, layout, conv: (conv, np.zeros((5, layout.n_beacons))),
-    ], ids=["encoded-fingerprints", "edge-and-corner-pixels", "all-zero"])
+        lambda self, layout, conv: (conv, TestSparseConv._encoded(self, layout, n=1)),
+        lambda self, layout, conv: (conv, TestSparseConv._encoded(self, layout, n=100)),
+        lambda self, layout, conv: TestSparseConvWeightGradient._edges(self, layout, conv, n=1),
+        lambda self, layout, conv: TestSparseConvWeightGradient._edges(self, layout, conv, n=100),
+    ], ids=["encoded-fingerprints", "edge-and-corner-pixels", "all-zero", "fingerprints-1", "fingerprints-100",
+            "edges-1", "edges-100"])
     def test_matches_dense_weight_gradient(self, layout, make):
         # the sparse dw and db sum over the batch in one product, so only rounding may differ from
         # the dense sums
@@ -447,7 +452,6 @@ class TestSparseConvWeightGradient:
             p[...] = q
         out = conv.forward(x)
         dy = np.random.Generator(np.random.PCG64(14)).normal(size=out.shape)
-        conv.input_grad = False
         conv.grads[0][...] = np.nan  # backward must overwrite every entry
         assert conv.backward(dy) is None
         expected = textbook_conv_dw(image_of(conv, x), dy, conv.kh, conv.kw)
@@ -467,36 +471,6 @@ def textbook_conv_backward(x, w, dy):
             dx[:, i:i + oh, j:j + ow, :] += dy @ w[i, j].T
             dw[i, j] = x[:, i:i + oh, j:j + ow, :].reshape(-1, x.shape[3]).T @ flat_dy
     return dx, dw, flat_dy.sum(axis=0)
-
-
-def edge_pixels(n):
-    """``n`` rows for a pixel conv on ``EDGE_PIXELS``, with pixel (3, 12) zero in some rows."""
-    x = np.linspace(0.1, 0.9, n)[:, None] + 0.01 * np.arange(len(EDGE_PIXELS))
-    x[1::2, 4] = 0.0
-    return x
-
-
-class TestSparseConvInputGradient:
-    @pytest.mark.parametrize("batch", [1, 100])
-    @pytest.mark.parametrize("make", [
-        lambda layout, n: (models.beacon_pixels(layout), TestSparseConv._encoded(None, layout, n)),
-        lambda layout, n: (EDGE_PIXELS, edge_pixels(n)),
-    ], ids=["encoded-fingerprints", "edge-and-corner-pixels"])
-    def test_matches_dense_backward(self, layout, make, batch):
-        # a layer outside a network keeps its input gradient, so the pixel conv returns dx, one entry
-        # per beacon: the image's input gradient at the beacon's pixel
-        rng = np.random.Generator(np.random.PCG64(16))
-        pixels, x = make(layout, batch)
-        conv = nn.Conv2d(1, 12, (7, 7), 25, len(pixels), pixels)
-        conv.init_params(rng)
-        out = conv.forward(x)
-        dy = rng.normal(size=out.shape)
-        dx = conv.backward(dy)
-        assert dx.shape == x.shape
-        rows, cols = np.array(pixels).T
-        image_dx, dw, db = textbook_conv_backward(image_of(conv, x), conv.params[0], dy)
-        for got, want in zip((dx, *conv.grads), (image_dx[:, rows, cols, 0], dw, db)):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestDenseConv:
@@ -628,6 +602,28 @@ class TestRunOrder:
         net = nn.Network([nn.ReLU(), nn.MaxPool2d((2, 2)), nn.Flatten(), nn.Dense(4, 2)])
         assert [layer.input_grad for layer in net.layers] == [True, False, True, True]
 
+    @pytest.mark.parametrize("before", [[nn.Dense(3, 3)], [nn.Sigmoid(), nn.Dense(3, 3), nn.ReLU()]],
+                             ids=["dense", "free-dense-free"])
+    def test_parameters_before_a_pixel_conv_refused(self, before):
+        # a pixel conv returns no input gradient, so that layer's gradient would stay zero
+        with pytest.raises(ValueError, match="layer {} is a pixel Conv2d".format(len(before))):
+            nn.Network([*before, nn.Conv2d(1, 2, (2, 2), 4, 3, [(0, 1), (3, 3), (2, 0)]), nn.Flatten(),
+                        nn.Dense(18, 2)])
+
+    def test_pixel_conv_behind_a_layer_without_parameters_builds_and_trains(self, monkeypatch):
+        net = nn.Network([nn.Sigmoid(), nn.Conv2d(1, 2, (2, 2), 4, 3, [(0, 1), (3, 3), (2, 0)]), nn.Flatten(),
+                          nn.Dense(18, 2)], seed=0)
+        net = nn.load_network(nn.save_network(net))
+        # the backward pass stops at the pixel conv: the sigmoid's input gradient is never computed
+        monkeypatch.setattr(net.layers[0], "backward", None)
+        rng = np.random.Generator(np.random.PCG64(23))
+        before = net.theta.copy()
+        history = nn.train(net, rng.normal(size=(20, 3)), rng.normal(size=(20, 2)),
+                           nn.TrainConfig(epochs=3, batch_size=10, learning_rate=0.01, seed=0))
+        assert len(history) == 3 and np.isfinite(net.theta).all()
+        conv_weights = net.layers[1].params[0]
+        assert not np.array_equal(conv_weights, before[:conv_weights.size].reshape(conv_weights.shape))
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_pool_then_relu_bits_equal_relu_then_pool(self, case):
@@ -651,7 +647,7 @@ class TestRunOrder:
             net = nn.load_network(nn.save_network(net))
         x = TestSparseConv._encoded(self, layout, n=100)
         target = np.random.Generator(np.random.PCG64(22)).uniform(0.0, 25.0, size=(100, 2))
-        loss, _ = nn.backward(net, x, target)
+        loss = nn.backward(net, x, target)
         grad = net.grad.copy()
         _, expected_loss, _ = run_saved_order(net.layers, x, lambda out: nn.rmse_loss(out, target))
         assert loss == expected_loss
@@ -672,7 +668,8 @@ class TestLosses:
         net.layers[0].params[1][:] = 0.5
         x = np.array([[3.0]])
         t = np.array([[1.0]])
-        loss, grads = nn.backward(net, x, t, "mse")
+        loss = nn.backward(net, x, t, "mse")
+        grads = net.layers[0].grads
         y = 2.0 * 3.0 + 0.5
         assert loss == pytest.approx((y - 1.0) ** 2)
         assert grads[0][0, 0] == pytest.approx(2.0 * (y - 1.0) * 3.0)
@@ -934,9 +931,9 @@ SIZE_DRAWS = {"in": st.integers(1, 5), "out": st.integers(1, 5),
               "window": st.tuples(st.integers(1, 4), st.integers(1, 4))}
 
 
-def draw_layer(case, cls):
-    """A ``cls`` layer with sizes drawn from ``case``; a ``Conv2d`` may be a pixel conv."""
-    if cls is nn.Conv2d and case.draw(st.booleans()):
+def draw_layer(case, cls, pixels=True):
+    """A ``cls`` layer with sizes drawn from ``case``; with ``pixels``, a ``Conv2d`` may be a pixel conv."""
+    if cls is nn.Conv2d and pixels and case.draw(st.booleans()):
         kernel = case.draw(SIZE_DRAWS["kernel"])
         side = max(kernel) + case.draw(st.integers(0, 3))
         cell = st.tuples(st.integers(0, side - 1), st.integers(0, side - 1))
@@ -969,7 +966,10 @@ class TestSerialization:
     @given(st.data())
     def test_one_layer_of_each_kind_round_trips(self, case):
         kinds = case.draw(st.permutations(list(nn.KINDS.values())))
-        net = nn.Network([draw_layer(case, cls) for cls in kinds])
+        layers = []
+        for cls in kinds:  # a pixel conv only where no layer with parameters comes before it
+            layers.append(draw_layer(case, cls, pixels=not any(layer.params for layer in layers)))
+        net = nn.Network(layers)
         # any bits, NaN payloads, infinities and -0.0 included
         net.theta[...] = case.draw(hnp.arrays(np.uint64, net.theta.size)).view(np.float64)
         restored = nn.load_network(nn.save_network(net))
@@ -1054,14 +1054,25 @@ class TestSerialization:
         (lambda payload: payload["fixed"][0].update(shape=[2, 3]), "fixed array shapes"),
         (lambda payload: payload.pop("fixed"), "fixed array shapes"),
         (lambda payload: payload["layers"][0].pop("beacons") and payload.pop("fixed"), "together"),
+        (lambda payload: payload["layers"][0].update(side=10**400), "too large"),
+        (lambda payload: payload["layers"][0].update(side=10**20), "too large"),
     ], ids=["not-an-integer", "past-the-side", "negative", "nan", "repeated", "spec-count", "recorded-shape",
-            "no-blob", "no-count"])
+            "no-blob", "no-count", "side-past-the-float-range", "side-past-int64"])
     def test_bad_beacon_pixels_rejected(self, corrupt, fragment):
         net = nn.Network([nn.Conv2d(1, 2, (3, 3), 5, 3, [(0, 0), (1, 2), (4, 4)])], seed=0)
         doc = json.loads(nn.save_network(net))
         corrupt(doc["payload"])
         with pytest.raises(LoadError, match=re.escape(fragment)):
             nn.load_network(resigned(doc["payload"]))
+
+    def test_layer_with_parameters_before_a_pixel_conv_rejected(self):
+        pixel_conv = json.loads(nn.save_network(nn.Network([nn.Conv2d(1, 2, (3, 3), 5, 3, [(0, 0), (1, 2), (4, 4)])])))
+        dense = json.loads(nn.save_network(nn.Network([nn.Dense(2, 3)])))
+        payload = pixel_conv["payload"]
+        payload["layers"].insert(0, dense["payload"]["layers"][0])
+        payload["params"][:0] = dense["payload"]["params"]
+        with pytest.raises(LoadError, match="a layer with parameters runs before it"):
+            nn.load_network(resigned(payload))
 
     @pytest.mark.parametrize("doc", [{"checksum": None, "payload": []}, []],
                              ids=["payload-not-an-object", "root-not-an-object"])
