@@ -299,15 +299,6 @@ def _run(command: str, args: dict, recorded: dict[str, str] | None = None) -> No
     write_manifest(out_dir, command, args, digests, artifacts, seed, started)
 
 
-def _argv_holds(arg: str) -> bool:
-    """Whether a command line can carry ``arg``: it has no NUL, and the file system encoding encodes it
-    (an undecodable argv byte reads back as a surrogate escape, which encodes; a lone surrogate does not)."""
-    try:
-        return b"\0" not in os.fsencode(arg)
-    except UnicodeEncodeError:
-        return False
-
-
 def _rerun(args: dict) -> None:
     manifest_path = Path(args["manifest"])
     try:
@@ -337,11 +328,13 @@ def _rerun(args: dict) -> None:
             argv.append(flag)
         elif value is not None and value is not False:
             argv.append(f"{flag}={value}")
-    if not all(map(_argv_holds, argv)):  # no run was given it, and the OS refuses it as a path
-        raise ConfigError(f"manifest {manifest_path} records a value the command rejects")
     try:
+        # no command line holds a NUL, or a lone surrogate, which os.fsencode refuses with a UnicodeEncodeError;
+        # an undecodable argv byte reads back as a surrogate escape, which encodes
+        if any(b"\0" in os.fsencode(arg) for arg in argv):
+            raise ValueError("a NUL character")
         replay = vars(build_parser().parse_args(argv))
-    except SystemExit:  # argparse has printed which option it rejected
+    except (SystemExit, ValueError):  # argparse has printed which option it rejected, or no command line holds one
         raise ConfigError(f"manifest {manifest_path} records a value the command rejects") from None
     _run(replay.pop("command"), replay, inputs)
 

@@ -406,15 +406,14 @@ class Network:
         self.layers = list(layers)
         self.run_order: list[int] = []
         for i, layer in enumerate(self.layers):
+            # the run order moves no layer with parameters, so the saved order tells what runs before a layer
+            if isinstance(layer, Conv2d) and layer.beacons is not None and any(e.params for e in self.layers[:i]):
+                raise ValueError(f"layer {i} is a pixel Conv2d, which reads the network's input, "
+                                 f"but a layer with parameters runs before it")
             if i and isinstance(layer, MaxPool2d) and isinstance(self.layers[i - 1], ReLU):
                 self.run_order.insert(-1, i)  # the pool runs before the ReLU that feeds it
             else:
                 self.run_order.append(i)
-        for k, i in enumerate(self.run_order):
-            pixel_conv = isinstance(self.layers[i], Conv2d) and self.layers[i].beacons is not None
-            if pixel_conv and any(self.layers[j].params for j in self.run_order[:k]):
-                raise ValueError(f"layer {i} is a pixel Conv2d, which reads the network's input, "
-                                 f"but a layer with parameters runs before it")
         self.theta = np.concatenate([np.zeros(0), *(p.ravel() for p in self.parameters())])
         self.grad = np.zeros_like(self.theta)
         start = 0

@@ -431,7 +431,6 @@ class TestRerun:
         err = capsys.readouterr().err
         assert "--locations" in err and "Traceback" not in err
 
-
     @pytest.mark.parametrize("char", ["\u0000x", "\ud800"], ids=["nul", "surrogate"])
     @pytest.mark.parametrize("option", ["labelled", "config", "out_dir"])
     def test_value_no_command_line_carries_is_config_error(self, corpus, tmp_path, capsys, option, char):
@@ -441,7 +440,7 @@ class TestRerun:
         manifest["args"][option] += char
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
-        assert run(["rerun", str(path)]) == cli.EXIT_CONFIG  # the recorded --out-dir
+        assert run(["rerun", str(path)]) == cli.EXIT_CONFIG  # no --out-dir: the replay takes the recorded one
         err = capsys.readouterr().err
         assert "records a value the command rejects" in err and "Traceback" not in err
 
@@ -453,8 +452,9 @@ class TestRerun:
         assert run(["train", "--labelled", str(root / "labelled.csv"), "--epochs", "2",
                     "--out-dir", str(root / "run")]) == 0
         artifacts = {name: (root / "run" / name).read_bytes() for name in ("model.bin", "metrics.json", "cdf.csv")}
-        (root / "run" / "manifest.json").rename(tmp_path / "manifest.json")
-        assert run(["rerun", str(tmp_path / "manifest.json")]) == 0  # into the recorded --out-dir
+        for name in artifacts:
+            (root / "run" / name).unlink()
+        assert run(["rerun", str(root / "run" / "manifest.json")]) == 0  # into the recorded --out-dir
         for name, content in artifacts.items():
             assert (root / "run" / name).read_bytes() == content
 

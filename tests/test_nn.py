@@ -606,7 +606,7 @@ class TestRunOrder:
                              ids=["dense", "free-dense-free"])
     def test_parameters_before_a_pixel_conv_refused(self, before):
         # a pixel conv returns no input gradient, so that layer's gradient would stay zero
-        with pytest.raises(ValueError, match="layer {} is a pixel Conv2d".format(len(before))):
+        with pytest.raises(ValueError, match=f"layer {len(before)} is a pixel Conv2d"):
             nn.Network([*before, nn.Conv2d(1, 2, (2, 2), 4, 3, [(0, 1), (3, 3), (2, 0)]), nn.Flatten(),
                         nn.Dense(18, 2)])
 
@@ -1066,11 +1066,12 @@ class TestSerialization:
             nn.load_network(resigned(doc["payload"]))
 
     def test_layer_with_parameters_before_a_pixel_conv_rejected(self):
-        pixel_conv = json.loads(nn.save_network(nn.Network([nn.Conv2d(1, 2, (3, 3), 5, 3, [(0, 0), (1, 2), (4, 4)])])))
-        dense = json.loads(nn.save_network(nn.Network([nn.Dense(2, 3)])))
-        payload = pixel_conv["payload"]
-        payload["layers"].insert(0, dense["payload"]["layers"][0])
-        payload["params"][:0] = dense["payload"]["params"]
+        # a Dense(2, 3) spliced in front of a pixel conv on 3 beacons, every shape consistent
+        conv = nn.Conv2d(1, 2, (3, 3), 5, 3, [(0, 0), (1, 2), (4, 4)])
+        payload = json.loads(nn.save_network(nn.Network([conv])))["payload"]
+        dense = json.loads(nn.save_network(nn.Network([nn.Dense(2, 3)])))["payload"]
+        payload["layers"].insert(0, dense["layers"][0])
+        payload["params"][:0] = dense["params"]
         with pytest.raises(LoadError, match="a layer with parameters runs before it"):
             nn.load_network(resigned(payload))
 
