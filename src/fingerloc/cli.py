@@ -155,7 +155,7 @@ def cmd_train(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: dat
         "mean_error_grid": metrics.mean_error_grid,
         "mean_error_feet": metrics.mean_error_feet,
         "epoch_losses": history,
-        "parameter_count": network.count_params(),
+        "parameter_count": network.theta.size,
     })
     cdf_path = out_dir / "cdf.csv"
     write_cdf(metrics.per_sample_errors_feet, cdf_path)

@@ -80,7 +80,6 @@ class GpSurrogate:
         if not np.all(np.isfinite(y)):
             raise ValueError("objectives must be finite")
         self.x = x
-        self.y = y
         self.lengthscale = lengthscale
         if signal_var is None:
             signal_var = float(np.var(y))
@@ -158,7 +157,6 @@ class Suggester:
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
         if self.algorithm == "grid":  # res points per axis make at least max_trials lattice points
             self._res = max(1, math.ceil(config.max_trials ** (1.0 / space.dim)))
-            self._grid_next = 0
 
     def _grid_point(self, index: int) -> dict[str, float]:
         """Point ``index`` of itertools.product over the axes, each ``np.linspace(lo, hi, res)``
@@ -175,13 +173,13 @@ class Suggester:
         return {n: float(self.rng.uniform(lo, hi)) for n, lo, hi in self.space.params}
 
     def suggest(self, history: Sequence[Trial]) -> dict[str, float]:
+        """The next assignment after the trials in ``history``: for a grid, lattice point ``len(history)``."""
         if self.algorithm == "grid":
-            self._grid_next += 1
-            return self._grid_point(self._grid_next - 1)
+            return self._grid_point(len(history))
         if self.algorithm == "random":
             return self._random_assignment()
-        # bayesian
-        observed = [t for t in history if t.status == "ok" and t.objective is not None]
+        # bayesian, on the ok trials: a trial has an objective exactly when it is ok
+        observed = [t for t in history if t.status == "ok"]
         if len(observed) < WARMUP_TRIALS:
             return self._random_assignment()
         x = np.stack([self.space.normalize(t.assignment) for t in observed])

@@ -29,6 +29,7 @@ EVAL_CHUNK = 100  # rows per forward pass in evaluate: TrainConfig's default bat
 ADAM_EPSILON = 1e-8  # added to Adam's step denominator
 SERIAL_FORMAT = "fingerloc-net"
 SERIAL_VERSION = 1
+MAX_TERMS = 1 << 16  # the most entries in a pixel conv's lowered kernel, and offsets in a pool's window
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +150,10 @@ class Conv2d(Layer):
     ``(B, beacons)`` and convolves each as a one-channel ``side`` x ``side`` image that is zero
     except at each beacon's pixel ``pixels[k] = (row, col)``, which holds column k. ``pixels`` is its
     fixed array, so ``model.bin`` records it; each must be an integer pair in ``[0, side)``, and no two
-    alike. At construction it sorts the beacons into raster order of their pixels and builds one table
-    of terms (``_lowering``): each term's pixel, output position and flipped-kernel offset, pixel by
-    pixel in raster order. At every output position, raster order over the pixels that reach it is the
+    alike. Its lowered kernel, beacons x output positions x ``C_out`` entries, may hold at most
+    ``MAX_TERMS``, so a short ``model.bin`` cannot ask for a large one. At construction it sorts the
+    beacons into raster order of their pixels and builds one table of terms (``_lowering``): each term's
+    pixel, output position and flipped-kernel offset, pixel by pixel in raster order. At every output position, raster order over the pixels that reach it is the
     dense loop's order over the kernel offsets, so the results are the dense loop's over that image.
 
     ``forward`` is one matrix product, the pixels' values ``(B, P)`` times a lowered kernel
@@ -200,6 +202,9 @@ class Conv2d(Layer):
         if in_channels != 1 or side < max(kernel):
             raise ValueError(f"a pixel Conv2d reads one channel of a side at least its kernel {kernel}, "
                              f"got {in_channels} channels and side {side}")
+        self._out_hw = (side - self.kh + 1, side - self.kw + 1)
+        if beacons * math.prod(self._out_hw) * out_channels > MAX_TERMS:
+            raise ValueError(f"a pixel Conv2d's lowered kernel is too large: over {MAX_TERMS} entries")
         if pixels.shape != (beacons, 2):
             raise ValueError(f"{beacons} beacon pixels have shape ({beacons}, 2), got {pixels.shape}")
         if not ((0 <= pixels) & (pixels < side)).all():
@@ -211,7 +216,6 @@ class Conv2d(Layer):
             raise ValueError(f"two beacons share a pixel: {pixels.tolist()}")
         self.fixed = (pixels,)
         self._order = np.lexsort((cols, rows))  # the beacon columns in raster order of their pixels
-        self._out_hw = (side - self.kh + 1, side - self.kw + 1)
         self._terms = _lowering(rows[self._order], cols[self._order], self.kh, self.kw, *self._out_hw)
 
     @staticmethod
@@ -308,6 +312,8 @@ class MaxPool2d(Layer):
     values, -0.0 included, but that ReLU maps a zero maximum of either sign to +0.0: no output of a
     network with that ReLU shows the caveat. Stride = window, so no two outputs share an input:
     ``backward`` assigns each output's gradient to its input, so a -0.0 gradient stays -0.0 there.
+    Both take time in ``wh*ww`` whatever the input's size, so a window may hold at most ``MAX_TERMS``
+    offsets.
     """
 
     kind, size_keys = "maxpool2d", ("window",)
@@ -315,6 +321,8 @@ class MaxPool2d(Layer):
     def __init__(self, window: tuple[int, int]):
         super().__init__(window)
         self.wh, self.ww = window
+        if self.wh * self.ww > MAX_TERMS:
+            raise ValueError(f"a {self.wh}x{self.ww} MaxPool2d window is too large: over {MAX_TERMS} offsets")
 
     def forward(self, x):
         if x.ndim != 4:
@@ -446,9 +454,6 @@ class Network:
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params]
-
-    def count_params(self) -> int:
-        return self.theta.size
 
 
 # ---------------------------------------------------------------------------

@@ -62,16 +62,11 @@ def dropout_study(model_kind: str, config: TrainConfig, dataset: Dataset,
     for beacon_id in dataset.layout.ids:
         residual = drop_beacon(dataset, beacon_id)
         try:
-            err = _mean_error_feet(model_kind, config, residual, seeds)
-            impacts.append(BeaconImpact(beacon_id=beacon_id,
-                                        residual_samples=len(residual.labelled),
-                                        mean_error_feet=err,
-                                        delta_feet=err - baseline))
+            err, error = _mean_error_feet(model_kind, config, residual, seeds), None
         except FingerlocError as e:  # degenerate residual or divergence
-            impacts.append(BeaconImpact(beacon_id=beacon_id,
-                                        residual_samples=len(residual.labelled),
-                                        mean_error_feet=None, delta_feet=None,
-                                        error=str(e)))
+            err, error = None, str(e)
+        impacts.append(BeaconImpact(beacon_id, residual_samples=len(residual.labelled), mean_error_feet=err,
+                                    delta_feet=None if err is None else err - baseline, error=error))
     return DropoutStudyResult(baseline_feet=baseline, impacts=impacts, seeds=list(seeds))
 
 

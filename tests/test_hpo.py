@@ -152,6 +152,14 @@ class TestExpectedImprovement:
         assert np.all(ei <= 1e-8)
 
 
+def grid_history(s, n):
+    """``n`` trials of ``s``'s suggestions, each suggested after the trials before it, as ``run_search`` asks."""
+    history = []
+    for number in range(1, n + 1):
+        history.append(hpo.Trial(number, s.suggest(history), 1.0, "ok"))
+    return history
+
+
 class TestSuggest:
     SPACE = hpo.SearchSpace((("learning_rate", 0.001, 0.002), ("beta1", 0.88, 0.93)))
 
@@ -164,10 +172,10 @@ class TestSuggest:
     def test_grid_lattice_and_exhaustion(self):
         space = hpo.SearchSpace((("x", 0.0, 1.0),))
         s = hpo.Suggester(space, hpo.ExperimentConfig(algorithm="grid", max_trials=3, seed=0))
-        points = [s.suggest([])["x"] for _ in range(3)]
-        assert points == [0.0, 0.5, 1.0]
+        history = grid_history(s, 3)
+        assert [t.assignment["x"] for t in history] == [0.0, 0.5, 1.0]
         with pytest.raises(GridExhausted):
-            s.suggest([])
+            s.suggest(history)
 
     @pytest.mark.parametrize("params, max_trials", [
         ((("learning_rate", 0.001, 0.002), ("beta1", 0.88, 0.93)), 15),
@@ -181,18 +189,19 @@ class TestSuggest:
         axes = [np.array([(lo + hi) / 2.0]) if res == 1 else np.linspace(lo, hi, res) for _, lo, hi in params]
         lattice = [dict(zip(space.names, (float(v) for v in p))) for p in itertools.product(*axes)]
         s = hpo.Suggester(space, hpo.ExperimentConfig(algorithm="grid", max_trials=max_trials))
-        points = [s.suggest([]) for _ in lattice]
+        history = grid_history(s, len(lattice))
+        points = [t.assignment for t in history]
         assert [list(p) for p in points] == [space.names] * len(lattice)
         assert np.array_equal(np.array([list(p.values()) for p in points]).view(np.uint64),
                               np.array([list(p.values()) for p in lattice]).view(np.uint64))
         with pytest.raises(GridExhausted):
-            s.suggest([])
+            s.suggest(history)
 
     def test_grid_of_more_points_than_an_array_holds(self):
         space = hpo.SearchSpace((("x", 0.0, 1.0), ("y", 0.0, 1.0)))
         s = hpo.Suggester(space, hpo.ExperimentConfig(algorithm="grid", max_trials=10 ** 300))
-        assert s.suggest([]) == {"x": 0.0, "y": 0.0}
-        second = s.suggest([])
+        first, second = (t.assignment for t in grid_history(s, 2))
+        assert first == {"x": 0.0, "y": 0.0}
         assert second["x"] == 0.0 and 0.0 < second["y"] < 1e-149  # 1e150 points per axis
 
     def test_bayesian_avoids_observed_point(self):

@@ -86,6 +86,16 @@ class TestImageCodec:
         with pytest.raises(LayoutError, match="share image pixel"):
             models.build_model("cnn", seed=0, layout=layout)
 
+    def test_more_beacons_than_conv1_reads_rejected(self):
+        # conv1's lowered kernel holds beacons x 361 positions x 12 channels entries: 15 beacons fit nn.MAX_TERMS
+        def row(n):
+            return data.BeaconLayout(ids=tuple(f"b{i}" for i in range(n)), xs=tuple(map(float, range(n))),
+                                     ys=(1.0,) * n)
+        assert 15 * 361 * 12 <= nn.MAX_TERMS < 16 * 361 * 12
+        assert models.build_model("cnn", seed=0, layout=row(15)).layers[0].beacons == 15
+        with pytest.raises(LayoutError, match="16 beacons are too many for the CNN"):
+            models.build_model("cnn", seed=0, layout=row(16))
+
     def test_every_layout_position_has_a_pixel_inside_the_image(self, layout):
         # integer coordinates keep their pixel; one above 24.5 takes the last column or row
         assert models.beacon_pixels(layout) == [(int(y), int(x)) for x, y in zip(layout.xs, layout.ys)]

@@ -913,16 +913,16 @@ class TestEvaluate:
 
 class TestCountParams:
     def test_dense(self):
-        assert nn.Network([nn.Dense(13, 50)]).count_params() == 700
+        assert nn.Network([nn.Dense(13, 50)]).theta.size == 700
 
     def test_conv(self):
-        assert nn.Network([nn.Conv2d(1, 12, (7, 7))]).count_params() == 600
+        assert nn.Network([nn.Conv2d(1, 12, (7, 7))]).theta.size == 600
 
     def test_dnn_total(self):
-        assert models.build_model("dnn", seed=0).count_params() == 5902
+        assert models.build_model("dnn", seed=0).theta.size == 5902
 
     def test_cnn_total(self):
-        assert models.build_model("cnn", seed=0).count_params() == 5438
+        assert models.build_model("cnn", seed=0).theta.size == 5438
 
 
 # a draw of each spec size key
@@ -1020,7 +1020,7 @@ class TestSerialization:
         net = models.build_model("cnn", seed=2)
         conv = net.layers[0]
         assert conv.fixed[0].tolist() == [list(p) for p in models.beacon_pixels(layout)]
-        assert net.count_params() == net.theta.size == 5438
+        assert net.theta.size == 5438
         payload = json.loads(nn.save_network(net))["payload"]
         assert payload["layers"][0] == {"kind": "conv2d", "in": 1, "out": 12, "kernel": [7, 7], "side": 25,
                                         "beacons": 13}
@@ -1056,8 +1056,9 @@ class TestSerialization:
         (lambda payload: payload["layers"][0].pop("beacons") and payload.pop("fixed"), "together"),
         (lambda payload: payload["layers"][0].update(side=10**400), "too large"),
         (lambda payload: payload["layers"][0].update(side=10**20), "too large"),
+        (lambda payload: payload["layers"][0].update(side=10**9), "lowered kernel is too large"),
     ], ids=["not-an-integer", "past-the-side", "negative", "nan", "repeated", "spec-count", "recorded-shape",
-            "no-blob", "no-count", "side-past-the-float-range", "side-past-int64"])
+            "no-blob", "no-count", "side-past-the-float-range", "side-past-int64", "side-past-the-cap"])
     def test_bad_beacon_pixels_rejected(self, corrupt, fragment):
         net = nn.Network([nn.Conv2d(1, 2, (3, 3), 5, 3, [(0, 0), (1, 2), (4, 4)])], seed=0)
         doc = json.loads(nn.save_network(net))
@@ -1106,7 +1107,9 @@ class TestSerialization:
         lambda payload: payload["params"][0].update(data="abc"),
         lambda payload: payload["layers"][0].update(kind="lstm"),
         lambda payload: payload["layers"][0].update(window=[0, 3]),
-    ], ids=["spec-missing-field", "spec-not-a-dict", "bad-base64", "unknown-kind", "spec-stray-field"])
+        lambda payload: payload.update(layers=[{"kind": "maxpool2d", "window": [300, 300]}], params=[]),
+    ], ids=["spec-missing-field", "spec-not-a-dict", "bad-base64", "unknown-kind", "spec-stray-field",
+            "window-past-the-cap"])
     def test_malformed_entry_with_valid_checksum_rejected(self, corrupt):
         doc = json.loads(nn.save_network(nn.Network([nn.Dense(2, 3)], seed=0)))
         corrupt(doc["payload"])
@@ -1135,6 +1138,15 @@ class TestSerialization:
         doc["checksum"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
         with pytest.raises(LoadError, match="integers >= 1"):
             nn.load_network(json.dumps(doc).encode("utf-8"))
+
+    def test_sizes_at_the_cap_construct(self):
+        # a pool's window and a pixel conv's lowered kernel may hold nn.MAX_TERMS offsets or entries, no more
+        assert nn.MaxPool2d((1, nn.MAX_TERMS)).ww == nn.MAX_TERMS
+        with pytest.raises(ValueError, match="window is too large"):
+            nn.MaxPool2d((2, nn.MAX_TERMS // 2 + 1))
+        assert nn.Conv2d(1, 1, (1, 1), 256, 1, [(0, 0)]).beacons == 1  # 256 x 256 positions
+        with pytest.raises(ValueError, match="lowered kernel is too large"):
+            nn.Conv2d(1, 2, (1, 1), 256, 1, [(0, 0)])
 
     def test_short_blob_cannot_allocate_its_spec(self):
         # a few hundred bytes that ask for a Dense(4000, 4000) fail before anything that size exists

@@ -137,6 +137,7 @@ class TestDropoutStudy:
         assert result.impacts[0].residual_samples == 0
         assert result.impacts[0].error is not None
         assert result.impacts[0].mean_error_feet is None
+        assert result.impacts[0].delta_feet is None
 
     def test_programming_error_propagates(self, synth_dataset, monkeypatch):
         # the baseline trains once per seed; the first per-beacon retrain then fails
