@@ -16,9 +16,7 @@ The CNN reads no image. Its first layer is a pixel ``nn.Conv2d`` that holds
 each beacon's image pixel, the pixel nearest its layout position (a
 coordinate above 24.5 takes the last row or column), and reads the beacon
 vectors as the one-channel image that is zero except at those pixels. Only
-two beacons on one pixel, or more than 15 beacons (conv1's lowered kernel,
-beacons x 361 positions x 12 channels, may hold at most nn.MAX_TERMS
-entries), make a layout unusable here. The CNN and the
+two beacons on one pixel make a layout unusable here. The CNN and the
 autoencoder read every reading as rssi / -200, so a no-signal beacon
 (-200 dBm) is the brightest pixel value 1.0. That is the deliberate,
 literal convention for this encoding.
@@ -55,12 +53,8 @@ def build_model(kind: str, seed: int, n_beacons: int = 13, layout: BeaconLayout 
         side = -(-(GRID_SIZE - 7 + 1) // 3)  # conv1, then a ceil-mode 3x3 pool
         side = -(-(side - 5 + 1) // 2)  # conv2, then a ceil-mode 2x2 pool
         pixels = beacon_pixels(default_layout() if layout is None else layout)
-        try:
-            conv1 = Conv2d(1, 12, (7, 7), GRID_SIZE, len(pixels), pixels)
-        except ValueError as e:  # its lowered kernel past nn.MAX_TERMS
-            raise LayoutError(f"{len(pixels)} beacons are too many for the CNN: {e}") from None
         layers = [
-            conv1, ReLU(), MaxPool2d((3, 3)),
+            Conv2d(1, 12, (7, 7), GRID_SIZE, len(pixels), pixels), ReLU(), MaxPool2d((3, 3)),
             Conv2d(12, 12, (5, 5)), ReLU(), MaxPool2d((2, 2)),
             Flatten(),
             *_dense_stack((side * side * 12, 24, 2), []),

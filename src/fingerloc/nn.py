@@ -29,7 +29,8 @@ EVAL_CHUNK = 100  # rows per forward pass in evaluate: TrainConfig's default bat
 ADAM_EPSILON = 1e-8  # added to Adam's step denominator
 SERIAL_FORMAT = "fingerloc-net"
 SERIAL_VERSION = 1
-MAX_TERMS = 1 << 16  # the most entries in a pixel conv's lowered kernel, and offsets in a pool's window
+MAX_TERMS = 1 << 22  # the most entries in a pixel conv's lowered kernel; a beacon on each grid pixel asks 625*361*12
+MAX_WINDOW = 1 << 10  # the most offsets in a pool's window, which every forward visits; a 25x25 image has 625
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +153,10 @@ class Conv2d(Layer):
     fixed array, so ``model.bin`` records it; each must be an integer pair in ``[0, side)``, and no two
     alike. Its lowered kernel, beacons x output positions x ``C_out`` entries, may hold at most
     ``MAX_TERMS``, so a short ``model.bin`` cannot ask for a large one. At construction it sorts the
-    beacons into raster order of their pixels and builds one table of terms (``_lowering``): each term's
-    pixel, output position and flipped-kernel offset, pixel by pixel in raster order. At every output position, raster order over the pixels that reach it is the
-    dense loop's order over the kernel offsets, so the results are the dense loop's over that image.
+    beacons into raster order of their pixels and builds one table of terms (``_lowering``): each
+    term's pixel, output position and flipped-kernel offset, pixel by pixel in raster order. At every
+    output position, raster order over the pixels that reach it is the dense loop's order over the
+    kernel offsets, so the results are the dense loop's over that image.
 
     ``forward`` is one matrix product, the pixels' values ``(B, P)`` times a lowered kernel
     ``(P, oh*ow*C_out)`` that holds each output position's first term only. Then each pixel, in
@@ -312,7 +314,7 @@ class MaxPool2d(Layer):
     values, -0.0 included, but that ReLU maps a zero maximum of either sign to +0.0: no output of a
     network with that ReLU shows the caveat. Stride = window, so no two outputs share an input:
     ``backward`` assigns each output's gradient to its input, so a -0.0 gradient stays -0.0 there.
-    Both take time in ``wh*ww`` whatever the input's size, so a window may hold at most ``MAX_TERMS``
+    Both take time in ``wh*ww`` whatever the input's size, so a window may hold at most ``MAX_WINDOW``
     offsets.
     """
 
@@ -321,8 +323,8 @@ class MaxPool2d(Layer):
     def __init__(self, window: tuple[int, int]):
         super().__init__(window)
         self.wh, self.ww = window
-        if self.wh * self.ww > MAX_TERMS:
-            raise ValueError(f"a {self.wh}x{self.ww} MaxPool2d window is too large: over {MAX_TERMS} offsets")
+        if self.wh * self.ww > MAX_WINDOW:
+            raise ValueError(f"a {self.wh}x{self.ww} MaxPool2d window is too large: over {MAX_WINDOW} offsets")
 
     def forward(self, x):
         if x.ndim != 4:

@@ -138,18 +138,6 @@ class TestTrain:
         assert (tmp_path / "out" / "model.bin").exists() == (code == 0)
         assert message in capsys.readouterr().err
 
-    def test_cnn_refuses_a_layout_past_its_lowered_kernel_cap(self, tmp_path, capsys):
-        # conv1's lowered kernel holds beacons x 361 positions x 12 channels entries: 16 beacons pass nn.MAX_TERMS
-        beacons = [{"id": f"b{i}", "x": float(i), "y": 1.0} for i in range(16)]
-        (tmp_path / "layout.json").write_text(json.dumps({"cell_feet": 10.0, "beacons": beacons}))
-        assert run(["synth", "--layout", str(tmp_path / "layout.json"), "--out-dir", str(tmp_path),
-                    "--locations", "10", "--samples-per-location", "2", "--seed", "0"]) == 0
-        assert run(["train", "--model", "cnn", "--labelled", str(tmp_path / "labelled.csv"),
-                    "--layout", str(tmp_path / "layout.json"), "--out-dir", str(tmp_path / "out"),
-                    "--epochs", "1"]) == cli.EXIT_DATA
-        assert not (tmp_path / "out" / "model.bin").exists()
-        assert "16 beacons are too many for the CNN" in capsys.readouterr().err
-
     def test_paper_protocol_flag(self, corpus, tmp_path):
         first = tmp_path / "first"
         code = run(["train", *common_args(corpus), "--out-dir", str(first),

@@ -86,15 +86,16 @@ class TestImageCodec:
         with pytest.raises(LayoutError, match="share image pixel"):
             models.build_model("cnn", seed=0, layout=layout)
 
-    def test_more_beacons_than_conv1_reads_rejected(self):
-        # conv1's lowered kernel holds beacons x 361 positions x 12 channels entries: 15 beacons fit nn.MAX_TERMS
-        def row(n):
-            return data.BeaconLayout(ids=tuple(f"b{i}" for i in range(n)), xs=tuple(map(float, range(n))),
-                                     ys=(1.0,) * n)
-        assert 15 * 361 * 12 <= nn.MAX_TERMS < 16 * 361 * 12
-        assert models.build_model("cnn", seed=0, layout=row(15)).layers[0].beacons == 15
-        with pytest.raises(LayoutError, match="16 beacons are too many for the CNN"):
-            models.build_model("cnn", seed=0, layout=row(16))
+    @pytest.mark.parametrize("n", [16, 625], ids=["16-beacons", "every-pixel"])
+    def test_more_beacons_build_and_round_trip(self, n):
+        # a beacon on n distinct pixels in raster order, up to all 625 of the grid: conv1's largest lowered kernel
+        layout = data.BeaconLayout(ids=tuple(f"b{i}" for i in range(n)), xs=tuple(float(i % 25) for i in range(n)),
+                                   ys=tuple(float(i // 25) for i in range(n)))
+        net = models.build_model("cnn", seed=0, layout=layout)
+        x = np.random.Generator(np.random.PCG64(0)).uniform(size=(2, n))
+        restored = nn.load_network(nn.save_network(net))
+        assert restored.layers[0].beacons == n and np.array_equal(restored.theta, net.theta)
+        assert np.array_equal(restored.forward(x), net.forward(x))
 
     def test_every_layout_position_has_a_pixel_inside_the_image(self, layout):
         # integer coordinates keep their pixel; one above 24.5 takes the last column or row

@@ -1140,13 +1140,13 @@ class TestSerialization:
             nn.load_network(json.dumps(doc).encode("utf-8"))
 
     def test_sizes_at_the_cap_construct(self):
-        # a pool's window and a pixel conv's lowered kernel may hold nn.MAX_TERMS offsets or entries, no more
-        assert nn.MaxPool2d((1, nn.MAX_TERMS)).ww == nn.MAX_TERMS
+        # a pixel conv's lowered kernel may hold nn.MAX_TERMS entries and a pool's window nn.MAX_WINDOW offsets
+        assert nn.MaxPool2d((1, nn.MAX_WINDOW)).ww == nn.MAX_WINDOW
         with pytest.raises(ValueError, match="window is too large"):
-            nn.MaxPool2d((2, nn.MAX_TERMS // 2 + 1))
-        assert nn.Conv2d(1, 1, (1, 1), 256, 1, [(0, 0)]).beacons == 1  # 256 x 256 positions
+            nn.MaxPool2d((2, nn.MAX_WINDOW // 2 + 1))
+        assert nn.Conv2d(1, 1, (1, 1), 2048, 1, [(0, 0)]).beacons == 1  # 2048 x 2048 positions
         with pytest.raises(ValueError, match="lowered kernel is too large"):
-            nn.Conv2d(1, 2, (1, 1), 256, 1, [(0, 0)])
+            nn.Conv2d(1, 2, (1, 1), 2048, 1, [(0, 0)])
 
     def test_short_blob_cannot_allocate_its_spec(self):
         # a few hundred bytes that ask for a Dense(4000, 4000) fail before anything that size exists
