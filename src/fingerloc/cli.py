@@ -64,12 +64,6 @@ def _resolve_inputs(args: dict, root: str | None) -> dict[str, str]:
     return resolved
 
 
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def write_manifest(out_dir: Path, command: str, args: dict, inputs: dict[str, str],
                    artifacts: list[Path], seed: int | None, started: float) -> Path:
     manifest = {
@@ -83,7 +77,7 @@ def write_manifest(out_dir: Path, command: str, args: dict, inputs: dict[str, st
         "wall_clock_s": round(time.monotonic() - started, 3),
     }
     path = out_dir / "manifest.json"
-    _write_json(path, manifest)
+    data.write_json(path, manifest)
     return path
 
 
@@ -146,7 +140,7 @@ def cmd_train(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: dat
     model_path = out_dir / "model.bin"
     model_path.write_bytes(nn.save_network(network))
     metrics_path = out_dir / "metrics.json"
-    _write_json(metrics_path, {
+    data.write_json(metrics_path, {
         "model": kind,
         "optimizer": config.optimizer,
         "strategy": strategy,
@@ -183,8 +177,7 @@ def cmd_tune(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data
                        "" if t.objective is None else repr(t.objective), t.status] for t in result.trials))
     best_config = replace(base, **result.best.assignment)
     best_path = out_dir / "best_config.json"
-    _write_json(best_path, {"train": asdict(best_config),
-                            "objective_grid": result.best.objective})
+    data.write_json(best_path, {"train": asdict(best_config), "objective_grid": result.best.objective})
     print(f"best objective {result.best.objective:.4f} grid units after "
           f"{len(result.trials)} trials: {result.best.assignment}")
     return [trials_path, best_path], exp_config.seed
@@ -197,7 +190,7 @@ def cmd_augment(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: d
     augmented_path = out_dir / "augmented.csv"
     data.write_labelled_csv(result.samples, layout, augmented_path)
     counts_path = out_dir / "counts.json"
-    _write_json(counts_path, result.counts)
+    data.write_json(counts_path, result.counts)
     print(f"strategy {strategy}: {result.counts}")
     return [augmented_path, counts_path], args["seed"]
 
@@ -215,7 +208,7 @@ def cmd_rationalize(args: dict, out_dir: Path, layout: data.BeaconLayout, datase
              "removal_improves_accuracy" if improves else (impact.error or "")] for impact, improves in ranked)
     data.write_table(study_path, ["beacon", "residual_samples", "mean_error_ft", "delta_ft", "flag"], rows)
     summary_path = out_dir / "summary.json"
-    _write_json(summary_path, {
+    data.write_json(summary_path, {
         "baseline_mean_error_ft": result.baseline_feet,
         "seeds": result.seeds,
         "model": args["model"],

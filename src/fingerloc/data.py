@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, get_args
 
 import numpy as np
 
-from .errors import FingerlocError, LayoutError, MalformedLabelError, RowError, SchemaError
+from .errors import FingerlocError, LayoutError, MalformedLabelError, NumericalError, RowError, SchemaError
 
 GRID_SIZE = 25
 NO_SIGNAL = -200.0
@@ -314,6 +314,18 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` as JSON with indent 2, sorted keys and a final newline. The toolkit's only JSON writer.
+    JSON has no infinity or NaN: a document holding one is a ``NumericalError`` naming ``path``, raised before
+    the file is opened."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NumericalError(f"{path} would hold a non-finite number: {e}") from None
+    with open(path, "w") as f:
+        f.write(text + "\n")
 
 
 def write_labelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path) -> None:
