@@ -211,17 +211,8 @@ def load_layout(text: io.TextIOBase | str) -> BeaconLayout:
 
 
 def save_layout(layout: BeaconLayout, path: str | Path) -> None:
-    doc = {
-        "grid": [GRID_SIZE, GRID_SIZE],
-        "cell_feet": layout.cell_feet,
-        "beacons": [
-            {"id": bid, "x": x, "y": y}
-            for bid, x, y in zip(layout.ids, layout.xs, layout.ys)
-        ],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_json(path, {"grid": [GRID_SIZE, GRID_SIZE], "cell_feet": layout.cell_feet,
+                      "beacons": [{"id": bid, "x": x, "y": y} for bid, x, y in zip(layout.ids, layout.xs, layout.ys)]})
 
 
 def default_layout() -> BeaconLayout:

@@ -17,7 +17,7 @@ GOLDEN = {
     "augment/augmented.csv": "7bea61c1671227aa82515a987195a9d9589c12d3838347c5e36a1a1e3f8f4bdf",
     "augment/counts.json": "a701448863090f3a47516de125ae3b4ae53538c18c6749091f22479f9323194e",
     "corpus/labelled.csv": "1847e30964c8868a544deb5ef1d9ffee6629dac15d9f7cce4dad426fdde1be10",
-    "corpus/layout.json": "190feba8bd105f7e49a02351bc0de8c1b88c4edf6c31f4d61c41d286d37f4e91",
+    "corpus/layout.json": "467eef591c25dcff4847e2c522ace8f6afee7c425c3909bf643a5d4b31d8f3cb",
     "corpus/unlabelled.csv": "57863c75aeb053067249bf0061fbd447c5ec46f76bc0359cd3fe884e7f192864",
     "study/study.csv": "898b2fc4346e1913ff090da0bd397d5acbf3bbeb6c84287a53723c2ea6eaabde",
     "study/summary.json": "1e2ba1327f68262abc919c233dc5dd61f3b98eda0b88d45b2556e47b79f47c00",
