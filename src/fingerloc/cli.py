@@ -164,7 +164,7 @@ def cmd_tune(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data
     exp_config = _overlay(hpo.ExperimentConfig, spec, args, "experiment spec")
     base = _overlay(nn.TrainConfig, {"seed": exp_config.seed}, args, "train config")
     if params is None:
-        space = hpo.default_space(args["optimizer"])
+        space = hpo.default_space(base.optimizer)
     else:
         entries = [data.checked(p, {"name": str, "min": float, "max": float}, "search-space entry", ConfigError,
                                 required=True) for p in params]
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--labelled", "--layout", "--out-dir", "--model", "--epochs")
     p.add_argument("--seed", **config_seed)
     p.add_argument("--spec", help="experiment spec JSON (algorithm, max_trials, goal, seed, space)")
-    p.add_argument("--optimizer", choices=nn.OPTIMIZERS, default="adam")
+    p.add_argument("--optimizer", choices=nn.OPTIMIZERS, default=None)
 
     p = sub.add_parser("augment", help="grow the labelled set")
     _add(p, "--labelled", "--unlabelled", "--layout", "--seed", "--out-dir", "--threshold")

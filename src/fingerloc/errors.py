@@ -46,9 +46,6 @@ class DivergedError(NumericalError):
 
     def __init__(self, epoch: int, batch: int, loss: float):
         super().__init__(f"training diverged at epoch {epoch}, batch {batch} (loss={loss!r})")
-        self.epoch = epoch
-        self.batch = batch
-        self.loss = loss
 
 
 class LoadError(DataError):

@@ -41,10 +41,6 @@ class SearchSpace:
     def names(self) -> list[str]:
         return [p[0] for p in self.params]
 
-    @property
-    def dim(self) -> int:
-        return len(self.params)
-
     def normalize(self, assignment: dict[str, float]) -> np.ndarray:
         return np.array([(assignment[n] - lo) / (hi - lo) for n, lo, hi in self.params])
 
@@ -156,7 +152,7 @@ class Suggester:
         self.space = space
         self.rng = np.random.Generator(np.random.PCG64(config.seed))
         if self.algorithm == "grid":  # res points per axis make at least max_trials lattice points
-            self._res = max(1, math.ceil(config.max_trials ** (1.0 / space.dim)))
+            self._res = max(1, math.ceil(config.max_trials ** (1.0 / len(space.params))))
 
     def _grid_point(self, index: int) -> dict[str, float]:
         """Point ``index`` of itertools.product over the axes, each ``np.linspace(lo, hi, res)``
@@ -184,7 +180,7 @@ class Suggester:
             return self._random_assignment()
         x = np.stack([self.space.normalize(t.assignment) for t in observed])
         y = np.array([t.objective for t in observed])
-        candidates = self.rng.uniform(0.0, 1.0, size=(EI_CANDIDATES, self.space.dim))
+        candidates = self.rng.uniform(0.0, 1.0, size=(EI_CANDIDATES, len(self.space.params)))
         mean, var = GpSurrogate(x, y).predict(candidates)
         ei = expected_improvement(mean, np.sqrt(var), float(y.min()))
         return self.space.denormalize(candidates[int(np.argmax(ei))])

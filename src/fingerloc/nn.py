@@ -39,12 +39,13 @@ MAX_WINDOW = 1 << 10  # the most offsets in a pool's window, which every forward
 class Layer:
     """Base layer: zeroed parameter arrays in ``params`` and gradient arrays in ``grads``.
 
-    A subclass states how ``model.bin`` records it: its ``kind``, and ``size_keys``, the spec key of
-    each constructor argument in order; a layer built with trailing arguments left at their default,
-    None, has fewer ``sizes``, and its spec stops before their keys. ``param_shapes`` maps the sizes to
-    the parameter shapes, and ``fixed_shapes`` to the shapes of the fixed arrays, which the constructor
-    takes after its sizes and keeps in ``fixed``. So ``load_network`` checks a file's shapes
-    before it builds any layer, and ``KINDS`` maps each kind to its class. A ``Network`` rebinds the
+    A subclass defines ``forward(x)`` and ``backward(dy)``. It states how ``model.bin`` records it: its
+    ``kind``, and ``size_keys``, the spec key of each constructor argument in order; a layer built with
+    trailing arguments left at their default, None, has fewer ``sizes``, and its spec stops before their
+    keys. ``param_shapes`` maps the sizes to the parameter shapes, and ``fixed_shapes`` to the shapes of
+    the fixed arrays, which the constructor takes after its sizes and keeps in ``fixed``. So
+    ``load_network`` checks a file's shapes before it builds any layer, and ``KINDS`` maps each kind to its
+    class. A ``Network`` rebinds the
     parameter arrays to views into its ``theta`` and ``grad``, so layers write in place; the fixed
     arrays stay outside both. ``input_grad`` says whether ``backward`` must return the gradient of its
     input; a ``Network`` clears it on the first layer it runs, whose input gradient no one reads. A
@@ -71,12 +72,6 @@ class Layer:
 
     def init_params(self, rng: np.random.Generator) -> None:
         pass
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def spec(self) -> dict:
         """The layer as ``model.bin`` records it: its ``kind`` and each size under its key, a pair as a list."""
@@ -399,7 +394,7 @@ KINDS: dict[str, type[Layer]] = {cls.kind: cls for cls in (Dense, Conv2d, MaxPoo
 class Network:
     """Sequential composition of layers over one parameter and one gradient vector.
 
-    ``layers`` is the saved order: the order ``save_network`` records, ``theta`` and ``init_params``
+    ``layers`` is the saved order: the order ``save_network`` records, ``theta`` and a seeded initialisation
     follow, and a ``ShapeError`` names. ``run_order`` is the order ``forward`` and ``backward`` run them
     in, as indices into ``layers``: the saved order, except that a ``ReLU`` directly followed by a
     ``MaxPool2d`` runs after the pool, on the pooled array (a ninth of the size after a 3x3 pool). ReLU is
@@ -437,13 +432,9 @@ class Network:
         if self.layers:
             self.layers[self.run_order[0]].input_grad = False
         if seed is not None:
-            self.init_params(seed)
-
-    def init_params(self, seed: int) -> None:
-        # per-layer child streams so adding a layer never reshuffles the others
-        children = np.random.SeedSequence(seed).spawn(len(self.layers))
-        for layer, ss in zip(self.layers, children):
-            layer.init_params(np.random.Generator(np.random.PCG64(ss)))
+            # per-layer child streams so adding a layer never reshuffles the others
+            for layer, ss in zip(self.layers, np.random.SeedSequence(seed).spawn(len(self.layers))):
+                layer.init_params(np.random.Generator(np.random.PCG64(ss)))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for i in self.run_order:

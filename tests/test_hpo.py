@@ -185,7 +185,7 @@ class TestSuggest:
     ], ids=["adam", "cube", "subnormal", "midpoint"])
     def test_grid_points_are_the_linspace_lattice(self, params, max_trials):
         space = hpo.SearchSpace(params)
-        res = max(1, math.ceil(max_trials ** (1.0 / space.dim)))
+        res = max(1, math.ceil(max_trials ** (1.0 / len(space.params))))
         axes = [np.array([(lo + hi) / 2.0]) if res == 1 else np.linspace(lo, hi, res) for _, lo, hi in params]
         lattice = [dict(zip(space.names, (float(v) for v in p))) for p in itertools.product(*axes)]
         s = hpo.Suggester(space, hpo.ExperimentConfig(algorithm="grid", max_trials=max_trials))
