@@ -93,8 +93,8 @@ class AugmentationResult:
 
 def augment(table: Fingerprints, strategy: str, policy: AugmentationPolicy,
             unlabelled: Fingerprints) -> AugmentationResult:
-    """Apply one of ``STRATEGIES`` and account for it. The autoencoder and hybrid strategies
-    first fit the autoencoder on ``unlabelled`` (see :func:`train_autoencoder`)."""
+    """Apply one of ``STRATEGIES`` and account for it. The autoencoder and hybrid strategies first fit
+    the autoencoder on ``unlabelled`` (see :func:`train_autoencoder`), if any cell is under-represented."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     groups = find_underrepresented(table, policy.threshold)
@@ -104,7 +104,7 @@ def augment(table: Fingerprints, strategy: str, policy: AugmentationPolicy,
         new = naive_augment(table, groups, policy)
         counts["naive"] = len(new)
         parts.append(new)
-    if strategy in ("autoencoder", "hybrid"):
+    if strategy in ("autoencoder", "hybrid") and groups:
         new, discarded = autoencoder_augment(table, groups, train_autoencoder(unlabelled, policy)[0])
         counts["kept"] = len(new)
         counts["discarded"] = discarded
