@@ -314,7 +314,7 @@ def write_json(path: str | Path, doc) -> None:
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as e:
-        raise NumericalError(f"{path} would hold a non-finite number: {e}") from None
+        raise NumericalError(f"cannot write {path}: {e}") from None
     with open(path, "w") as f:
         f.write(text + "\n")
 

@@ -657,9 +657,9 @@ def evaluate(network: Network, inputs: np.ndarray, targets: np.ndarray,
     pred = np.concatenate([network.forward(chunk) for chunk in np.split(inputs, ends)])
     errors = np.sqrt(np.sum((pred - targets) ** 2, axis=1))
     mean_grid = float(errors.mean())
-    return Metrics(mean_error_grid=mean_grid,
-                   mean_error_feet=mean_grid * cell_feet,
-                   per_sample_errors_feet=errors * cell_feet)
+    with np.errstate(over="ignore"):  # a figure past the float range in feet is inf; data.write_json refuses it
+        return Metrics(mean_error_grid=mean_grid, mean_error_feet=mean_grid * cell_feet,
+                       per_sample_errors_feet=errors * cell_feet)
 
 
 # ---------------------------------------------------------------------------

@@ -899,6 +899,24 @@ def test_layout_cell_feet_not_finite_and_positive_exits_3(cell_feet, corpus, tmp
     assert "cell_feet" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, written", [(["train"], "metrics.json"),
+                                              (["rationalize", "--n-seeds", "1"], "summary.json")],
+                         ids=["train", "rationalize"])
+def test_figure_past_the_float_range_exits_4_naming_the_json_file(command, written, corpus, tmp_path, capsys):
+    # cell_feet 1e308 is finite, but an error of a few grid units is not, in feet; JSON has no infinity
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps({**json.loads((corpus / "layout.json").read_text()), "cell_feet": 1e308}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = run([*command, "--labelled", str(corpus / "labelled.csv"), "--layout", str(layout),
+                      "--out-dir", str(out), "--epochs", "1"])
+    err = capsys.readouterr().err
+    assert status == cli.EXIT_NUMERICAL
+    assert str(out / written) in err and "Traceback" not in err and "RuntimeWarning" not in err
+    assert not list(out.glob("*.json"))  # neither the refused file nor a manifest
+
+
 @pytest.mark.parametrize("beacon_id", [5, " b1", ["b1"]], ids=["number", "padded", "list"])
 def test_beacon_id_that_no_header_can_match_exits_3(beacon_id, tmp_path, capsys):
     """A reader strips each header field and compares it, as text, to the layout's ids."""
