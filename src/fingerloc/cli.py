@@ -177,7 +177,8 @@ def cmd_tune(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data
                        "" if t.objective is None else repr(t.objective), t.status] for t in result.trials))
     best_config = replace(base, **result.best.assignment)
     best_path = out_dir / "best_config.json"
-    data.write_json(best_path, {"train": asdict(best_config), "objective_grid": result.best.objective})
+    data.write_json(best_path, {"train": asdict(best_config),
+                                "objective_grid": result.best.objective})
     print(f"best objective {result.best.objective:.4f} grid units after "
           f"{len(result.trials)} trials: {result.best.assignment}")
     return [trials_path, best_path], exp_config.seed

@@ -211,8 +211,14 @@ def load_layout(text: io.TextIOBase | str) -> BeaconLayout:
 
 
 def save_layout(layout: BeaconLayout, path: str | Path) -> None:
-    write_json(path, {"grid": [GRID_SIZE, GRID_SIZE], "cell_feet": layout.cell_feet,
-                      "beacons": [{"id": bid, "x": x, "y": y} for bid, x, y in zip(layout.ids, layout.xs, layout.ys)]})
+    write_json(path, {
+        "grid": [GRID_SIZE, GRID_SIZE],
+        "cell_feet": layout.cell_feet,
+        "beacons": [
+            {"id": bid, "x": x, "y": y}
+            for bid, x, y in zip(layout.ids, layout.xs, layout.ys)
+        ],
+    })
 
 
 def default_layout() -> BeaconLayout:

@@ -45,11 +45,11 @@ class Layer:
     keys. ``param_shapes`` maps the sizes to the parameter shapes, and ``fixed_shapes`` to the shapes of
     the fixed arrays, which the constructor takes after its sizes and keeps in ``fixed``. So
     ``load_network`` checks a file's shapes before it builds any layer, and ``KINDS`` maps each kind to its
-    class. A ``Network`` rebinds the
-    parameter arrays to views into its ``theta`` and ``grad``, so layers write in place; the fixed
-    arrays stay outside both. ``input_grad`` says whether ``backward`` must return the gradient of its
-    input; a ``Network`` clears it on the first layer it runs, whose input gradient no one reads. A
-    pixel ``Conv2d`` reads the network's input and returns no input gradient wherever it runs.
+    class. A ``Network`` rebinds the parameter arrays to views into its ``theta`` and ``grad``, so layers
+    write in place; the fixed arrays stay outside both. ``input_grad`` says whether ``backward`` must
+    return the gradient of its input; a ``Network`` clears it on the first layer it runs, whose input
+    gradient no one reads. A pixel ``Conv2d`` reads the network's input and returns no input gradient
+    wherever it runs.
     """
 
     kind: str
@@ -433,7 +433,8 @@ class Network:
             self.layers[self.run_order[0]].input_grad = False
         if seed is not None:
             # per-layer child streams so adding a layer never reshuffles the others
-            for layer, ss in zip(self.layers, np.random.SeedSequence(seed).spawn(len(self.layers))):
+            children = np.random.SeedSequence(seed).spawn(len(self.layers))
+            for layer, ss in zip(self.layers, children):
                 layer.init_params(np.random.Generator(np.random.PCG64(ss)))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -658,7 +659,8 @@ def evaluate(network: Network, inputs: np.ndarray, targets: np.ndarray,
     errors = np.sqrt(np.sum((pred - targets) ** 2, axis=1))
     mean_grid = float(errors.mean())
     with np.errstate(over="ignore"):  # a figure past the float range in feet is inf; data.write_json refuses it
-        return Metrics(mean_error_grid=mean_grid, mean_error_feet=mean_grid * cell_feet,
+        return Metrics(mean_error_grid=mean_grid,
+                       mean_error_feet=mean_grid * cell_feet,
                        per_sample_errors_feet=errors * cell_feet)
 
 
