@@ -132,7 +132,7 @@ def test_renaming_the_beacons_changes_no_number(seed, ids):
         studies = {}
         for name, layout in layouts.items():
             with open(tmp / name / "rationalize" / "study.csv", newline="") as f:
-                header, *rows = csv.reader(f)
+                _, *rows = csv.reader(f)
             studies[name] = [(layout.ids.index(beacon), *rest) for beacon, *rest in rows]
         # each beacon position has the same row, and the ranking's deltas come in the same order
         assert sorted(studies["renamed"]) == sorted(studies["base"])
