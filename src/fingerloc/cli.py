@@ -82,8 +82,11 @@ def write_manifest(out_dir: Path, command: str, args: dict, inputs: dict[str, st
 
 
 def write_cdf(errors_feet: np.ndarray, path: Path) -> None:
-    """Empirical CDF of per-sample errors: nondecreasing, final fraction 1.0."""
+    """Empirical CDF of per-sample errors: nondecreasing, final fraction 1.0. An error that is not finite is a
+    ``NumericalError`` naming ``path``, raised before the file is opened."""
     ordered = np.sort(np.asarray(errors_feet, dtype=np.float64))
+    if not np.all(np.isfinite(ordered)):  # NaN and inf sort last
+        raise NumericalError(f"cannot write {path}: a per-sample error is {float(ordered[-1])!r} ft")
     n = len(ordered)
     data.write_table(path, ["error_ft", "fraction"],
                      ([repr(e), repr((i + 1) / n)] for i, e in enumerate(ordered.tolist())))
@@ -137,8 +140,7 @@ def cmd_train(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: dat
 
     network, history, metrics = models.fit(kind, train_set, test_set, layout, config)
 
-    model_path = out_dir / "model.bin"
-    model_path.write_bytes(nn.save_network(network))
+    # the files that can refuse a figure come first, so a refused run leaves none
     metrics_path = out_dir / "metrics.json"
     data.write_json(metrics_path, {
         "model": kind,
@@ -152,7 +154,13 @@ def cmd_train(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: dat
         "parameter_count": network.theta.size,
     })
     cdf_path = out_dir / "cdf.csv"
-    write_cdf(metrics.per_sample_errors_feet, cdf_path)
+    try:
+        write_cdf(metrics.per_sample_errors_feet, cdf_path)
+    except NumericalError:  # a per-sample error past the float range, in feet, whose mean is not
+        metrics_path.unlink()
+        raise
+    model_path = out_dir / "model.bin"
+    model_path.write_bytes(nn.save_network(network))
     print(f"mean error: {metrics.mean_error_grid:.3f} grid units / "
           f"{metrics.mean_error_feet:.1f} ft ({len(test_set)} test samples)")
     return [model_path, metrics_path, cdf_path], config.seed
@@ -202,13 +210,7 @@ def cmd_rationalize(args: dict, out_dir: Path, layout: data.BeaconLayout, datase
     result = rationalize.dropout_study(args["model"], config, dataset, seeds)
     ranked = rationalize.rank_beacons(result)
 
-    study_path = out_dir / "study.csv"
-    rows = ([impact.beacon_id, impact.residual_samples,
-             "" if impact.mean_error_feet is None else repr(impact.mean_error_feet),
-             "" if impact.delta_feet is None else repr(impact.delta_feet),
-             "removal_improves_accuracy" if improves else (impact.error or "")] for impact, improves in ranked)
-    data.write_table(study_path, ["beacon", "residual_samples", "mean_error_ft", "delta_ft", "flag"], rows)
-    summary_path = out_dir / "summary.json"
+    summary_path = out_dir / "summary.json"  # first: it holds every figure of study.csv and refuses a non-finite one
     data.write_json(summary_path, {
         "baseline_mean_error_ft": result.baseline_feet,
         "seeds": result.seeds,
@@ -220,6 +222,12 @@ def cmd_rationalize(args: dict, out_dir: Path, layout: data.BeaconLayout, datase
             for i in result.impacts
         ],
     })
+    study_path = out_dir / "study.csv"
+    rows = ([impact.beacon_id, impact.residual_samples,
+             "" if impact.mean_error_feet is None else repr(impact.mean_error_feet),
+             "" if impact.delta_feet is None else repr(impact.delta_feet),
+             "removal_improves_accuracy" if improves else (impact.error or "")] for impact, improves in ranked)
+    data.write_table(study_path, ["beacon", "residual_samples", "mean_error_ft", "delta_ft", "flag"], rows)
     print(f"baseline {result.baseline_feet:.1f} ft; "
           f"top impact: {ranked[0][0].beacon_id} ({ranked[0][0].delta_feet})")
     return [study_path, summary_path], config.seed

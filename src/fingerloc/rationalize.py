@@ -44,9 +44,10 @@ class DropoutStudyResult:
 
 
 def _mean_error_feet(model_kind: str, config: TrainConfig, dataset: Dataset, seeds: list[int]) -> float:
-    return float(np.mean([
-        score(model_kind, dataset.labelled, dataset.layout, replace(config, seed=seed)).mean_error_feet
-        for seed in seeds]))
+    errors = [score(model_kind, dataset.labelled, dataset.layout, replace(config, seed=seed)).mean_error_feet
+              for seed in seeds]
+    with np.errstate(over="ignore"):  # a sum past the float range is inf; data.write_json refuses it
+        return float(np.mean(errors))
 
 
 def dropout_study(model_kind: str, config: TrainConfig, dataset: Dataset,

@@ -899,13 +899,18 @@ def test_layout_cell_feet_not_finite_and_positive_exits_3(cell_feet, corpus, tmp
     assert "cell_feet" in err and "Traceback" not in err
 
 
+def _layout_with_cell_feet(corpus: Path, cell_feet: float, tmp_path: Path) -> Path:
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps({**json.loads((corpus / "layout.json").read_text()), "cell_feet": cell_feet}))
+    return layout
+
+
 @pytest.mark.parametrize("command, written", [(["train"], "metrics.json"),
                                               (["rationalize", "--n-seeds", "1"], "summary.json")],
                          ids=["train", "rationalize"])
 def test_figure_past_the_float_range_exits_4_naming_the_json_file(command, written, corpus, tmp_path, capsys):
     # cell_feet 1e308 is finite, but an error of a few grid units is not, in feet; JSON has no infinity
-    layout = tmp_path / "layout.json"
-    layout.write_text(json.dumps({**json.loads((corpus / "layout.json").read_text()), "cell_feet": 1e308}))
+    layout = _layout_with_cell_feet(corpus, 1e308, tmp_path)
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -914,7 +919,42 @@ def test_figure_past_the_float_range_exits_4_naming_the_json_file(command, writt
     err = capsys.readouterr().err
     assert status == cli.EXIT_NUMERICAL
     assert str(out / written) in err and "Traceback" not in err and "RuntimeWarning" not in err
-    assert not list(out.glob("*.json"))  # neither the refused file nor a manifest
+    assert not list(out.glob("*"))  # neither the refused file, nor one written before it, nor a manifest
+
+
+def test_per_sample_error_past_the_float_range_exits_4_naming_cdf_csv(tmp_path, capsys):
+    # cell_feet 5e307: the mean error in feet is finite, so metrics.json takes it, but 39 of the per-sample
+    # errors are not; cdf.csv held them as inf on a run that exited 0
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--out-dir", str(corpus), "--locations", "284", "--samples-per-location", "5",
+                "--seed", "0"]) == 0
+    layout = _layout_with_cell_feet(corpus, 5e307, tmp_path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = run(["train", "--labelled", str(corpus / "labelled.csv"), "--layout", str(layout),
+                      "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert status == cli.EXIT_NUMERICAL
+    assert f"cannot write {out / 'cdf.csv'}: a per-sample error is inf ft" in err and "Traceback" not in err
+    assert not list(out.glob("*"))  # metrics.json, written before the refusal, is taken back
+
+
+def test_mean_over_seeds_past_the_float_range_exits_4_without_a_warning(tmp_path, capsys):
+    # each seed's error in feet is finite at cell_feet 7e306, their sum is not
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--out-dir", str(corpus), "--locations", "30", "--samples-per-location", "3",
+                "--seed", "1"]) == 0
+    layout = _layout_with_cell_feet(corpus, 7e306, tmp_path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = run(["rationalize", "--labelled", str(corpus / "labelled.csv"), "--layout", str(layout),
+                      "--out-dir", str(out), "--n-seeds", "2", "--epochs", "2"])
+    err = capsys.readouterr().err
+    assert status == cli.EXIT_NUMERICAL
+    assert str(out / "summary.json") in err and "Traceback" not in err and "RuntimeWarning" not in err
+    assert not list(out.glob("*"))
 
 
 @pytest.mark.parametrize("beacon_id", [5, " b1", ["b1"]], ids=["number", "padded", "list"])
@@ -954,8 +994,21 @@ def test_layout_without_beacons_exits_3(tmp_path, capsys):
     assert "no beacons" in capsys.readouterr().err
 
 
-def test_commands_without_a_gp_do_not_load_scipy(tmp_path):
-    # scipy is imported only where tune fits a GP: importing it costs every other command about 1 s
+def _tune_argv(corpus: Path, out: Path, tmp_path: Path) -> list[str]:
+    """A Bayesian tune of four trials: the fourth, after the three warm-up trials, is suggested by a fitted GP."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"max_trials": 4}')
+    return ["tune", "--labelled", str(corpus / "labelled.csv"), "--layout", str(corpus / "layout.json"),
+            "--spec", str(spec), "--out-dir", str(out), "--epochs", "1", "--seed", "2"]
+
+
+def _subprocess_env() -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # scipy is a test oracle only: importing it costs a process about 25 MB and 0.15 s
     script = textwrap.dedent("""
         import json, sys
         from fingerloc import cli
@@ -964,14 +1017,30 @@ def test_commands_without_a_gp_do_not_load_scipy(tmp_path):
                          "--samples-per-location", "2", "--seed", "0"]) == 0
         assert cli.main(["train", "--labelled", out + "/c/labelled.csv", "--layout", out + "/c/layout.json",
                          "--out-dir", out + "/t", "--epochs", "1"]) == 0
+        assert cli.main(json.loads(sys.argv[2])) == 0
         print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
     """)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True,
-                          text=True, timeout=300)
+    tune = _tune_argv(tmp_path / "c", tmp_path / "tune", tmp_path)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), json.dumps(tune)], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert len((tmp_path / "tune" / "trials.csv").read_text().splitlines()) == 1 + 4
+
+
+def test_tune_runs_where_scipy_cannot_be_imported(corpus, tmp_path):
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # every import of scipy, or of a module in it, raises ImportError
+        from fingerloc import cli
+        sys.exit(cli.main(sys.argv[1:]))
+    """)
+    argv = _tune_argv(corpus, tmp_path / "without", tmp_path)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=_subprocess_env(), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert run(_tune_argv(corpus, tmp_path / "with", tmp_path)) == 0
+    assert (tmp_path / "without" / "trials.csv").read_bytes() == (tmp_path / "with" / "trials.csv").read_bytes()
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=100))

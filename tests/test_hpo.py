@@ -143,6 +143,19 @@ class TestExpectedImprovement:
         assert np.sum(z > 40.0) > 100 and np.sum(z < -40.0) > 100 and np.any(np.isinf(z))
         assert np.array_equal(ei.view(np.uint64), expected.view(np.uint64))
 
+    def test_ndtr_bits_match_scipy_at_each_branch_edge(self):
+        from scipy.special import ndtr
+        # ndtr takes erf below 1/sqrt(2) and erfc above it; erfc takes 1 - erf below 1, one rational function
+        # below 8 and another above it, and underflows past -MAXLOG (|a| beyond about 37.7); x = a / sqrt(2)
+        edges = [0.0, 1.0, math.sqrt(0.5), math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.7, 38.6,
+                 math.sqrt(2.0 * hpo._MAXLOG), 5e-324, 1e308, math.inf]
+        edges = np.array([e for edge in edges for e in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf))])
+        rng = np.random.Generator(np.random.PCG64(23))
+        draws = rng.normal(size=(5, 2000)) * [[0.3], [1.0], [3.0], [10.0], [30.0]]
+        a = np.concatenate([edges, -edges, draws.ravel()])
+        assert np.array_equal(hpo._ndtr(a).view(np.uint64), ndtr(a).view(np.uint64))
+        assert np.isnan(hpo._ndtr(np.array([np.nan]))).all()
+
     def test_zero_at_noiseless_observed_point(self):
         x = np.array([[0.3], [0.7]])
         y = np.array([1.0, 2.0])
