@@ -132,7 +132,7 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.n
 # rounds it. Each polynomial lists its coefficients from the highest power down; a leading 1.0 is the one
 # that Cephes' p1evl implies.
 _SQRT1_2 = 0.70710678118654752440  # M_SQRT1_2
-_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): exp of anything below it underflows
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc is 0 where -x*x is below -MAXLOG
 _T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
       5.55923013010394962768e4)
 _U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
