@@ -304,7 +304,7 @@ def _run(command: str, args: dict, recorded: dict[str, str] | None = None) -> No
 def _rerun(args: dict) -> None:
     manifest_path = Path(args["manifest"])
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         command = str(manifest["command"])
         recorded = dict(manifest["args"])
         inputs = dict(manifest["inputs"])

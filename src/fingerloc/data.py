@@ -11,6 +11,7 @@ import io
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
@@ -23,7 +24,7 @@ from .errors import FingerlocError, LayoutError, MalformedLabelError, NumericalE
 GRID_SIZE = 25
 NO_SIGNAL = -200.0
 DEFAULT_CELL_FEET = 10.0
-_SYNTH_BLOCK_ROWS = 256  # rows whose distances are Python floats at one time
+_SYNTH_BLOCK_ROWS = 256  # rows whose distances, or whose readings as text, are Python objects at one time
 
 _DEFAULT_LAYOUT_PATH = Path(__file__).parent / "layouts" / "default_layout.json"
 
@@ -72,7 +73,8 @@ class BeaconLayout:
 class Fingerprints:
     """A read-only table of fingerprint rows, one array per column.
 
-    ``rssi`` is (N, n_beacons) float64 dBm and ``timestamps`` (N,) text.
+    ``rssi`` is (N, n_beacons) float64 dBm and ``timestamps`` (N,) text, a ``StringDType`` array: each
+    string takes its own length, and a trailing NUL is kept.
     Labelled rows also carry ``cells``, the (N, 2) integer grid cell
     ``[x, y]`` that is each row's location; it is None for unlabelled rows.
     Tables compare equal when every column is exactly equal.
@@ -84,7 +86,7 @@ class Fingerprints:
 
     def __post_init__(self):
         columns = {"rssi": np.asarray(self.rssi, dtype=np.float64),
-                   "timestamps": np.asarray(self.timestamps, dtype=str)}
+                   "timestamps": np.asarray(self.timestamps, dtype=np.dtypes.StringDType())}
         if self.cells is not None:
             columns["cells"] = np.asarray(self.cells, dtype=np.int64).reshape(-1, 2)
         if columns["rssi"].ndim != 2 or any(len(c) != len(columns["rssi"]) for c in columns.values()):
@@ -225,21 +227,30 @@ def default_layout() -> BeaconLayout:
     return load_layout(_DEFAULT_LAYOUT_PATH.read_text(encoding="utf-8"))
 
 
-def _parse_rssi_row(fields: Sequence[str], line: int) -> list[float]:
-    values = []
+def _out_of_range(line: int, v: float) -> RowError:
+    return RowError(line, f"RSSI {v} outside [{NO_SIGNAL}, 0]")
+
+
+def _parse_rssi_row(fields: Sequence[str], line: int) -> None:
+    """Raise the error of the first field, in field order, that is not a number in [NO_SIGNAL, 0]."""
     for raw in fields:
         try:
             v = float(raw)
         except ValueError:
             raise RowError(line, f"non-numeric RSSI value {raw!r}") from None
         if not (NO_SIGNAL <= v <= 0.0):
-            raise RowError(line, f"RSSI {v} outside [{NO_SIGNAL}, 0]")
-        values.append(v)
-    return values
+            raise _out_of_range(line, v)
 
 
-def _rssi_matrix(rows: list, layout: BeaconLayout) -> np.ndarray:
-    return np.array(rows, dtype=np.float64).reshape(len(rows), layout.n_beacons)
+def _check_range(readings: array, lines: array, n_beacons: int) -> np.ndarray:
+    """The first ``len(lines)`` rows of ``readings`` as an (N, n_beacons) view, once each reading is in
+    [NO_SIGNAL, 0]; else the error of the first one that is not, NaN included, in row order."""
+    rssi = np.frombuffer(readings, dtype=np.float64, count=len(lines) * n_beacons).reshape(-1, n_beacons)
+    bad = ~((NO_SIGNAL <= rssi) & (rssi <= 0.0))
+    if bad.any():
+        row, column = np.argwhere(bad)[0]
+        raise _out_of_range(lines[row], float(rssi[row, column]))
+    return rssi
 
 
 def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str, ...], what: str):
@@ -277,69 +288,101 @@ def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str
         raise RowError(start, str(e)) from None
 
 
+def _parse_table(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str, ...], what: str,
+                 take_lead) -> np.ndarray:
+    """The readings of each row of a ``<lead...>,<beacons...>`` CSV (see :func:`_csv_rows`), as an
+    (N, n_beacons) float64 matrix; each row's stripped lead fields go to ``take_lead`` first.
+
+    Every reading goes straight into one flat float64 buffer, and the range is checked over the whole
+    buffer at the end. An error is still the first in file order: a field ``float`` refuses re-reads its
+    row field by field, and any other error in a row is raised after the rows before it are checked."""
+    readings, lines = array("d"), array("q")
+    try:
+        for line, lead_fields, fields in _csv_rows(stream, layout, lead, what):
+            take_lead(*lead_fields)
+            try:
+                readings.extend(map(float, fields))
+            except ValueError:
+                _parse_rssi_row(fields, line)
+            lines.append(line)
+    except FingerlocError:
+        _check_range(readings, lines, layout.n_beacons)
+        raise
+    return _check_range(readings, lines, layout.n_beacons)
+
+
 def parse_labelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> Fingerprints:
     """Parse a ``location,date,<beacons...>`` CSV into a labelled table."""
-    timestamps, cells, rssi = [], [], []
-    for lineno, (label, timestamp), values in _csv_rows(stream, layout, ("location", "date"), "labelled"):
+    timestamps, cells = [], []
+
+    def take_lead(label: str, timestamp: str) -> None:
         cells.append(decode_location_label(label))
         timestamps.append(timestamp)
-        rssi.append(_parse_rssi_row(values, lineno))
-    return Fingerprints(_rssi_matrix(rssi, layout), timestamps, cells)
+
+    rssi = _parse_table(stream, layout, ("location", "date"), "labelled", take_lead)
+    return Fingerprints(rssi, timestamps, cells)
 
 
 def parse_unlabelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> Fingerprints:
     """Parse a ``date,<beacons...>`` CSV into an unlabelled table."""
-    timestamps, rssi = [], []
-    for lineno, (timestamp,), values in _csv_rows(stream, layout, ("date",), "unlabelled"):
-        timestamps.append(timestamp)
-        rssi.append(_parse_rssi_row(values, lineno))
-    return Fingerprints(_rssi_matrix(rssi, layout), timestamps)
+    timestamps = []
+    rssi = _parse_table(stream, layout, ("date",), "unlabelled", timestamps.append)
+    return Fingerprints(rssi, timestamps)
 
 
 def load_dataset(labelled: io.TextIOBase | str, unlabelled: io.TextIOBase | str | None, layout: BeaconLayout) -> Dataset:
     """Parse a labelled CSV and, if given, an unlabelled one: each a text stream or a str, as
     :func:`parse_labelled_csv` takes."""
     labelled = parse_labelled_csv(labelled, layout)
-    unlabelled = (Fingerprints(_rssi_matrix([], layout), []) if unlabelled is None
+    unlabelled = (Fingerprints(np.empty((0, layout.n_beacons)), []) if unlabelled is None
                   else parse_unlabelled_csv(unlabelled, layout))
     return Dataset(labelled=labelled, unlabelled=unlabelled, layout=layout)
 
 
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV file: the ``header`` row, then each of ``rows``. The toolkit's only CSV writer."""
-    with open(path, "w", newline="") as f:
+    """Write a CSV file, UTF-8: the ``header`` row, then each of ``rows``. The toolkit's only CSV writer."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def write_json(path: str | Path, doc) -> None:
-    """Write ``doc`` as JSON with indent 2, sorted keys and a final newline. The toolkit's only JSON writer.
-    JSON has no infinity or NaN: a document holding one is a ``NumericalError`` naming ``path``, raised before
-    the file is opened."""
+    """Write ``doc`` as UTF-8 JSON with indent 2, sorted keys and a final newline. The toolkit's only JSON
+    writer. JSON has no infinity or NaN: a document holding one is a ``NumericalError`` naming ``path``,
+    raised before the file is opened."""
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as e:
         raise NumericalError(f"cannot write {path}: {e}") from None
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(text + "\n")
 
 
+def _write_readings(path: str | Path, header: Sequence[str], rssi: np.ndarray, *lead: Iterable) -> None:
+    """Write a table through :func:`write_table`: row k is the k-th item of each ``lead`` column, then the
+    readings ``rssi[k]``. A whole number is written as an integer (``-200``, and ``0`` for -0.0), any other
+    reading as the repr of its Python float, which parses back to the same bits. The text is made a block
+    of rows at a time, so no Python object per reading of the whole table is alive at once. A reading that is
+    not finite is a ``NumericalError`` naming ``path``, raised before the file is opened."""
+    finite = np.isfinite(rssi)
+    if not finite.all():
+        raise NumericalError(f"cannot write {path}: an RSSI reading is {float(rssi[~finite][0])!r}")
+    blocks = (rssi[start:start + _SYNTH_BLOCK_ROWS].ravel() for start in range(0, len(rssi), _SYNTH_BLOCK_ROWS))
+    text = (str(int(v)) if whole else repr(v)
+            for block in blocks for v, whole in zip(block.tolist(), (block == np.trunc(block)).tolist()))
+    write_table(path, header, zip(*lead, *[text] * rssi.shape[1]))
+
+
 def write_labelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path) -> None:
-    """Write labelled rows, each location as its cell's canonical label."""
-    # .tolist() gives Python floats, whose repr is the plain number
-    columns = zip(table.cells.tolist(), table.timestamps.tolist(), table.rssi.tolist())
-    write_table(path, ["location", "date", *layout.ids],
-                ([encode_location_label(cell), timestamp, *map(_fmt, rssi)] for cell, timestamp, rssi in columns))
+    """Write labelled rows as UTF-8, each location as its cell's canonical label."""
+    _write_readings(path, ["location", "date", *layout.ids], table.rssi,
+                    map(encode_location_label, table.cells.tolist()), table.timestamps)
 
 
 def write_unlabelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path) -> None:
-    columns = zip(table.timestamps.tolist(), table.rssi.tolist())
-    write_table(path, ["date", *layout.ids], ([timestamp, *map(_fmt, rssi)] for timestamp, rssi in columns))
-
-
-def _fmt(v: float) -> str:
-    return repr(v) if v != int(v) else str(int(v))
+    """Write unlabelled rows as UTF-8."""
+    _write_readings(path, ["date", *layout.ids], table.rssi, table.timestamps)
 
 
 def split(table: Fingerprints, ratio: float, seed: int) -> tuple[Fingerprints, Fingerprints]:

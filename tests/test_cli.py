@@ -1043,6 +1043,21 @@ def test_tune_runs_where_scipy_cannot_be_imported(corpus, tmp_path):
     assert (tmp_path / "without" / "trials.csv").read_bytes() == (tmp_path / "with" / "trials.csv").read_bytes()
 
 
+def test_files_are_utf_8_under_the_c_locale(tmp_path):
+    # without UTF-8 mode and locale coercion, the C locale makes Python's default text encoding ASCII
+    (tmp_path / "layout.json").write_text(json.dumps({"beacons": [{"id": "b\u00e91", "x": 1.0, "y": 2.0},
+                                                                  {"id": "b2", "x": 12.0, "y": 20.0}]}))
+    env = dict(_subprocess_env(), PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    for argv in (["synth", "--layout", "layout.json", "--out-dir", "c", "--locations", "10",
+                  "--samples-per-location", "2", "--unlabelled-count", "3"],
+                 ["train", "--labelled", "c/labelled.csv", "--unlabelled", "c/unlabelled.csv",
+                  "--layout", "c/layout.json", "--out-dir", "t", "--epochs", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "fingerloc.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "c" / "labelled.csv").read_bytes().startswith("location,date,b\u00e91,b2\r\n".encode())
+
+
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=100))
 def test_cdf_rows_form_a_distribution(errors):
     with tempfile.TemporaryDirectory() as tmp:

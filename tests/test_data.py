@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fingerloc import data
 from conftest import labelled_table
-from fingerloc.errors import LayoutError, MalformedLabelError, RowError, SchemaError
+from fingerloc.errors import LayoutError, MalformedLabelError, NumericalError, RowError, SchemaError
 
 
 class TestLocationCodec:
@@ -434,7 +435,8 @@ class TestCsvRoundTrip:
 
     # exact: a float written as repr(np.float64(...)) would not parse back
     rssi_rows = st.lists(st.lists(st.floats(data.NO_SIGNAL, 0.0), min_size=13, max_size=13), max_size=12)
-    stamps = st.text(alphabet="abcXYZ0123456789-:.", max_size=10)
+    # the reader strips each lead field, so a stamp keeps only inner spaces and line breaks
+    stamps = st.text(alphabet='abcXYZ0123456789-:.,"\r\n \x00', max_size=10).filter(lambda s: s == s.strip())
 
     @given(st.data())
     def test_labelled_round_trip_property(self, layout, tmp_path_factory, gen):
@@ -445,7 +447,8 @@ class TestCsvRoundTrip:
         table = labelled_table(cells, np.array(rssi).reshape(n, 13), stamps)
         path = tmp_path_factory.mktemp("csv") / "labelled.csv"
         data.write_labelled_csv(table, layout, path)
-        assert data.parse_labelled_csv(path.read_text(), layout) == table
+        with open(path, encoding="utf-8", newline="") as f:
+            assert data.parse_labelled_csv(f, layout) == table
 
     @given(rssi_rows, st.data())
     def test_unlabelled_round_trip_property(self, layout, tmp_path_factory, rssi, gen):
@@ -453,4 +456,186 @@ class TestCsvRoundTrip:
         table = data.Fingerprints(np.array(rssi).reshape(len(rssi), 13), stamps)
         path = tmp_path_factory.mktemp("csv") / "unlabelled.csv"
         data.write_unlabelled_csv(table, layout, path)
-        assert data.parse_unlabelled_csv(path.read_text(), layout) == table
+        with open(path, encoding="utf-8", newline="") as f:
+            assert data.parse_unlabelled_csv(f, layout) == table
+
+    def test_a_stamp_ending_in_nul_keeps_it(self, layout, tmp_path):
+        table = data.Fingerprints(np.full((2, 13), -70.0), ["ts\x00", "\x00"])
+        path = tmp_path / "unlabelled.csv"
+        data.write_unlabelled_csv(table, layout, path)
+        with open(path, encoding="utf-8", newline="") as f:
+            parsed = data.parse_unlabelled_csv(f, layout)
+        assert parsed.timestamps.tolist() == ["ts\x00", "\x00"]
+
+
+def _reference_parse(text: str, layout, labelled: bool):
+    """The per-row parser the flat-buffer one replaced: each row's fields are read and range-checked in field
+    order as the row is met, so the first error in the file is the one raised."""
+    cells, stamps, rows = [], [], []
+    lead = ("location", "date") if labelled else ("date",)
+    for line, lead_fields, fields in data._csv_rows(text, layout, lead, "labelled" if labelled else "unlabelled"):
+        if labelled:
+            cells.append(data.decode_location_label(lead_fields[0]))
+        stamps.append(lead_fields[-1])
+        values = []
+        for raw in fields:
+            try:
+                v = float(raw)
+            except ValueError:
+                raise RowError(line, f"non-numeric RSSI value {raw!r}") from None
+            if not (data.NO_SIGNAL <= v <= 0.0):
+                raise RowError(line, f"RSSI {v} outside [{data.NO_SIGNAL}, 0]")
+            values.append(v)
+        rows.append(values)
+    rssi = np.array(rows, dtype=np.float64).reshape(len(rows), layout.n_beacons)
+    return data.Fingerprints(rssi, stamps, cells if labelled else None)
+
+
+def _outcome(parse, text: str, layout, labelled: bool):
+    """The table's columns, bit for bit, or the error's type and message."""
+    try:
+        table = parse(text, layout, labelled)
+    except (RowError, SchemaError, MalformedLabelError) as e:
+        return type(e).__name__, str(e)
+    cells = None if table.cells is None else table.cells.tolist()
+    return table.rssi.shape, table.rssi.tobytes(), table.timestamps.tolist(), cells
+
+
+def _parse(text: str, layout, labelled: bool):
+    return (data.parse_labelled_csv if labelled else data.parse_unlabelled_csv)(text, layout)
+
+
+READINGS = st.sampled_from(["-70", "-200", "0", "-0", "-55.25", " -3 ", "5e-324", "-200.0001", "x", "", "nan",
+                            "inf", "1e400", "\u0663", "1_0", "-250"])
+
+
+@st.composite
+def mutated_csvs(draw):
+    """(labelled, text): a small CSV over THREE_BEACONS whose rows may carry bad readings, bad labels, a dropped
+    or an extra column, a blank line before them or a stray quote."""
+    labelled = draw(st.booleans())
+    lines = [("location,date" if labelled else "date") + ",p,q,r"]
+    for _ in range(draw(st.integers(0, 4))):
+        fields = [draw(st.sampled_from(["A01", "y24", "Z01", "A", "A25"]))] if labelled else []
+        fields += [draw(st.sampled_from(["t", "2024-01-01 10:00", ""])), *draw(st.lists(READINGS, min_size=3,
+                                                                                            max_size=3))]
+        mutation = draw(st.sampled_from([None, None, "drop", "extra", "blank", "quote"]))
+        if mutation == "drop":
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        elif mutation == "extra":
+            fields.append("-70")
+        elif mutation == "blank":
+            lines.append("")
+        elif mutation == "quote":
+            k = draw(st.integers(0, len(fields) - 1))
+            fields[k] = '"' + fields[k]
+        lines.append(",".join(fields))
+    return labelled, "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+class TestParserMatchesPerRowReference:
+    """The flat-buffer parser gives the per-row parser's table, or its error: the first in file order."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(mutated_csvs())
+    @example((False, "date,p,q,r\nt,-70,-70,-70\nt,-250,-70,-70\nt,-70,-70\n"))  # range, then a short row
+    @example((True, "location,date,p,q,r\nA01,t,-70,-70,-70\nA01,t,-70,-70,1\nZ01,t,-70,-70,-70\n"))  # range, label
+    @example((True, "location,date,p,q,r\nA01,t,-70,-70,-70\nZ01,t,-70,-70,-70\nA01,t,x,-70,-70\n"))  # label, value
+    @example((False, "date,p,q,r\nt,-70,-250,x\n"))  # a range error before a non-numeric field in one row
+    @example((False, "date,p,q,r\nt,x,-250,-70\n"))  # and after one
+    @example((False, "date,p,q,r\nt,-70,nan,-70\n"))
+    @example((False, 'date,p,q,r\nt,-250,-70,-70\nt,"-70,-70,-70\n'))  # range, then a record the csv module refuses
+    def test_same_table_or_same_error(self, case):
+        labelled, text = case
+        assert _outcome(_parse, text, THREE_BEACONS, labelled) == \
+            _outcome(_reference_parse, text, THREE_BEACONS, labelled)
+
+    def test_nan_is_out_of_range_as_before(self):
+        with pytest.raises(RowError, match=re.escape("line 2: RSSI nan outside [-200.0, 0]")):
+            data.parse_unlabelled_csv("date,p,q,r\nt,-70,NaN,-70\n", THREE_BEACONS)
+
+
+def _reference_fmt(v: float) -> str:
+    """The per-value formatter the block writer replaced."""
+    return repr(v) if v != int(v) else str(int(v))
+
+
+class TestWriterMatchesPerValueFormatter:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.booleans(), st.sampled_from([0, 1, 255, 256, 257, 600]),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    @example(False, 2, [-0.0, 0.0, -200.0, -70.0, 5e-324, -5e-324, -55.25, 1e300, -1e22, 0.1, 2.0 ** 53 + 2])
+    def test_bytes(self, tmp_path_factory, labelled, n_rows, values):
+        rssi = np.resize(np.array(values), (n_rows, 3))
+        cells = [(k % 25, k // 25 % 25) for k in range(n_rows)]
+        stamps = [f"s{k}" for k in range(n_rows)]
+        path = tmp_path_factory.mktemp("writer") / "table.csv"
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        if labelled:
+            data.write_labelled_csv(labelled_table(cells, rssi, stamps), THREE_BEACONS, path)
+            writer.writerow(["location", "date", "p", "q", "r"])
+            writer.writerows([data.encode_location_label(c), s, *map(_reference_fmt, row)]
+                             for c, s, row in zip(cells, stamps, rssi.tolist()))
+        else:
+            data.write_unlabelled_csv(data.Fingerprints(rssi, stamps), THREE_BEACONS, path)
+            writer.writerow(["date", "p", "q", "r"])
+            writer.writerows([s, *map(_reference_fmt, row)] for s, row in zip(stamps, rssi.tolist()))
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+    def test_a_non_finite_reading_is_refused_before_the_file_is_opened(self, tmp_path, labelled, value):
+        rssi = np.full((3, 3), -70.0)
+        rssi[1, 2] = value
+        path = tmp_path / "table.csv"
+        with pytest.raises(NumericalError, match=re.escape(f"cannot write {path}: an RSSI reading is {value!r}")):
+            if labelled:
+                data.write_labelled_csv(labelled_table([(0, 0)] * 3, rssi), THREE_BEACONS, path)
+            else:
+                data.write_unlabelled_csv(data.Fingerprints(rssi, ["t"] * 3), THREE_BEACONS, path)
+        assert not path.exists()
+
+
+def _traced_peak(call) -> int:
+    """The peak of memory traced while ``call()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _as_read_by_the_cli(raw: bytes) -> io.TextIOWrapper:
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+
+
+class TestCodecMemory:
+    """No Python object per reading lives across the whole table while it is read or written."""
+
+    @pytest.fixture(scope="class")
+    def paper_unlabelled(self, layout):
+        return data.synth_generate(layout, data.PathLossModel(), 284, 5, seed=0, n_unlabelled=5191).unlabelled
+
+    def test_parsing_the_paper_scale_unlabelled_csv(self, layout, paper_unlabelled, tmp_path):
+        path = tmp_path / "unlabelled.csv"
+        data.write_unlabelled_csv(paper_unlabelled, layout, path)
+        raw = path.read_bytes()
+        table_bytes = paper_unlabelled.rssi.nbytes + paper_unlabelled.timestamps.nbytes
+        # a list of Python floats per row peaked at 4.8 times the table
+        assert _traced_peak(lambda: data.parse_unlabelled_csv(_as_read_by_the_cli(raw), layout)) < 2.5 * table_bytes
+
+    def test_writing_the_paper_scale_unlabelled_csv(self, layout, paper_unlabelled, tmp_path):
+        table_bytes = paper_unlabelled.rssi.nbytes + paper_unlabelled.timestamps.nbytes
+        # the whole table as nested Python lists peaked at 3.8 times the table
+        peak = _traced_peak(lambda: data.write_unlabelled_csv(paper_unlabelled, layout, tmp_path / "u.csv"))
+        assert peak < 2 * table_bytes
+
+    def test_a_long_stamp_costs_its_own_length(self, layout):
+        # fixed-width text would give each of the 2000 rows the 20 000-character width: 160 MB
+        rows = [f"t{k}," + ",".join(["-70"] * 13) for k in range(2000)]
+        rows[7] = "x" * 20_000 + rows[7][rows[7].index(","):]
+        raw = ("date," + ",".join(layout.ids) + "\n" + "\n".join(rows) + "\n").encode()
+        assert len(raw) < 140_000
+        assert _traced_peak(lambda: data.parse_unlabelled_csv(_as_read_by_the_cli(raw), layout)) < 4_000_000
