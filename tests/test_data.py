@@ -550,10 +550,6 @@ class TestParserMatchesPerRowReference:
         assert _outcome(_parse, text, THREE_BEACONS, labelled) == \
             _outcome(_reference_parse, text, THREE_BEACONS, labelled)
 
-    def test_nan_is_out_of_range_as_before(self):
-        with pytest.raises(RowError, match=re.escape("line 2: RSSI nan outside [-200.0, 0]")):
-            data.parse_unlabelled_csv("date,p,q,r\nt,-70,NaN,-70\n", THREE_BEACONS)
-
 
 def _reference_fmt(v: float) -> str:
     """The per-value formatter the block writer replaced."""
