@@ -88,8 +88,7 @@ def write_cdf(errors_feet: np.ndarray, path: Path) -> None:
     if not np.all(np.isfinite(ordered)):  # NaN and inf sort last
         raise NumericalError(f"cannot write {path}: a per-sample error is {float(ordered[-1])!r} ft")
     n = len(ordered)
-    data.write_table(path, ["error_ft", "fraction"],
-                     ([repr(e), repr((i + 1) / n)] for i, e in enumerate(ordered.tolist())))
+    data.write_table(path, ["error_ft", "fraction"], ([e, (i + 1) / n] for i, e in enumerate(ordered.tolist())))
 
 
 def _load_config(stream: io.TextIOBase | None) -> dict:
@@ -171,9 +170,8 @@ def cmd_tune(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data
                           ConfigError)["space"]
     exp_config = _overlay(hpo.ExperimentConfig, spec, args, "experiment spec")
     base = _overlay(nn.TrainConfig, {"seed": exp_config.seed}, args, "train config")
-    if params is None:
-        space = hpo.default_space(base.optimizer)
-    else:
+    space = hpo.DEFAULT_SPACES[base.optimizer]
+    if params is not None:
         entries = [data.checked(p, {"name": str, "min": float, "max": float}, "search-space entry", ConfigError,
                                 required=True) for p in params]
         space = hpo.SearchSpace(tuple((e["name"], e["min"], e["max"]) for e in entries))
@@ -181,8 +179,8 @@ def cmd_tune(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: data
 
     trials_path = out_dir / "trials.csv"
     data.write_table(trials_path, ["trial", *space.names, "objective", "status"],
-                     ([t.number, *(repr(t.assignment[n]) for n in space.names),
-                       "" if t.objective is None else repr(t.objective), t.status] for t in result.trials))
+                     ([t.number, *(t.assignment[n] for n in space.names), t.objective, t.status]
+                      for t in result.trials))
     best_config = replace(base, **result.best.assignment)
     best_path = out_dir / "best_config.json"
     data.write_json(best_path, {"train": asdict(best_config),
@@ -223,10 +221,8 @@ def cmd_rationalize(args: dict, out_dir: Path, layout: data.BeaconLayout, datase
         ],
     })
     study_path = out_dir / "study.csv"
-    rows = ([impact.beacon_id, impact.residual_samples,
-             "" if impact.mean_error_feet is None else repr(impact.mean_error_feet),
-             "" if impact.delta_feet is None else repr(impact.delta_feet),
-             "removal_improves_accuracy" if improves else (impact.error or "")] for impact, improves in ranked)
+    rows = ([impact.beacon_id, impact.residual_samples, impact.mean_error_feet, impact.delta_feet,
+             "removal_improves_accuracy" if improves else impact.error] for impact, improves in ranked)
     data.write_table(study_path, ["beacon", "residual_samples", "mean_error_ft", "delta_ft", "flag"], rows)
     print(f"baseline {result.baseline_feet:.1f} ft; "
           f"top impact: {ranked[0][0].beacon_id} ({ranked[0][0].delta_feet})")

@@ -253,7 +253,7 @@ def _check_range(readings: array, lines: array, n_beacons: int) -> np.ndarray:
     return rssi
 
 
-def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str, ...], what: str):
+def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str, ...]):
     """Check the ``<lead...>,<beacons...>`` header, then yield
     (line number, stripped lead fields, RSSI fields) for each non-empty row, where the line number is
     the physical line the row starts on. A record the ``csv`` module cannot read, such as one with a
@@ -264,17 +264,17 @@ def _csv_rows(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[str
     try:
         header = next(reader)
     except StopIteration:
-        raise SchemaError(f"empty {what} CSV") from None
+        raise SchemaError("no header row") from None
     except csv.Error as e:
-        raise SchemaError(f"{what} header: {e}") from None
+        raise SchemaError(f"header: {e}") from None
     expected = len(lead) + layout.n_beacons
     if len(header) != expected or [h.strip().lower() for h in header[:len(lead)]] != list(lead):
         raise SchemaError(
-            f"{what} header must be {','.join(lead)},<{layout.n_beacons} beacon columns>; got {len(header)} columns"
+            f"header must be {','.join(lead)},<{layout.n_beacons} beacon columns>; got {len(header)} columns"
         )
     for column, (name, beacon) in enumerate(zip(header[len(lead):], layout.ids), start=len(lead) + 1):
         if name.strip() != beacon:
-            raise SchemaError(f"{what} header column {column} is {name.strip()!r}, expected beacon {beacon!r}")
+            raise SchemaError(f"header column {column} is {name.strip()!r}, expected beacon {beacon!r}")
     start = reader.line_num + 1  # the physical line the next record starts on; a quoted field may span lines
     try:
         for row in reader:
@@ -295,20 +295,26 @@ def _parse_table(stream: io.TextIOBase | str, layout: BeaconLayout, lead: tuple[
 
     Every reading goes straight into one flat float64 buffer, and the range is checked over the whole
     buffer at the end. An error is still the first in file order: a field ``float`` refuses re-reads its
-    row field by field, and any other error in a row is raised after the rows before it are checked."""
+    row field by field, and any other error in a row is raised after the rows before it are checked.
+    Every error keeps its type, and its message names the table (``labelled CSV, line 41: ...``)."""
     readings, lines = array("d"), array("q")
     try:
-        for line, lead_fields, fields in _csv_rows(stream, layout, lead, what):
-            take_lead(*lead_fields)
-            try:
-                readings.extend(map(float, fields))
-            except ValueError:
-                _parse_rssi_row(fields, line)
-            lines.append(line)
-    except FingerlocError:
-        _check_range(readings, lines, layout.n_beacons)
+        try:
+            for line, lead_fields, fields in _csv_rows(stream, layout, lead):
+                take_lead(*lead_fields)
+                try:
+                    readings.extend(map(float, fields))
+                except ValueError:
+                    _parse_rssi_row(fields, line)
+                lines.append(line)
+        except FingerlocError:
+            _check_range(readings, lines, layout.n_beacons)
+            raise
+        return _check_range(readings, lines, layout.n_beacons)
+    except FingerlocError as e:  # a bad label comes only from take_lead, on line ``line``; the others name theirs
+        label_line = f"line {line}: " if isinstance(e, MalformedLabelError) else ""
+        e.args = (f"{what} CSV, {label_line}{e}",)
         raise
-    return _check_range(readings, lines, layout.n_beacons)
 
 
 def parse_labelled_csv(stream: io.TextIOBase | str, layout: BeaconLayout) -> Fingerprints:
@@ -340,7 +346,9 @@ def load_dataset(labelled: io.TextIOBase | str, unlabelled: io.TextIOBase | str 
 
 
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a CSV file, UTF-8: the ``header`` row, then each of ``rows``. The toolkit's only CSV writer."""
+    """Write a CSV file, UTF-8: the ``header`` row, then each of ``rows``. The toolkit's only CSV writer, and the
+    one owner of a cell's text: a float is written as its repr, the shortest text that reads back to the same
+    float, and None as an empty field."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
@@ -361,23 +369,25 @@ def write_json(path: str | Path, doc) -> None:
 
 def _write_readings(path: str | Path, header: Sequence[str], rssi: np.ndarray, *lead: Iterable) -> None:
     """Write a table through :func:`write_table`: row k is the k-th item of each ``lead`` column, then the
-    readings ``rssi[k]``. A whole number is written as an integer (``-200``, and ``0`` for -0.0), any other
-    reading as the repr of its Python float, which parses back to the same bits. The text is made a block
-    of rows at a time, so no Python object per reading of the whole table is alive at once. A reading that is
-    not finite is a ``NumericalError`` naming ``path``, raised before the file is opened."""
+    readings ``rssi[k]``. A whole number is passed as an int (``-200``, and ``0`` for -0.0), any other reading
+    as its Python float, which ``csv`` writes as its repr, the shortest text that parses back to the same bits.
+    The values are made a block of rows at a time, so no Python object per reading of the whole table is alive
+    at once. A reading that is not finite is a ``NumericalError`` naming ``path``, raised before the file is
+    opened."""
     finite = np.isfinite(rssi)
     if not finite.all():
         raise NumericalError(f"cannot write {path}: an RSSI reading is {float(rssi[~finite][0])!r}")
     blocks = (rssi[start:start + _SYNTH_BLOCK_ROWS].ravel() for start in range(0, len(rssi), _SYNTH_BLOCK_ROWS))
-    text = (str(int(v)) if whole else repr(v)
-            for block in blocks for v, whole in zip(block.tolist(), (block == np.trunc(block)).tolist()))
-    write_table(path, header, zip(*lead, *[text] * rssi.shape[1]))
+    values = (int(v) if whole else v
+              for block in blocks for v, whole in zip(block.tolist(), (block == np.trunc(block)).tolist()))
+    write_table(path, header, zip(*lead, *[values] * rssi.shape[1]))
 
 
 def write_labelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path) -> None:
-    """Write labelled rows as UTF-8, each location as its cell's canonical label."""
+    """Write labelled rows as UTF-8, each location as its cell's canonical label. A cell off the grid is a
+    ``MalformedLabelError``, raised before the file is opened."""
     _write_readings(path, ["location", "date", *layout.ids], table.rssi,
-                    map(encode_location_label, table.cells.tolist()), table.timestamps)
+                    [encode_location_label(cell) for cell in table.cells.tolist()], table.timestamps)
 
 
 def write_unlabelled_csv(table: Fingerprints, layout: BeaconLayout, path: str | Path) -> None:

@@ -22,11 +22,10 @@ class SchemaError(DataError):
 
 
 class RowError(DataError):
-    """A data row failed validation; carries the 1-based line number."""
+    """A data row failed validation; the message starts with the row's 1-based line number."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class LayoutError(DataError):

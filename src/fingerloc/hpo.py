@@ -52,8 +52,11 @@ class SearchSpace:
 class Trial:
     number: int
     assignment: dict[str, float]
-    objective: float | None
-    status: str  # "ok" | "diverged"
+    objective: float | None  # None when the trial diverged
+
+    @property
+    def status(self) -> str:
+        return "diverged" if self.objective is None else "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +236,7 @@ class Suggester:
             return self._grid_point(len(history))
         if self.algorithm == "random":
             return self._random_assignment()
-        # bayesian, on the ok trials: a trial has an objective exactly when it is ok
-        observed = [t for t in history if t.status == "ok"]
+        observed = [t for t in history if t.objective is not None]  # bayesian, on the trials that did not diverge
         if len(observed) < WARMUP_TRIALS:
             return self._random_assignment()
         x = np.stack([self.space.normalize(t.assignment) for t in observed])
@@ -273,8 +275,9 @@ def run_search(objective: Callable[[dict[str, float]], float], space: SearchSpac
                config: ExperimentConfig) -> ExperimentResult:
     """Sequential suggest -> evaluate loop against an arbitrary objective.
 
-    The objective may raise NumericalError (DivergedError included); those
-    trials are recorded with status "diverged" and no objective value.
+    The objective may raise NumericalError (DivergedError included) or return a
+    value that is not finite; such a trial diverged and is recorded with no
+    objective value.
     """
     suggester = Suggester(space, config)
     trials: list[Trial] = []
@@ -282,27 +285,22 @@ def run_search(objective: Callable[[dict[str, float]], float], space: SearchSpac
         assignment = suggester.suggest(trials)  # a grid lattice has at least max_trials points
         try:
             value = float(objective(assignment))
-            status = "ok" if math.isfinite(value) else "diverged"
         except NumericalError:
-            value, status = None, "diverged"
-        trials.append(Trial(number=number, assignment=assignment,
-                            objective=value if status == "ok" else None, status=status))
-        if status == "ok" and value <= config.goal:
+            value = math.nan
+        trials.append(Trial(number=number, assignment=assignment, objective=value if math.isfinite(value) else None))
+        if trials[-1].objective is not None and value <= config.goal:
             break
-    ok = [t for t in trials if t.status == "ok"]
+    ok = [t for t in trials if t.objective is not None]
     if not ok:
         raise ExperimentFailedError("all trials diverged")
     best = min(ok, key=lambda t: t.objective)
     return ExperimentResult(best=best, trials=trials)
 
 
-ADAM_SPACE = SearchSpace((("learning_rate", 0.001, 0.002), ("beta1", 0.88, 0.93)))
-# SGD ranges bracket typical tuned values; not prescribed anywhere upstream
-SGD_SPACE = SearchSpace((("learning_rate", 0.005, 0.02), ("momentum", 0.85, 0.95)))
-
-
-def default_space(optimizer: str) -> SearchSpace:
-    return ADAM_SPACE if optimizer == "adam" else SGD_SPACE
+# the search space of each optimizer in nn.OPTIMIZERS when a spec names none
+DEFAULT_SPACES = {"adam": SearchSpace((("learning_rate", 0.001, 0.002), ("beta1", 0.88, 0.93))),
+                  # SGD ranges bracket typical tuned values; not prescribed anywhere upstream
+                  "sgd": SearchSpace((("learning_rate", 0.005, 0.02), ("momentum", 0.85, 0.95)))}
 
 
 def check_bindable(space: SearchSpace, base_config: TrainConfig) -> None:

@@ -170,7 +170,7 @@ def test_criterion_5_baseline_error_band(uci_dataset):
     ("dnn", "adam"), ("dnn", "sgd"), ("cnn", "adam"), ("cnn", "sgd"),
 ])
 def test_criterion_6_tuning_direction(uci_dataset, kind, optimizer):
-    space = hpo.default_space(optimizer)
+    space = hpo.DEFAULT_SPACES[optimizer]
     exp = hpo.ExperimentConfig(algorithm="bayesian", max_trials=15, goal=1.2, seed=0)
     base = nn.TrainConfig(optimizer=optimizer, seed=0)
     result = hpo.run_search(hpo.training_objective(kind, uci_dataset, space, base), space, exp)

@@ -3,10 +3,14 @@
 ``write_json`` holds the package's only ``json.dump`` call, and its only ``json.dumps`` call with an indent.
 
 A second writer would restate the dialect, the header row and the newline handling, or the indent, the key
-order and the refusal of a non-finite number, and could drift from the readers.
+order and the refusal of a non-finite number, and could drift from the readers. ``csv`` also owns a cell's
+text: it writes a float as its repr and None as an empty field, so ``cli`` passes the values themselves.
+Likewise ``hpo.DEFAULT_SPACES`` is the one table of default search spaces, one per optimizer.
 """
 import ast
 from pathlib import Path
+
+from fingerloc import hpo, nn
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fingerloc"
 
@@ -52,3 +56,16 @@ def test_one_json_file_writer_in_write_json():
         calls += [f"{path.stem}.{name}"
                   for name in _writer_calls(tree, "json", "dump") + _writer_calls(tree, "json", "dumps", "indent")]
     assert calls == ["data.write_json"]
+
+
+def test_cli_makes_no_repr_call():
+    tree = ast.parse((SRC / "cli.py").read_text())  # an f-string's !r is a conversion, not a call
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "repr"]
+    assert calls == []
+
+
+def test_one_default_space_per_optimizer():
+    assert hpo.DEFAULT_SPACES.keys() == nn.OPTIMIZERS.keys()
+    for optimizer, space in hpo.DEFAULT_SPACES.items():
+        hpo.check_bindable(space, nn.TrainConfig(optimizer=optimizer))

@@ -79,9 +79,8 @@ class TestParsing:
 
     def test_rssi_out_of_range(self, layout):
         rows = ["A00,ts," + ",".join(["-70"] * 12 + ["-201"])]
-        with pytest.raises(RowError) as e:
+        with pytest.raises(RowError, match="line 2: "):
             data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
-        assert e.value.line == 2
 
     def test_positive_rssi_rejected(self, layout):
         rows = ["A00,ts," + ",".join(["-70"] * 12 + ["5"])]
@@ -114,10 +113,9 @@ class TestParsing:
         # the csv module refuses a field past 131072 characters; its limit is process-wide, so it stays
         long = "A" * 200_000
         rows = ["A01,ts," + ",".join(["-70"] * 13), "", long + ",ts," + ",".join(["-70"] * 13)]
-        with pytest.raises(RowError, match="field larger than field limit") as e:
+        with pytest.raises(RowError, match="line 4: field larger than field limit"):
             data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
-        assert e.value.line == 4
-        with pytest.raises(SchemaError, match="unlabelled header: field larger"):
+        with pytest.raises(SchemaError, match="unlabelled CSV, header: field larger"):
             data.parse_unlabelled_csv(long + "," + ",".join(layout.ids) + "\n", layout)
 
     def test_row_errors_name_the_physical_line_after_a_field_that_spans_lines(self, layout):
@@ -133,6 +131,25 @@ class TestParsing:
     def test_wrong_column_count_in_row(self, layout):
         rows = ["A00,ts,-70"]
         with pytest.raises(RowError):
+            data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
+
+    @pytest.mark.parametrize("parse, lead, row_lead", [(data.parse_labelled_csv, "location,date", "A01,ts"),
+                                                       (data.parse_unlabelled_csv, "date", "ts")],
+                             ids=["labelled", "unlabelled"])
+    def test_every_error_names_its_table(self, layout, parse, lead, row_lead):
+        table = "labelled" if parse is data.parse_labelled_csv else "unlabelled"
+        header = f"{lead}," + ",".join(layout.ids)
+        with pytest.raises(SchemaError, match=f"^{table} CSV, header must be {lead},"):
+            parse(header + ",extra\n", layout)
+        with pytest.raises(SchemaError, match=f"^{table} CSV, no header row$"):
+            parse("", layout)
+        with pytest.raises(RowError, match=f"^{table} CSV, line 3: expected {header.count(',') + 1} columns, got {header.count(',')}$"):
+            parse(f"{header}\n{row_lead}," + ",".join(["-70"] * 13) + f"\n{row_lead}," + ",".join(["-70"] * 12),
+                  layout)
+
+    def test_a_bad_label_names_the_table_and_its_line(self, layout):
+        rows = ["A01,ts," + ",".join(["-70"] * 13), "Z01,ts," + ",".join(["-70"] * 13)]
+        with pytest.raises(MalformedLabelError, match=re.escape("labelled CSV, line 3: label 'Z01': letter must be")):
             data.parse_labelled_csv(_labelled_csv(layout, rows), layout)
 
     def test_unlabelled(self, layout):
@@ -470,23 +487,31 @@ class TestCsvRoundTrip:
 
 def _reference_parse(text: str, layout, labelled: bool):
     """The per-row parser the flat-buffer one replaced: each row's fields are read and range-checked in field
-    order as the row is met, so the first error in the file is the one raised."""
+    order as the row is met, so the first error in the file is the one raised. Its message starts with the
+    table, then a bad label's line."""
     cells, stamps, rows = [], [], []
     lead = ("location", "date") if labelled else ("date",)
-    for line, lead_fields, fields in data._csv_rows(text, layout, lead, "labelled" if labelled else "unlabelled"):
-        if labelled:
-            cells.append(data.decode_location_label(lead_fields[0]))
-        stamps.append(lead_fields[-1])
-        values = []
-        for raw in fields:
-            try:
-                v = float(raw)
-            except ValueError:
-                raise RowError(line, f"non-numeric RSSI value {raw!r}") from None
-            if not (data.NO_SIGNAL <= v <= 0.0):
-                raise RowError(line, f"RSSI {v} outside [{data.NO_SIGNAL}, 0]")
-            values.append(v)
-        rows.append(values)
+    try:
+        for line, lead_fields, fields in data._csv_rows(text, layout, lead):
+            if labelled:
+                try:
+                    cells.append(data.decode_location_label(lead_fields[0]))
+                except MalformedLabelError as e:
+                    raise MalformedLabelError(f"line {line}: {e}") from None
+            stamps.append(lead_fields[-1])
+            values = []
+            for raw in fields:
+                try:
+                    v = float(raw)
+                except ValueError:
+                    raise RowError(line, f"non-numeric RSSI value {raw!r}") from None
+                if not (data.NO_SIGNAL <= v <= 0.0):
+                    raise RowError(line, f"RSSI {v} outside [{data.NO_SIGNAL}, 0]")
+                values.append(v)
+            rows.append(values)
+    except (RowError, SchemaError, MalformedLabelError) as e:
+        e.args = (f"{'labelled' if labelled else 'unlabelled'} CSV, {e}",)
+        raise
     rssi = np.array(rows, dtype=np.float64).reshape(len(rows), layout.n_beacons)
     return data.Fingerprints(rssi, stamps, cells if labelled else None)
 
@@ -590,6 +615,14 @@ class TestWriterMatchesPerValueFormatter:
                 data.write_labelled_csv(labelled_table([(0, 0)] * 3, rssi), THREE_BEACONS, path)
             else:
                 data.write_unlabelled_csv(data.Fingerprints(rssi, ["t"] * 3), THREE_BEACONS, path)
+        assert not path.exists()
+
+    def test_a_cell_off_the_grid_is_refused_before_the_file_is_opened(self, tmp_path):
+        one_beacon = data.BeaconLayout(ids=("p",), xs=(0.0,), ys=(0.0,))
+        cells = [(k % 25, k // 25) for k in range(299)] + [(30, 0)]
+        path = tmp_path / "labelled.csv"
+        with pytest.raises(MalformedLabelError, match=re.escape("cell (30, 0) outside grid")):
+            data.write_labelled_csv(labelled_table(cells, np.full((300, 1), -70.0)), one_beacon, path)
         assert not path.exists()
 
 

@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -169,7 +169,7 @@ def grid_history(s, n):
     """``n`` trials of ``s``'s suggestions, each suggested after the trials before it, as ``run_search`` asks."""
     history = []
     for number in range(1, n + 1):
-        history.append(hpo.Trial(number, s.suggest(history), 1.0, "ok"))
+        history.append(hpo.Trial(number, s.suggest(history), 1.0))
     return history
 
 
@@ -220,7 +220,7 @@ class TestSuggest:
     def test_bayesian_avoids_observed_point(self):
         space = hpo.SearchSpace((("x", 0.0, 1.0),))
         s = hpo.Suggester(space, hpo.ExperimentConfig(algorithm="bayesian", seed=0))
-        history = [hpo.Trial(i, {"x": v}, o, "ok")
+        history = [hpo.Trial(i, {"x": v}, o)
                    for i, (v, o) in enumerate([(0.2, 5.0), (0.5, 1.0), (0.8, 4.0)], 1)]
         a = s.suggest(history)
         assert all(abs(a["x"] - t.assignment["x"]) > 1e-6 for t in history)
@@ -277,6 +277,17 @@ class TestRunSearch:
         result = hpo.run_search(objective, self.SPACE, cfg)
         assert [(t.status, t.objective) for t in result.trials] == [("diverged", None), ("ok", 2.0)]
 
+    def test_a_trial_keeps_its_outcome_once(self):
+        # a trial that diverged has no objective; its status is read from that, not kept beside it
+        assert [f.name for f in fields(hpo.Trial)] == ["number", "assignment", "objective"]
+        assert (hpo.Trial(1, {}, None).status, hpo.Trial(2, {}, 0.5).status) == ("diverged", "ok")
+
+    def test_a_non_finite_objective_below_the_goal_does_not_stop_the_search(self):
+        calls = iter([-math.inf, 2.0, 0.5, 0.1])
+        cfg = hpo.ExperimentConfig(algorithm="random", max_trials=4, goal=1.0, seed=1)
+        result = hpo.run_search(lambda a: next(calls), self.SPACE, cfg)
+        assert [t.objective for t in result.trials] == [None, 2.0, 0.5]
+
     def test_all_diverged_fails(self):
         cfg = hpo.ExperimentConfig(algorithm="random", max_trials=3, goal=1e-18, seed=1)
         with pytest.raises(ExperimentFailedError):
@@ -300,15 +311,15 @@ class TestRunExperiment:
     def test_tunes_model_on_synthetic_data(self, synth_dataset):
         cfg = hpo.ExperimentConfig(algorithm="random", max_trials=2, goal=0.001, seed=0)
         base = TrainConfig(epochs=5, seed=0)
-        result = hpo.run_search(hpo.training_objective("dnn", synth_dataset, hpo.ADAM_SPACE, base),
-                                hpo.ADAM_SPACE, cfg)
+        result = hpo.run_search(hpo.training_objective("dnn", synth_dataset, hpo.DEFAULT_SPACES["adam"], base),
+                                hpo.DEFAULT_SPACES["adam"], cfg)
         assert result.best.objective is not None
         assert len(result.trials) <= 2
 
     def test_objective_is_score_at_the_assignment(self, synth_dataset):
         base = TrainConfig(epochs=2, seed=3)
         assignment = {"learning_rate": 0.0015, "beta1": 0.9}
-        objective = hpo.training_objective("dnn", synth_dataset, hpo.ADAM_SPACE, base)
+        objective = hpo.training_objective("dnn", synth_dataset, hpo.DEFAULT_SPACES["adam"], base)
         metrics = models.score("dnn", synth_dataset.labelled, synth_dataset.layout,
                                replace(base, **assignment))
         assert objective(assignment) == metrics.mean_error_grid
