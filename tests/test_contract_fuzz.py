@@ -13,15 +13,17 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fingerloc import cli
 
 FILES = ("labelled.csv", "unlabelled.csv", "layout.json")
-# a field's replacement: bad numbers, non-ASCII digits, labels off the codec, an empty field
+# a field's replacement: bad numbers, non-ASCII digits, labels off the codec, an empty field, and two that a
+# reader takes (a lower-case label, a negative zero)
 FIELDS = ("", "x", "nan", "inf", "-inf", "1e400", "-250", "5", "٣", "-٧٠", "Z01", "A25", "A²",
           "a1", "-0")
+READINGS = ("nan", "inf", "1e400", "٣", "-٧٠")  # a reading that is no number in [-200, 0], or no ASCII one
 CSV_MUTATIONS = ("replace", "drop", "duplicate", "shuffle", "truncate", "blank", "quote", "trailing", "not-utf8",
                  "reading")
 LAYOUT_MUTATIONS = ("type", "coordinate", "cell_feet", "grid", "drop-beacon", "extra-key")
@@ -71,11 +73,11 @@ def csv_mutation(draw, lines: list[str], labelled: bool) -> list[str] | bytes:
     elif kind in ("reading", "label"):  # on a data row: a reading past the lead columns, or the location
         k = draw(st.integers(1, len(lines) - 2))  # the last line is the empty text after the final newline
         fields = lines[k].split(",")
+        lead = 2 if labelled else 1
         if kind == "label":
             fields[0] = draw(st.sampled_from(["Z01", "A25", "A²", ""]))
-        else:
-            fields[draw(st.integers(2 if labelled else 1, len(fields) - 1))] = draw(
-                st.sampled_from(["nan", "inf", "1e400", "٣", "-٧٠"]))
+        elif len(fields) > lead:  # an earlier mutation may have cut the row short
+            fields[draw(st.integers(lead, len(fields) - 1))] = draw(st.sampled_from(READINGS))
     lines[k] = ",".join(fields)
     return lines
 
@@ -116,7 +118,7 @@ def _mutate(draw, name: str, original: str, times: int) -> bytes:
     return content if isinstance(content, bytes) else "\n".join(content).encode()
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.data())
 def test_mutated_inputs_keep_the_cli_contract(corpus, data):
     name = data.draw(st.sampled_from(FILES))

@@ -139,11 +139,12 @@ class TestParsing:
     def test_every_error_names_its_table(self, layout, parse, lead, row_lead):
         table = "labelled" if parse is data.parse_labelled_csv else "unlabelled"
         header = f"{lead}," + ",".join(layout.ids)
+        columns = header.count(",") + 1
         with pytest.raises(SchemaError, match=f"^{table} CSV, header must be {lead},"):
             parse(header + ",extra\n", layout)
         with pytest.raises(SchemaError, match=f"^{table} CSV, no header row$"):
             parse("", layout)
-        with pytest.raises(RowError, match=f"^{table} CSV, line 3: expected {header.count(',') + 1} columns, got {header.count(',')}$"):
+        with pytest.raises(RowError, match=f"^{table} CSV, line 3: expected {columns} columns, got {columns - 1}$"):
             parse(f"{header}\n{row_lead}," + ",".join(["-70"] * 13) + f"\n{row_lead}," + ",".join(["-70"] * 12),
                   layout)
 
