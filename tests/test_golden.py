@@ -1,4 +1,4 @@
-"""Golden run: synth -> augment -> train (dnn, cnn) -> tune -> rationalize at fixed seeds.
+"""Golden run: synth -> augment -> train (dnn, cnn) -> tune (3 and 6 trials) -> rationalize at fixed seeds.
 
 Every artifact except ``manifest.json`` (which records wall-clock time and
 paths) must hash to the recorded SHA-256. A refactor that keeps the program's
@@ -29,13 +29,16 @@ GOLDEN = {
     "train_cnn/model.bin": "a2b20c2d736baadf0ab924c4af90527e9a6089b361b3c1ff1be7e71dac6609c8",
     "tune/best_config.json": "ce9e1cadd73bfaef91d0b380f91cf55ca9bccac7a6f54eca9debcd6b5fd450ad",
     "tune/trials.csv": "3d2dd78128334a293b72df869369b7f3fd3c7262b9755a71a56e641bf3475886",
+    "tune_gp/best_config.json": "9bab9f92635e55d9447080576706b9b2bc5b2b75ee4ea9bce8114018145c5893",
+    "tune_gp/trials.csv": "f87236f301959b4a7cb50b8539600612208641eb24ca6025f28ffa6940e5a4e4",
 }
 
 
 def test_pipeline_artifacts_byte_identical(tmp_path):
     corpus = tmp_path / "corpus"
-    spec = tmp_path / "spec.json"
+    spec, spec_gp = tmp_path / "spec.json", tmp_path / "spec_gp.json"
     spec.write_text(json.dumps({"max_trials": 3}))
+    spec_gp.write_text(json.dumps({"max_trials": 6}))  # past hpo.WARMUP_TRIALS: three trials from the GP
 
     def inputs(unlabelled):
         args = ["--labelled", str(corpus / "labelled.csv"), "--layout", str(corpus / "layout.json")]
@@ -53,6 +56,8 @@ def test_pipeline_artifacts_byte_identical(tmp_path):
          *inputs(False), "--out-dir", str(tmp_path / "train_cnn")],
         ["tune", "--spec", str(spec), "--epochs", "3", *inputs(False),
          "--out-dir", str(tmp_path / "tune")],
+        ["tune", "--spec", str(spec_gp), "--epochs", "3", *inputs(False),
+         "--out-dir", str(tmp_path / "tune_gp")],
         ["rationalize", "--n-seeds", "1", "--epochs", "3", *inputs(False),
          "--out-dir", str(tmp_path / "study")],
     ]
@@ -62,6 +67,7 @@ def test_pipeline_artifacts_byte_identical(tmp_path):
     produced = {
         p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in tmp_path.rglob("*")
-        if p.is_file() and p.name != "manifest.json" and p != spec
+        if p.is_file() and p.name != "manifest.json" and p not in (spec, spec_gp)
     }
+    assert len((tmp_path / "tune_gp" / "trials.csv").read_text().splitlines()) == 1 + 6  # a header and 6 trials
     assert produced == GOLDEN
