@@ -21,6 +21,7 @@ from .nn import OPTIMIZERS, TrainConfig
 WARMUP_TRIALS = 3
 EI_CANDIDATES = 1024
 DEFAULT_LENGTHSCALE = 0.2
+_SQRT1_2 = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -125,73 +126,10 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.n
     pos = std > 0.0
     if np.any(pos):
         z = improve[pos] / std[pos]
-        pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)  # scipy.stats.norm.pdf's own expression
-        ei[pos] = np.maximum(improve[pos] * _ndtr(z) + std[pos] * pdf, 0.0)
+        cdf = np.array([0.5 * math.erfc(-v * _SQRT1_2) for v in z.tolist()])  # libm's erfc, one value a candidate
+        pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
+        ei[pos] = np.maximum(improve[pos] * cdf + std[pos] * pdf, 0.0)
     return ei
-
-
-# Cephes' ndtr, erf and erfc, the code scipy.special.ndtr runs, so that Phi is scipy's bit for bit without
-# loading scipy: the same coefficients and the same operations in the same order, each rounded once as C
-# rounds it. Each polynomial lists its coefficients from the highest power down; a leading 1.0 is the one
-# that Cephes' p1evl implies.
-_SQRT1_2 = 0.70710678118654752440  # M_SQRT1_2
-_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc is 0 where -x*x is below -MAXLOG
-_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
-      5.55923013010394962768e4)
-_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-      2.26290000613890934246e4, 4.92673942608635921086e4)
-_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2,
-      1.02755188689515710272e3, 5.57535335369399327526e2)
-_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3,
-      5.57535340817727675546e2)
-_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
-      7.40974269950448939160e0, 2.97886665372100240670e0)
-_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-
-
-def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    """Horner's rule, a multiply then an add per step, as Cephes' polevl."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    """Cephes' erf at each ``x`` in [-1, 1]."""
-    z = x * x
-    return x * _polevl(z, _T) / _polevl(z, _U)
-
-
-def _erfc(x: np.ndarray) -> np.ndarray:
-    """Cephes' erfc at each ``x`` >= 1/sqrt(2), or NaN, as ndtr calls it."""
-    y = np.zeros_like(x)  # where exp(-x*x) underflows
-    near = x < 1.0
-    y[near] = 1.0 - _erf(x[near])
-    with np.errstate(over="ignore"):  # a square past the float range is -inf, below -MAXLOG
-        t = -x * x
-    live = ~near & ~(t < -_MAXLOG)  # NaN stays live and gives NaN
-    x = x[live]
-    # libm's exp, as Cephes takes it: numpy's own exp rounds some of these arguments differently
-    e = np.array([math.exp(v) for v in t[live].tolist()])
-    small = x < 8.0
-    y[live] = e * np.where(small, _polevl(x, _P), _polevl(x, _R)) / np.where(small, _polevl(x, _Q), _polevl(x, _S))
-    return y
-
-
-def _ndtr(a: np.ndarray) -> np.ndarray:
-    """The standard normal CDF at each of ``a``, as ``scipy.special.ndtr`` gives it."""
-    x = a * _SQRT1_2
-    z = np.abs(x)
-    near = z < _SQRT1_2
-    y = np.empty_like(x)
-    y[near] = 0.5 + 0.5 * _erf(x[near])
-    half = 0.5 * _erfc(z[~near])
-    y[~near] = np.where(x[~near] > 0.0, 1.0 - half, half)
-    return y
 
 
 # ---------------------------------------------------------------------------

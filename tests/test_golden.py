@@ -5,6 +5,9 @@ paths) must hash to the recorded SHA-256. A refactor that keeps the program's
 behaviour keeps these bytes; a change that alters an artifact on purpose
 must say so and record the new hashes. The hashes were taken on x86-64 with
 numpy 2.4 and OpenBLAS 0.3; a different BLAS build may round differently.
+``tune_gp``'s also depend on libm's ``erfc`` and the ``exp`` inside it, which
+expected improvement calls through ``math.erfc``; another libm may round
+them differently.
 """
 import hashlib
 import json
