@@ -655,10 +655,12 @@ def evaluate(network: Network, inputs: np.ndarray, targets: np.ndarray,
     ends = list(range(EVAL_CHUNK, len(inputs), EVAL_CHUNK))
     if ends and ends[-1] == len(inputs) - 1:
         ends.pop()
-    pred = np.concatenate([network.forward(chunk) for chunk in np.split(inputs, ends)])
-    errors = np.sqrt(np.sum((pred - targets) ** 2, axis=1))
-    mean_grid = float(errors.mean())
-    with np.errstate(over="ignore"):  # a figure past the float range in feet is inf; data.write_json refuses it
+    # a diverged network's forward and a figure past the float range in feet are not finite; data.write_json
+    # refuses such a figure, and a tune trial with one diverged
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = np.concatenate([network.forward(chunk) for chunk in np.split(inputs, ends)])
+        errors = np.sqrt(np.sum((pred - targets) ** 2, axis=1))
+        mean_grid = float(errors.mean())
         return Metrics(mean_error_grid=mean_grid,
                        mean_error_feet=mean_grid * cell_feet,
                        per_sample_errors_feet=errors * cell_feet)

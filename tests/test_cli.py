@@ -957,6 +957,30 @@ def test_mean_over_seeds_past_the_float_range_exits_4_without_a_warning(tmp_path
     assert not list(out.glob("*"))
 
 
+# a learning rate that the one step of an epoch on 48 training rows takes to the float limit, which no loss
+# check sees: train checks the loss before each step, and evaluate's forward overflows
+DIVERGED_FORWARD_RUNS = [("train", ["--learning-rate", "1e200"]),
+                         ("tune", {"algorithm": "random", "max_trials": 2,
+                                   "space": [{"name": "learning_rate", "min": 0, "max": 1e308}]})]
+
+
+@pytest.mark.parametrize("command, option", DIVERGED_FORWARD_RUNS, ids=["train", "tune"])
+def test_forward_past_the_float_range_exits_4_without_a_warning(command, option, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--out-dir", str(corpus), "--locations", "20", "--samples-per-location", "3",
+                "--seed", "0"]) == 0
+    if isinstance(option, dict):
+        (tmp_path / "spec.json").write_text(json.dumps(option))
+        option = ["--spec", str(tmp_path / "spec.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = run([command, *option, "--epochs", "1", "--labelled", str(corpus / "labelled.csv"),
+                      "--layout", str(corpus / "layout.json"), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert status == cli.EXIT_NUMERICAL
+    assert "Warning" not in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("beacon_id", [5, " b1", ["b1"]], ids=["number", "padded", "list"])
 def test_beacon_id_that_no_header_can_match_exits_3(beacon_id, tmp_path, capsys):
     """A reader strips each header field and compares it, as text, to the layout's ids."""
