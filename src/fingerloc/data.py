@@ -44,7 +44,7 @@ class BeaconLayout:
 
     def __post_init__(self):
         if not self.ids:
-            raise LayoutError("layout has no beacons")
+            raise LayoutError("no beacons")
         if len(self.ids) != len(self.xs) or len(self.ids) != len(self.ys):
             raise LayoutError("beacon id and coordinate counts differ")
         for bid in self.ids:  # a CSV reader strips each header field before matching it to an id
@@ -197,19 +197,24 @@ def load_layout(text: io.TextIOBase | str) -> BeaconLayout:
     """Parse a layout JSON document (a text stream or a str): grid size, cell feet, beacon positions.
 
     Its keys are ``grid``, ``cell_feet`` and ``beacons``, and each beacon has exactly ``id``, ``x``
-    and ``y``, read through :func:`checked`: any other key is a ``LayoutError`` that names it."""
+    and ``y``, read through :func:`checked`: any other key is a ``LayoutError`` that names it. Every
+    error keeps its type, and its message names the layout (``layout JSON, ...``)."""
     try:
         doc = json.loads(text if isinstance(text, str) else text.read())
     except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested past the interpreter's limit
-        raise LayoutError(f"malformed layout: {e!r}") from None
-    doc = checked(doc, {"grid": list, "cell_feet": float, "beacons": list}, "layout", LayoutError)
-    beacons = [checked(b, {"id": str, "x": float, "y": float}, "beacon", LayoutError, required=True)
-               for b in doc.get("beacons", [])]
-    grid = doc.get("grid", [GRID_SIZE, GRID_SIZE])
-    if grid != [GRID_SIZE, GRID_SIZE]:
-        raise LayoutError(f"unsupported grid {grid}, expected [{GRID_SIZE}, {GRID_SIZE}]")
-    return BeaconLayout(ids=tuple(b["id"] for b in beacons), xs=tuple(b["x"] for b in beacons),
-                        ys=tuple(b["y"] for b in beacons), cell_feet=doc.get("cell_feet", DEFAULT_CELL_FEET))
+        raise LayoutError(f"malformed layout JSON: {e!r}") from None
+    try:
+        doc = checked(doc, {"grid": list, "cell_feet": float, "beacons": list}, "document", LayoutError)
+        beacons = [checked(b, {"id": str, "x": float, "y": float}, "beacon", LayoutError, required=True)
+                   for b in doc.get("beacons", [])]
+        grid = doc.get("grid", [GRID_SIZE, GRID_SIZE])
+        if grid != [GRID_SIZE, GRID_SIZE]:
+            raise LayoutError(f"unsupported grid {grid}, expected [{GRID_SIZE}, {GRID_SIZE}]")
+        return BeaconLayout(ids=tuple(b["id"] for b in beacons), xs=tuple(b["x"] for b in beacons),
+                            ys=tuple(b["y"] for b in beacons), cell_feet=doc.get("cell_feet", DEFAULT_CELL_FEET))
+    except LayoutError as e:
+        e.args = (f"layout JSON, {e}",)
+        raise
 
 
 def save_layout(layout: BeaconLayout, path: str | Path) -> None:

@@ -428,6 +428,17 @@ class TestLayout:
         with pytest.raises(LayoutError, match=re.escape(repr(key))):
             data.load_layout(json.dumps(doc))
 
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", '{"z": 1}', '{"cell_feet": "10"}', '{"grid": [10, 10]}', '{"beacons": []}',
+        '{"beacons": [{"id": "a", "x": 1}]}', '{"beacons": [{"id": "a", "x": 25, "y": 1}]}',
+        '{"beacons": [{"id": "a", "x": 1, "y": 1}], "cell_feet": -1}',
+    ], ids=["not-json", "not-an-object", "unknown-key", "mistyped", "grid", "no-beacons", "missing-key",
+            "off-grid", "cell-feet"])
+    def test_each_error_names_the_layout_once(self, text):
+        with pytest.raises(LayoutError) as e:
+            data.load_layout(text)
+        assert str(e.value).count("layout") == 1 and "layout JSON" in str(e.value)
+
 
 class TestCsvRoundTrip:
     def test_labelled_round_trip(self, synth_dataset, tmp_path):
