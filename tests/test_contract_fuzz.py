@@ -5,16 +5,21 @@ A small ``synth`` corpus is written once. Each example mutates one of its three 
 process. Whatever the input, the run exits 0, 2, 3 or 4, prints no traceback and no warning, and an exit 3
 caused by a mutated CSV names that table: ``labelled CSV``, ``unlabelled CSV`` or the file's path. One caused
 by a mutated layout names the layout (``layout JSON``), or a table whose header it no longer matches.
+
+``tune``'s ``--spec`` is mutated the same way, key by key, and a ``tune`` run on it exits 0, 2 or 4 with no
+traceback and no warning.
 """
 import contextlib
+import copy
 import io
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fingerloc import cli
@@ -32,6 +37,11 @@ COMMANDS = (["augment", "--strategy", "naive"], ["augment", "--strategy", "hybri
             ["tune", "--epochs", "1"])
 INPUTS = {"augment": ("labelled", "unlabelled", "layout"), "train": ("labelled", "unlabelled", "layout"),
           "tune": ("labelled", "layout")}
+SPEC = {"algorithm": "bayesian", "goal": 1.2, "seed": 0, "max_trials": 4,
+        "space": [{"name": "learning_rate", "min": 0.001, "max": 0.002}, {"name": "beta1", "min": 0.88, "max": 0.93}]}
+# a spec value's replacement: another JSON type or name, or a number at or past the ends of the float range
+SPEC_TYPES = ("3", True, None, [], {}, "grid", "random", "learning_rate", "beta2", "momentum", "epochs", "")
+SPEC_NUMBERS = (math.nan, math.inf, -math.inf, 1e308, 5e-324, 2 ** 64, 10 ** 400, 0, -1, -0.5, 3)
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +158,49 @@ def test_mutated_inputs_keep_the_cli_contract(corpus, data):
         elif status == cli.EXIT_DATA and name[:-4] in INPUTS[command[0]]:
             table = f"data error: {name[:-4]} CSV, "
             assert message.startswith(table) or str(scratch / name) in message, message
+
+
+@st.composite
+def spec_mutation(draw) -> dict:
+    """``SPEC`` with one or two mutations: a key dropped, an unknown key, a duplicated name, or a value replaced.
+    ``max_trials`` is never dropped, nor set to a valid count above 4: a longer search is a run the user asked for."""
+    spec = copy.deepcopy(SPEC)
+    for _ in range(draw(st.integers(1, 2))):
+        space = spec.get("space")
+        entries = [e for e in space if isinstance(e, dict)] if isinstance(space, list) else []
+        kind = draw(st.sampled_from(("missing", "unknown", "duplicate", "type", "number")))
+        paths = [(target, key) for target in (spec, *entries) for key in sorted(target)
+                 if kind == "type" or (kind == "missing" and (target is not spec or key != "max_trials"))
+                 or (kind == "number" and key not in ("algorithm", "name", "space"))]
+        if kind == "unknown":
+            draw(st.sampled_from([spec, *entries]))[draw(st.sampled_from(["z", "epochs", "optimizer"]))] = 1
+        elif kind == "duplicate" and entries:
+            space.append(copy.deepcopy(draw(st.sampled_from(entries))))
+        elif kind == "missing" and paths:
+            target, key = draw(st.sampled_from(paths))
+            del target[key]
+        elif paths:
+            target, key = draw(st.sampled_from(paths))
+            values = SPEC_TYPES if kind == "type" else SPEC_NUMBERS
+            long_run = target is spec and key == "max_trials"
+            target[key] = draw(st.sampled_from([v for v in values if not (long_run and type(v) is int and v > 4)]))
+    return spec
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(spec_mutation())
+# a learning rate that takes the one step of an epoch to the float limit: the forward that scores the trial
+# overflows
+@example({"algorithm": "random", "max_trials": 2, "space": [{"name": "learning_rate", "min": 0, "max": 1e308}]})
+def test_mutated_spec_keeps_the_tune_contract(corpus, spec):
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        (scratch / "spec.json").write_text(json.dumps(spec))
+        argv = ["tune", "--epochs", "1", "--spec", str(scratch / "spec.json"), "--out-dir", str(scratch / "out"),
+                "--labelled", str(corpus / "labelled.csv"), "--layout", str(corpus / "layout.json")]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            status = cli.main(argv)
+        message = stderr.getvalue()
+        assert status in (0, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), message
+        assert "Traceback" not in message and "Warning" not in message, message
