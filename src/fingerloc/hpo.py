@@ -126,7 +126,7 @@ def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.n
     pos = std > 0.0
     if np.any(pos):
         z = improve[pos] / std[pos]
-        cdf = np.array([0.5 * math.erfc(-v * _SQRT1_2) for v in z.tolist()])  # libm's erfc, one value a candidate
+        cdf = np.array([0.5 * math.erfc(-v * _SQRT1_2) for v in z.tolist()])  # Phi(z), libm's erfc per candidate
         pdf = np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
         ei[pos] = np.maximum(improve[pos] * cdf + std[pos] * pdf, 0.0)
     return ei

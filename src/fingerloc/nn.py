@@ -655,8 +655,8 @@ def evaluate(network: Network, inputs: np.ndarray, targets: np.ndarray,
     ends = list(range(EVAL_CHUNK, len(inputs), EVAL_CHUNK))
     if ends and ends[-1] == len(inputs) - 1:
         ends.pop()
-    # a diverged network's forward and a figure past the float range in feet are not finite; data.write_json
-    # refuses such a figure, and a tune trial with one diverged
+    # a diverged network's forward, or a figure past the float range in feet, is not finite: data.write_json
+    # refuses such a figure, and tune records such a trial as diverged
     with np.errstate(over="ignore", invalid="ignore"):
         pred = np.concatenate([network.forward(chunk) for chunk in np.split(inputs, ends)])
         errors = np.sqrt(np.sum((pred - targets) ** 2, axis=1))

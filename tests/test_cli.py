@@ -959,22 +959,22 @@ def test_mean_over_seeds_past_the_float_range_exits_4_without_a_warning(tmp_path
 
 # a learning rate that the one step of an epoch on 48 training rows takes to the float limit, which no loss
 # check sees: train checks the loss before each step, and evaluate's forward overflows
-DIVERGED_FORWARD_RUNS = [("train", ["--learning-rate", "1e200"]),
-                         ("tune", {"algorithm": "random", "max_trials": 2,
-                                   "space": [{"name": "learning_rate", "min": 0, "max": 1e308}]})]
+DIVERGED_FORWARD_RUNS = [(["train", "--learning-rate", "1e200"], None),
+                         (["tune"], {"algorithm": "random", "max_trials": 2,
+                                     "space": [{"name": "learning_rate", "min": 0, "max": 1e308}]})]
 
 
-@pytest.mark.parametrize("command, option", DIVERGED_FORWARD_RUNS, ids=["train", "tune"])
-def test_forward_past_the_float_range_exits_4_without_a_warning(command, option, tmp_path, capsys):
+@pytest.mark.parametrize("argv, spec", DIVERGED_FORWARD_RUNS, ids=["train", "tune"])
+def test_forward_past_the_float_range_exits_4_without_a_warning(argv, spec, tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert run(["synth", "--out-dir", str(corpus), "--locations", "20", "--samples-per-location", "3",
                 "--seed", "0"]) == 0
-    if isinstance(option, dict):
-        (tmp_path / "spec.json").write_text(json.dumps(option))
-        option = ["--spec", str(tmp_path / "spec.json")]
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        argv = [*argv, "--spec", str(tmp_path / "spec.json")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        status = run([command, *option, "--epochs", "1", "--labelled", str(corpus / "labelled.csv"),
+        status = run([*argv, "--epochs", "1", "--labelled", str(corpus / "labelled.csv"),
                       "--layout", str(corpus / "layout.json"), "--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert status == cli.EXIT_NUMERICAL
