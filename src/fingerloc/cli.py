@@ -132,7 +132,7 @@ def cmd_train(args: dict, out_dir: Path, layout: data.BeaconLayout, dataset: dat
         # augment the full pool, then split (the less careful historical protocol)
         pool = aug.augment(pool, strategy, policy, dataset.unlabelled).samples
     train_set, test_set = data.split(pool, ratio, config.seed)
-    if not (len(train_set) and len(test_set)):
+    if len(pool) >= 2 and not (len(train_set) and len(test_set)):  # fewer rows are models.fit's DataError
         raise ConfigError(f"--ratio {ratio} leaves an empty partition of {len(pool)} rows")
     if strategy != "none" and not args["paper_protocol"]:
         train_set = aug.augment(train_set, strategy, policy, dataset.unlabelled).samples

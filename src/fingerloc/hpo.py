@@ -68,28 +68,33 @@ class GpSurrogate:
 
     Inputs are expected pre-normalized to the unit cube. The prior mean is
     the observation mean; far from all data the posterior reverts to it
-    with variance ``signal_var``.
+    with variance ``signal_var``. There is one configuration: length-scale
+    ``DEFAULT_LENGTHSCALE``, ``signal_var`` the variance of the objectives and
+    ``noise_var`` 1e-6 of it. That noise floor keeps the kernel definite, so
+    it is factored once.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, lengthscale: float = DEFAULT_LENGTHSCALE,
-                 signal_var: float | None = None, noise_var: float | None = None):
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64).ravel()
         if len(x) != len(y) or len(y) == 0:
             raise ValueError("need >= 1 observation with matching x/y lengths")
         if not np.all(np.isfinite(y)):
             raise ValueError("objectives must be finite")
-        self.x = x
-        self.lengthscale = lengthscale
-        if signal_var is None:
+        with np.errstate(over="ignore"):
             signal_var = float(np.var(y))
-            if signal_var <= 0.0:
-                signal_var = 1.0
-        self.signal_var = signal_var
-        self.noise_var = 1e-6 * signal_var if noise_var is None else noise_var
+        if not math.isfinite(signal_var):
+            raise NumericalError("objective variance past the float range")
+        self.x = x
+        self.lengthscale = DEFAULT_LENGTHSCALE
+        # 1.0 when the noise floor, 1e-6 of var(y), is 0 or too small for the kernel to stay definite
+        self.signal_var = signal_var if 1e-6 * signal_var >= np.finfo(np.float64).tiny else 1.0
+        self.noise_var = 1e-6 * self.signal_var
         self.y_mean = float(np.mean(y))
-        k = self._kernel(x, x) + self.noise_var * np.eye(len(x))
-        self.chol = _cholesky_with_jitter(k)
+        try:
+            self.chol = np.linalg.cholesky(self._kernel(x, x) + self.noise_var * np.eye(len(x)))
+        except np.linalg.LinAlgError:
+            raise NumericalError("kernel matrix not positive definite") from None
         self.alpha = np.linalg.solve(self.chol.T, np.linalg.solve(self.chol, y - self.y_mean))
 
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,17 +109,6 @@ class GpSurrogate:
         w = np.linalg.solve(self.chol, k_star)
         var = self.signal_var - np.sum(w * w, axis=0)
         return mean, np.maximum(var, 0.0)
-
-
-def _cholesky_with_jitter(k: np.ndarray) -> np.ndarray:
-    jitter = 0.0
-    base = float(np.mean(np.diag(k)))
-    for _ in range(8):
-        try:
-            return np.linalg.cholesky(k + jitter * np.eye(len(k)))
-        except np.linalg.LinAlgError:
-            jitter = max(jitter * 10.0, 1e-12 * base)
-    raise NumericalError("kernel matrix not positive definite after jitter escalation")
 
 
 def expected_improvement(mean: np.ndarray, std: np.ndarray, best: float) -> np.ndarray:

@@ -299,7 +299,7 @@ class TestRationalizeCommand:
         assert code == cli.EXIT_DATA
 
 
-@pytest.mark.parametrize("command", [["tune"], ["rationalize", "--n-seeds", "1"]], ids=" ".join)
+@pytest.mark.parametrize("command", [["train"], ["tune"], ["rationalize", "--n-seeds", "1"]], ids=" ".join)
 def test_labelled_file_too_small_to_split_is_data_error(corpus, tmp_path, capsys, command):
     one = tmp_path / "one.csv"
     one.write_text("".join((corpus / "labelled.csv").read_text().splitlines(keepends=True)[:2]))

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fingerloc import hpo, models
 from fingerloc.errors import ConfigError, DivergedError, ExperimentFailedError, GridExhausted, NumericalError
@@ -27,17 +28,30 @@ def dense_gp_oracle(x, y, query, lengthscale, signal_var, noise_var):
     return mean, np.maximum(var, 0.0)
 
 
+@st.composite
+def observations(draw):
+    """Up to 60 points of the 1-3-dimensional unit cube, duplicates allowed, and finite objectives whose
+    variance is finite."""
+    d = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d), min_size=1, max_size=60))
+    x = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    y = draw(st.lists(st.floats(-1e154, 1e154), min_size=len(x), max_size=len(x)))
+    with np.errstate(over="ignore"):
+        assume(np.isfinite(np.var(y)))
+    return np.array(x), np.array(y)
+
+
 class TestGpSurrogate:
     def test_interpolates_single_observation(self):
-        g = hpo.GpSurrogate(np.array([[0.5]]), np.array([2.0]), noise_var=0.0)
+        g = hpo.GpSurrogate(np.array([[0.5]]), np.array([2.0]))
         mean, var = g.predict(np.array([[0.5]]))
-        assert mean[0] == pytest.approx(2.0)
-        assert var[0] == pytest.approx(0.0, abs=1e-9)
+        assert mean[0] == 2.0
+        assert 0.0 <= var[0] <= g.noise_var
 
     def test_reverts_to_prior_far_away(self):
         x = np.array([[0.1], [0.2]])
         y = np.array([1.0, 3.0])
-        g = hpo.GpSurrogate(x, y, lengthscale=0.05)
+        g = hpo.GpSurrogate(x, y)
         mean, var = g.predict(np.array([[50.0]]))
         assert mean[0] == pytest.approx(g.y_mean)
         assert var[0] == pytest.approx(g.signal_var, rel=1e-9)
@@ -71,12 +85,11 @@ class TestGpSurrogate:
             x = rng.uniform(size=(5, 1))
             y = rng.normal(size=5)
             extra_x = rng.uniform(size=(1, 1))
-            extra_y = rng.normal(size=1)
+            extra_y = np.mean(y) + np.sqrt(np.var(y) * 6 / 5)  # leaves var(y), so the signal variance, as it is
             queries = rng.uniform(size=(20, 1))
-            sf, nv = 1.0, 1e-6
-            g1 = hpo.GpSurrogate(x, y, signal_var=sf, noise_var=nv)
-            g2 = hpo.GpSurrogate(np.vstack([x, extra_x]), np.append(y, extra_y),
-                                 signal_var=sf, noise_var=nv)
+            g1 = hpo.GpSurrogate(x, y)
+            g2 = hpo.GpSurrogate(np.vstack([x, extra_x]), np.append(y, extra_y))
+            assert g2.signal_var == pytest.approx(g1.signal_var, rel=1e-12)
             _, v1 = g1.predict(queries)
             _, v2 = g2.predict(queries)
             assert np.all(v2 <= v1 + 1e-9)
@@ -85,20 +98,27 @@ class TestGpSurrogate:
         with pytest.raises(ValueError):
             hpo.GpSurrogate(np.array([[0.5]]), np.array([np.nan]))
 
+    def test_objective_variance_past_the_float_range_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="variance"):
+            hpo.GpSurrogate(np.linspace(0, 1, 6)[:, None], np.array([0, 0, 0, 1.3e154, 1.3e154, 1.3e154]))
 
-class TestCholeskyWithJitter:
-    def test_kernel_singular_at_zero_jitter_is_factored(self):
-        # two equal points and no noise term: the kernel matrix has rank 1
-        gp = hpo.GpSurrogate(np.array([[0.5], [0.5]]), np.array([1.0, 2.0]), noise_var=0.0)
-        k = gp._kernel(gp.x, gp.x)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(k)
-        assert np.allclose(gp.chol @ gp.chol.T, k, rtol=0.0, atol=1e-9)
-        assert np.array_equal(gp.chol, np.tril(gp.chol))
+    def test_kernel_not_positive_definite_is_a_numerical_error(self, monkeypatch):
+        def cholesky(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    def test_matrix_no_jitter_makes_definite_is_a_numerical_error(self):
-        with pytest.raises(NumericalError, match="jitter"):
-            hpo._cholesky_with_jitter(-np.eye(2))
+        monkeypatch.setattr(hpo.np.linalg, "cholesky", cholesky)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            hpo.GpSurrogate(np.array([[0.2], [0.8]]), np.array([1.0, 2.0]))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(observations(), st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    # var(y) is 8.4e-320: 1e-6 of it is 0, so the equal points need the signal variance of 1.0
+    @example((np.array([[0.5], [0.5]]), np.array([0.0, 5.8e-160])), [0.9, 0.0, 0.0])
+    def test_factors_and_keeps_each_posterior_variance_in_prior_range(self, xy, query):
+        x, y = xy
+        g = hpo.GpSurrogate(x, y)
+        _, var = g.predict(np.vstack([x, np.array(query[:x.shape[1]])]))
+        assert np.all((0.0 <= var) & (var <= g.signal_var))
 
 
 class TestExpectedImprovement:
@@ -165,13 +185,14 @@ class TestExpectedImprovement:
             ei = hpo.expected_improvement(mean, std, best)
             assert np.argmax(ei) == np.argmax(self.scipy_form(mean, std, best)), seed
 
-    def test_zero_at_noiseless_observed_point(self):
+    def test_within_the_noise_floor_at_observed_points(self):
         x = np.array([[0.3], [0.7]])
         y = np.array([1.0, 2.0])
-        g = hpo.GpSurrogate(x, y, noise_var=0.0)
+        g = hpo.GpSurrogate(x, y)
         mean, var = g.predict(x)
         ei = hpo.expected_improvement(mean, np.sqrt(var), best=float(y.min()))
-        assert np.all(ei <= 1e-8)
+        assert np.all(var <= g.noise_var)
+        assert np.all(ei <= np.sqrt(g.noise_var) * PHI_AT_ZERO)  # the noise floor's sigma at mean = best
 
 
 def grid_history(s, n):
